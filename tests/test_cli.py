@@ -104,6 +104,37 @@ def test_evaluate_rerun_byte_identical(demo_dir, tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+# SHA-256 of each numpy-free file that `videval evaluate --config demo/config.json`
+# writes, run from the repository root. A change that alters any of them changes
+# the demo's published output and must say so.
+DEMO_GOLDEN_SHA256 = {
+    "manifest.jsonl": "2dec0ac1af983ee9875f0281f27a4b738c7a434fc98570c2a457918b4fb8f45c",
+    "completeness.md": "b142a7d48c1f8cbb61b3af69dd3236c6b0ca1e131f46f8691c5c2541d2042eb1",
+    "completeness.csv": "ee8c4b7582cedb42b4d8ce0d93152e1be107b44f5aea13f73e11f71668e8f4dc",
+    "duration_accuracy.md": "ce3d7b8c677b5ca54355cd2e38ca3de99bcbe0f64479479e1c3f389117982de3",
+    "duration_accuracy.csv": "1f60de3844e32f7f2845a9910d61f6cfd274aa00f6eb1fbf64ffd632625e11b6",
+    "model_accuracy.md": "97e48d5db392ed1059914d2d19919c830625bdd94f48eb4bfc6338d2ad227c18",
+    "model_accuracy.csv": "84ba60997eabf0b3715fead003226f7aa779b1eb390a22bb373376c07004f696",
+    "task_accuracy.md": "6579d0d9bca62ffce1a3943e65dccad80097a5985a0c0be5438f01742d02a23c",
+    "task_accuracy.csv": "6e0dac69452c30298ff654f05b0f76ce70cf8d350a5216c2d726509940748944",
+    "scores.json": "3edd270bf6908f103007063e5ff769d30a09f019727eebbaabea25d976e1a3d1",
+}
+
+
+def test_evaluate_demo_golden_digests(demo_dir, tmp_path, monkeypatch):
+    import hashlib
+
+    # the manifest header holds the dataset path as given, so run from the root
+    monkeypatch.chdir(demo_dir.parent)
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--config", "demo/config.json", "--out-dir", str(out_dir)) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in DEMO_GOLDEN_SHA256
+    }
+    assert digests == DEMO_GOLDEN_SHA256
+
+
 def test_evaluate_missing_dataset_is_config_error(demo_dir, tmp_path, capsys):
     config = json.loads((demo_dir / "config.json").read_text())
     config["dataset"] = "missing.json"
