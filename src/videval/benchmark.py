@@ -1,10 +1,11 @@
 """Load Video-MME-style datasets, expand the condition matrix, and run them.
 
-A run produces one record per (item x condition). Partial failures, including
-replay misses and out-of-memory responses, become records rather than aborting
-the run, so completeness can be accounted afterwards. Replay runs are
-deterministic regardless of worker count: records are sorted by (condition,
-question id) on completion and wall-clock defers to the recorded latency.
+A run produces one record per (condition x item) cell. Partial failures,
+including replay misses and out-of-memory responses, become records rather than
+aborting the run, so completeness can be accounted afterwards. Records come out
+in (condition, question id) order. Replay is serial and deterministic, and its
+wall-clock defers to the recorded latency; live runs the cells concurrently, up
+to the hub's in-flight limit.
 """
 
 from __future__ import annotations
@@ -257,7 +258,6 @@ class RunPlan:
     mcq_template: str = DEFAULT_MCQ_TEMPLATE
     summary_template: str = ""
     transcripts: dict[str, Transcript] = field(default_factory=dict)
-    max_workers: int = 4
 
 
 @dataclass
@@ -365,40 +365,29 @@ def _run_one(
 
 
 def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
-    """Execute the full (item x condition) matrix and return a completed manifest."""
+    """Run every (condition, item) cell and return a completed manifest.
+
+    Cells are taken in condition order and, within a condition, in question id
+    order; the records keep that order. Replay runs the cells one after another.
+    Live runs them through one pool as wide as the hub's in-flight limit.
+    """
     started_at = (
         REPLAY_EPOCH
         if hub.mode == "replay"
         else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
-    manifest = RunManifest(
+    items = sorted(plan.items, key=lambda item: item.question_id)
+    cells = [(condition, item) for condition in plan.conditions for item in items]
+    if hub.mode == "replay":
+        records = [_run_one(plan, hub, condition, item) for condition, item in cells]
+    else:
+        with ThreadPoolExecutor(hub.max_in_flight) as pool:
+            records = list(pool.map(lambda cell: _run_one(plan, hub, *cell), cells))
+    return RunManifest(
         dataset_path=plan.dataset_path,
         conditions=plan.conditions,
         providers=sorted({c.provider for c in plan.conditions}),
         started_at=started_at,
+        records=records,
+        completed=True,
     )
-    for condition in plan.conditions:
-        if plan.max_workers <= 1:
-            results = [_run_one(plan, hub, condition, item) for item in plan.items]
-        else:
-            with ThreadPoolExecutor(max_workers=plan.max_workers) as pool:
-                futures = [
-                    pool.submit(_run_one, plan, hub, condition, item)
-                    for item in plan.items
-                ]
-                results = [f.result() for f in futures]
-        for record in results:
-            manifest.append(record)
-
-    condition_rank = {
-        json.dumps(c.tag.to_dict(), sort_keys=True): i
-        for i, c in enumerate(plan.conditions)
-    }
-    manifest.records.sort(
-        key=lambda r: (
-            condition_rank.get(json.dumps(r.condition.to_dict(), sort_keys=True), 1 << 30),
-            r.item_ref,
-        )
-    )
-    manifest.completed = True
-    return manifest

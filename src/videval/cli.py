@@ -290,19 +290,10 @@ def _score_and_emit(
     except MissingCondition:
         report = scoring.ScoreReport(
             overall_accuracy=0.0,
-            completeness={
-                label: scoring.completeness_counts(
-                    [r for r in manifest.records if r.condition.label() == label]
-                )
-                for label in sorted({r.condition.label() for r in manifest.records})
-            },
+            completeness=scoring.completeness_by_condition(manifest.records),
             warnings=["records cover a single transcript condition; delta tables skipped"],
         )
-    wall = {}
-    for record in manifest.records:
-        label = record.condition.label()
-        wall[label] = wall.get(label, 0) + record.wall_ms
-    written = reports.write_report_tables(report, out_dir, wall)
+    written = reports.write_report_tables(report, out_dir)
     bundle.score_report = report
     bundle.emitted.extend(written)
 
@@ -333,7 +324,6 @@ def cmd_evaluate(args) -> int:
         mcq_template=config.mcq_template,
         summary_template=config.summary_template,
         transcripts=transcripts,
-        max_workers=config.max_workers,
     )
     manifest = bench.run_benchmark(plan, hub)
 

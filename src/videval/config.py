@@ -10,9 +10,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedProviderOutput
 from .knowledge_graph import LayoutParams
-from .providers import ConditionTag, ProviderSettings, Transcript, TranscriptSegment
+from .providers import ConditionTag, ProviderSettings, Transcript, transcript_from_payload
 from .templates import DEFAULT_MCQ_TEMPLATE, DEFAULT_REFINE_TEMPLATE, SUMMARY_PROMPT_PLAIN
 
 
@@ -82,6 +82,9 @@ def load_config(path: str | Path) -> HarnessConfig:
             tag = ConditionTag.from_dict(entry)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"condition {i} is malformed: {exc}") from exc
+        # records carry the tag, not the provider, so equal tags cannot be told apart
+        if any(tag == seen for seen, _ in conditions):
+            raise ConfigError(f"condition {i} repeats the tag of an earlier condition")
         conditions.append((tag, provider))
 
     mode = data.get("mode", "replay")
@@ -115,6 +118,10 @@ def load_config(path: str | Path) -> HarnessConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad layout params: {exc}") from exc
 
+    max_workers = int(data.get("max_workers", 4))
+    if max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
+
     request_kind = data.get("request_kind", "mcq")
     if request_kind not in ("mcq", "summary_keyframes"):
         raise ConfigError(f"bad request_kind: {request_kind!r}")
@@ -138,30 +145,20 @@ def load_config(path: str | Path) -> HarnessConfig:
         layout=layout,
         out_dir=_resolve(base, data.get("out_dir", "out")),
         probe_command=data.get("probe_command"),
-        max_workers=int(data.get("max_workers", 4)),
+        max_workers=max_workers,
         asr_provider=data.get("asr_provider"),
     )
 
 
 def load_transcripts(path: str | Path) -> dict[str, Transcript]:
-    """Read stored transcripts keyed by video id."""
+    """Read stored transcripts keyed by video id, each validated like an ASR payload."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     transcripts = {}
     for video_id, entry in data.items():
-        segments = [
-            TranscriptSegment(
-                id=int(seg["id"]),
-                start_s=float(seg["start"]),
-                end_s=float(seg["end"]),
-                text=str(seg["text"]),
-            )
-            for seg in entry.get("segments") or []
-        ]
-        transcripts[video_id] = Transcript(
-            segments=segments,
-            full_text=str(entry.get("text", "")),
-            language=entry.get("language"),
-        )
+        try:
+            transcripts[video_id] = transcript_from_payload(entry)
+        except MalformedProviderOutput as exc:
+            raise ConfigError(f"transcript of video {video_id!r} is invalid: {exc}") from exc
     return transcripts
 
 

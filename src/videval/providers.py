@@ -330,6 +330,7 @@ class ProviderHub:
         self.store = store
         self.mode = mode
         self.transport = transport or _default_transport
+        self.max_in_flight = max_in_flight
         self._in_flight = threading.Semaphore(max_in_flight)
 
     # -- core send ---------------------------------------------------------
@@ -499,8 +500,13 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
         payload = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         raise MalformedProviderOutput(f"ASR payload is not JSON: {exc}") from exc
+    return transcript_from_payload(payload)
+
+
+def transcript_from_payload(payload) -> Transcript:
+    """Decode and validate one {"segments": [...], "text": ..., "language"} object."""
     if not isinstance(payload, dict):
-        raise MalformedProviderOutput("ASR payload must be a JSON object")
+        raise MalformedProviderOutput("transcript payload must be a JSON object")
     segments = []
     for entry in payload.get("segments") or []:
         try:
@@ -513,7 +519,7 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedProviderOutput(f"bad ASR segment {entry!r}") from exc
+            raise MalformedProviderOutput(f"bad transcript segment {entry!r}") from exc
     segments.sort(key=lambda s: (s.start_s, s.id))
     full_text = payload.get("text")
     if full_text is None:

@@ -134,21 +134,17 @@ def model_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
     return headers, rows
 
 
-def completeness_table(
-    report: ScoreReport, wall_ms_by_condition: dict[str, int] | None = None
-) -> tuple[list[str], list[list[str]]]:
+def completeness_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
     headers = ["Experiments", "Processing Time", "Total Answered (%)", "Correct Answered (%)"]
-    rows = []
-    for label, row in report.completeness.items():
-        wall = (wall_ms_by_condition or {}).get(label, 0)
-        rows.append(
-            [
-                label,
-                format_hms(wall / 1000.0),
-                format_percent(row.answered_pct),
-                format_percent(row.correct_pct),
-            ]
-        )
+    rows = [
+        [
+            label,
+            format_hms(row.wall_ms / 1000.0),
+            format_percent(row.answered_pct),
+            format_percent(row.correct_pct),
+        ]
+        for label, row in report.completeness.items()
+    ]
     return headers, rows
 
 
@@ -203,11 +199,7 @@ def report_to_json(report: ScoreReport) -> dict:
     }
 
 
-def write_report_tables(
-    report: ScoreReport,
-    out_dir,
-    wall_ms_by_condition: dict[str, int] | None = None,
-) -> list[str]:
+def write_report_tables(report: ScoreReport, out_dir) -> list[str]:
     """Write the three tables (md + csv) and scores.json; returns file names."""
     from pathlib import Path
 
@@ -217,7 +209,7 @@ def write_report_tables(
     tables = {
         "task_accuracy": task_table(report),
         "model_accuracy": model_table(report),
-        "completeness": completeness_table(report, wall_ms_by_condition),
+        "completeness": completeness_table(report),
     }
     if report.by_duration:
         tables["duration_accuracy"] = duration_table(report)

@@ -44,6 +44,7 @@ class CompletenessRow:
     oom: int = 0
     unanswered: int = 0
     invalid_output: int = 0
+    wall_ms: int = 0
 
     @property
     def answered_pct(self) -> float:
@@ -158,43 +159,52 @@ def mcq_accuracy(records: Iterable) -> tuple[float, float]:
     The correctness denominator is the answered records, matching how a run
     can answer 37% of items yet be right on 58.73% of those it answered.
     """
-    total = answered = correct = 0
-    for record in records:
-        total += 1
-        if record.outcome in ANSWERED_OUTCOMES:
-            answered += 1
-            if record.outcome == "answered_correct":
-                correct += 1
-    if total == 0:
+    row = completeness_counts(records)
+    if row.total == 0:
         raise NoRecords("no records supplied")
-    answered_pct = answered / total
-    correct_pct = correct / answered if answered else 0.0
-    return answered_pct, correct_pct
+    return row.answered_pct, row.correct_pct
 
 
 def completeness_counts(records: Iterable) -> CompletenessRow:
-    row = CompletenessRow(total=0, answered=0, correct=0)
+    """Outcome counts and summed wall_ms (0 for records that carry none)."""
+    tally: dict[str, int] = {}
+    wall_ms = 0
     for record in records:
-        row.total += 1
-        if record.outcome in ANSWERED_OUTCOMES:
-            row.answered += 1
-        if record.outcome == "answered_correct":
-            row.correct += 1
-        elif record.outcome == "oom":
-            row.oom += 1
-        elif record.outcome == "unanswered":
-            row.unanswered += 1
-        elif record.outcome == "invalid_output":
-            row.invalid_output += 1
-    return row
+        tally[record.outcome] = tally.get(record.outcome, 0) + 1
+        wall_ms += getattr(record, "wall_ms", 0)
+    return CompletenessRow(
+        total=sum(tally.values()),
+        answered=sum(tally.get(outcome, 0) for outcome in ANSWERED_OUTCOMES),
+        correct=tally.get("answered_correct", 0),
+        oom=tally.get("oom", 0),
+        unanswered=tally.get("unanswered", 0),
+        invalid_output=tally.get("invalid_output", 0),
+        wall_ms=wall_ms,
+    )
+
+
+def completeness_by_condition(records: Iterable) -> dict[str, CompletenessRow]:
+    """One completeness row per distinct condition tag, keyed by its printed label.
+
+    `ConditionTag.label()` leaves out the model and the GPU, so the label is
+    prefixed with whichever of them varies across the records, model first.
+    """
+    by_tag: dict = {}
+    for record in records:
+        by_tag.setdefault(record.condition, []).append(record)
+    vary_model = len({tag.model_name for tag in by_tag}) > 1
+    vary_gpu = len({tag.gpu for tag in by_tag}) > 1
+    rows = {}
+    for tag, group in by_tag.items():
+        prefix = [tag.model_name] * vary_model + [tag.gpu] * vary_gpu
+        label = " / ".join([part for part in prefix if part] + [tag.label()])
+        rows[label] = completeness_counts(group)
+    return dict(sorted(rows.items()))
 
 
 def _accuracy(records: list) -> float | None:
-    answered = sum(1 for r in records if r.outcome in ANSWERED_OUTCOMES)
-    if answered == 0:
-        return None
-    correct = sum(1 for r in records if r.outcome == "answered_correct")
-    return correct / answered
+    row = completeness_counts(records)
+    return row.correct_pct if row.answered else None
 
 
 def _mean_triple(rows: dict[str, RowTriple]) -> RowTriple | None:
@@ -248,12 +258,6 @@ def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
     by_model = rows_for(lambda r: r.condition.model_name, spec.model_order)
 
     overall = _accuracy(known)
-    completeness = {}
-    for label in sorted({r.condition.label() for r in records}):
-        completeness[label] = completeness_counts(
-            [r for r in records if r.condition.label() == label]
-        )
-
     return ScoreReport(
         overall_accuracy=overall if overall is not None else 0.0,
         by_task_type=by_task,
@@ -262,7 +266,7 @@ def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
         duration_average=_mean_triple(by_duration),
         by_model=by_model,
         model_average=_mean_triple(by_model),
-        completeness=completeness,
+        completeness=completeness_by_condition(records),
         warnings=warnings,
     )
 

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -200,7 +204,7 @@ def test_classify_outcomes():
 # --- run orchestration ----------------------------------------------------------------
 
 
-def demo_plan_and_hub(demo_dir, max_workers=4):
+def demo_plan_and_hub(demo_dir):
     config = load_config(demo_dir / "config.json")
     items = load_dataset(config.dataset)
     transcripts = load_transcripts(config.transcripts)
@@ -211,9 +215,65 @@ def demo_plan_and_hub(demo_dir, max_workers=4):
         conditions=[RunCondition(tag, provider) for tag, provider in config.conditions],
         mcq_template=config.mcq_template,
         transcripts=transcripts,
-        max_workers=max_workers,
     )
     return plan, hub
+
+
+class ScriptedTransport:
+    """Thread-safe fake provider: each answer is a pure function of the prompt.
+
+    Answers are ok (a letter), OOM or timeout; each call sleeps briefly so that
+    concurrent calls overlap, and the peak number of calls in flight is kept.
+    """
+
+    def __init__(self, delay_s=0.02):
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def __call__(self, url, body, headers, timeout_s):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.delay_s)
+            pick = int(hashlib.sha256(body["prompt"].encode("utf-8")).hexdigest(), 16) % 6
+            if pick == 0:
+                return 500, "CUDA out of memory"
+            if pick == 1:
+                return 504, "request timed out"
+            return 200, json.dumps({"text": f"The answer is {'ABCD'[pick - 2]}."})
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def live_hub(demo_dir, cassette_dir, max_in_flight, transport=None):
+    config = load_config(demo_dir / "config.json")
+    providers = {
+        name: replace(settings, endpoint="http://scripted.invalid/v1")
+        for name, settings in config.providers.items()
+    }
+    return ProviderHub(
+        providers,
+        CassetteStore(cassette_dir),
+        mode="live",
+        transport=transport or ScriptedTransport(),
+        max_in_flight=max_in_flight,
+    )
+
+
+def record_dicts(manifest, drop_latency=False):
+    """Record dicts without wall_ms, and without the hub-measured latency if asked."""
+    out = []
+    for record in manifest.records:
+        data = record.to_dict()
+        del data["wall_ms"]
+        if drop_latency:
+            del data["response"]["latency_ms"]
+        out.append(data)
+    return out
 
 
 def test_run_benchmark_cross_product(demo_dir):
@@ -241,10 +301,37 @@ def test_run_benchmark_idempotent_under_replay(demo_dir):
     assert first.encode() == second.encode()
 
 
-def test_run_benchmark_worker_count_invariant(demo_dir):
-    plan1, hub1 = demo_plan_and_hub(demo_dir, max_workers=1)
-    plan8, hub8 = demo_plan_and_hub(demo_dir, max_workers=8)
-    assert run_benchmark(plan1, hub1).to_jsonl() == run_benchmark(plan8, hub8).to_jsonl()
+def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
+    # live runs at in-flight limits 1 and 8 differ only in timings: the start
+    # stamp, wall_ms and the latency the hub measured around each call
+    plan, _ = demo_plan_and_hub(demo_dir)
+    serial = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c1", 1, ScriptedTransport(0.001)))
+    wide = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c8", 8, ScriptedTransport(0.001)))
+    assert serial.dataset_path == wide.dataset_path
+    assert serial.conditions == wide.conditions
+    assert serial.providers == wide.providers
+    assert record_dicts(serial, drop_latency=True) == record_dicts(wide, drop_latency=True)
+
+
+def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
+    plan, _ = demo_plan_and_hub(demo_dir)
+    transport = ScriptedTransport()
+    manifest = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c", 3, transport))
+    assert len(manifest.records) == 20
+    assert transport.peak == 3
+
+
+def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
+    plan, _ = demo_plan_and_hub(demo_dir)
+    live = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c", 4))
+    assert {r.response.status for r in live.records} == {"ok", "oom", "timeout"}
+    assert not any(r.error for r in live.records)
+    order = [(r.condition.with_transcript, r.item_ref) for r in live.records]
+    assert order == sorted(order)  # the demo lists the without-transcript condition first
+
+    replay_hub = ProviderHub({}, CassetteStore(tmp_path / "c"), mode="replay")
+    replayed = run_benchmark(plan, replay_hub)
+    assert record_dicts(replayed) == record_dicts(live)
 
 
 def test_run_benchmark_records_sorted(demo_dir):

@@ -302,6 +302,43 @@ def test_load_config_rejects_unknown_provider(demo_dir, tmp_path):
         load_config(bad)
 
 
+def _demo_config_variant(demo_dir, tmp_path, **changes):
+    raw = json.loads((demo_dir / "config.json").read_text())
+    for key in ("dataset", "cassette_dir", "transcripts", "outputs", "annotations"):
+        raw[key] = str(demo_dir / raw[key])
+    raw.update(changes)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def test_load_config_rejects_equal_condition_tags(demo_dir, tmp_path):
+    raw = json.loads((demo_dir / "config.json").read_text())
+    # a second provider does not tell the records apart: they carry only the tag
+    twin = dict(raw["conditions"][0], provider="local-whisper")
+    path = _demo_config_variant(demo_dir, tmp_path, conditions=[*raw["conditions"], twin])
+    with pytest.raises(ConfigError, match="condition 2 repeats"):
+        load_config(path)
+
+
+def test_load_config_rejects_zero_workers(demo_dir, tmp_path):
+    with pytest.raises(ConfigError, match="max_workers"):
+        load_config(_demo_config_variant(demo_dir, tmp_path, max_workers=0))
+
+
+def test_load_transcripts_rejects_duplicate_segment_ids(tmp_path):
+    from videval.config import load_transcripts
+
+    segments = [
+        {"id": 0, "start": 0.0, "end": 1.0, "text": "a"},
+        {"id": 0, "start": 1.0, "end": 2.0, "text": "b"},
+    ]
+    path = tmp_path / "transcripts.json"
+    path.write_text(json.dumps({"vid-7": {"segments": segments, "text": "ab"}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="vid-7.*duplicate segment ids"):
+        load_transcripts(path)
+
+
 def test_evaluate_runs_from_any_cwd(demo_dir, tmp_path, monkeypatch):
     # relative config paths resolve against the config file, not the cwd
     monkeypatch.chdir(tmp_path)

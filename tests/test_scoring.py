@@ -35,6 +35,7 @@ class FakeRecord:
     condition: ConditionTag
     outcome: str
     request_kind: str = "mcq"
+    wall_ms: int = 0
 
 
 def make_records(item_ids, with_transcript, outcomes, model="m1"):
@@ -244,6 +245,28 @@ def test_aggregate_completeness_split_by_condition():
     assert report.completeness[without_label].answered == 2
     assert report.completeness[without_label].oom == 1
     assert report.completeness[with_label].answered_pct == 1.0
+
+
+def test_aggregate_completeness_one_row_per_model_and_side():
+    items = [FakeItem(f"q{i}") for i in range(2)]
+    ids = [i.question_id for i in items]
+    records = []
+    for model in ("m1", "m2"):
+        for with_transcript in (False, True):
+            cell = make_records(ids, with_transcript, ["answered_correct", "oom"], model=model)
+            for record in cell:
+                record.wall_ms = 1000 if model == "m1" else 250
+            records += cell
+    report = aggregate(ReportSpec(items=items), records)
+    assert list(report.completeness) == [
+        "m1 / SDPA (0.1 FPS) with Audio Transcription",
+        "m1 / SDPA (0.1 FPS) without Audio Transcription",
+        "m2 / SDPA (0.1 FPS) with Audio Transcription",
+        "m2 / SDPA (0.1 FPS) without Audio Transcription",
+    ]
+    rows = list(report.completeness.values())
+    assert [(r.total, r.answered, r.oom) for r in rows] == [(2, 1, 1)] * 4
+    assert [r.wall_ms for r in rows] == [2000, 2000, 500, 500]
 
 
 # --- warnings helpers ----------------------------------------------------------------------
