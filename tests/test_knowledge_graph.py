@@ -167,6 +167,104 @@ def test_layout_direction_ignored_for_forces():
         assert forward[node_id].y == backward[node_id].y
 
 
+
+def _reference_fr_layout(graph: EvalGraph, params: LayoutParams) -> dict[str, tuple[float, float]]:
+    """The layout loop as first written, over dense (n, n, 2) temporaries.
+
+    Kept as an oracle: `fr_layout` must reproduce its positions bit for bit,
+    so every graph export stays byte-identical.
+    """
+    import numpy as np
+
+    p = params
+    ids = list(graph.nodes)
+    n = len(ids)
+    side = math.sqrt(p.area)
+    k = p.optimal_distance(n)
+    iterations = p.iterations if p.iterations is not None else 50 * math.ceil(math.sqrt(n))
+    temperature = (
+        p.initial_temperature if p.initial_temperature is not None else 0.1 * side
+    )
+
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    undirected = sorted(
+        {
+            (min(index[s], index[t]), max(index[s], index[t]))
+            for s, t in graph.edges
+            if s != t
+        }
+    )
+    eu = np.array([u for u, _ in undirected], dtype=int)
+    ev = np.array([v for _, v in undirected], dtype=int)
+
+    rng = np.random.default_rng(p.seed)
+    pos = rng.random((n, 2)) * side
+
+    for _ in range(iterations):
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((delta**2).sum(axis=2))
+        np.fill_diagonal(dist, 1.0)  # self-term contributes zero via delta=0
+        dist = np.maximum(dist, 1e-9)
+        disp = (delta / dist[..., None] * (k * k / dist)[..., None]).sum(axis=1)
+
+        if len(eu):
+            d = pos[eu] - pos[ev]
+            ln = np.maximum(np.sqrt((d**2).sum(axis=1)), 1e-9)
+            pull = d / ln[:, None] * (ln**2 / k)[:, None]
+            np.subtract.at(disp, eu, pull)
+            np.add.at(disp, ev, pull)
+
+        lengths = np.maximum(np.sqrt((disp**2).sum(axis=1)), 1e-12)
+        pos = pos + disp * (np.minimum(lengths, temperature) / lengths)[:, None]
+        temperature *= p.cooling
+
+    return {node_id: (float(pos[i, 0]), float(pos[i, 1])) for node_id, i in index.items()}
+
+
+def comparison_graph(n_models: int, n_keyframes: int) -> EvalGraph:
+    """A 2 + 2M + K node comparison graph, keyframes split evenly over the models."""
+    split = [n_keyframes // n_models] * n_models
+    split[-1] += n_keyframes - sum(split)
+    return build_comparison_graph({f"model-{m}": output_with(kf) for m, kf in enumerate(split)})
+
+
+def awkward_graph() -> EvalGraph:
+    """A self-loop, an edge given in both directions and two isolated nodes."""
+    return simple_graph(
+        [("A", "B"), ("B", "A"), ("B", "B"), ("B", "C"), ("C", "D"), ("E", "C"), ("A", "E")],
+        nodes=list("ABCDEFG") + ["H", "I"],
+    )
+
+
+ORACLE_CASES = {
+    # the graph_layout bench shapes, default params
+    "n32": (lambda: comparison_graph(3, 24), LayoutParams()),
+    "n70": (lambda: comparison_graph(4, 60), LayoutParams()),
+    "n110": (lambda: comparison_graph(4, 100), LayoutParams()),
+    # larger graphs with fewer rounds, to keep the suite fast
+    "n258": (lambda: comparison_graph(6, 244), LayoutParams(iterations=40)),
+    "n1242": (lambda: comparison_graph(20, 1200), LayoutParams(iterations=40)),
+    "awkward": (awkward_graph, LayoutParams()),
+    "awkward_params": (
+        awkward_graph,
+        LayoutParams(spacing=1.7, area=3.5, iterations=120, seed=7, initial_temperature=0.4, cooling=0.9),
+    ),
+    "no_rounds": (awkward_graph, LayoutParams(iterations=0)),
+    "pair": (lambda: simple_graph([("A", "B")]), LayoutParams()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_layout_matches_reference_bit_for_bit(case):
+    make_graph, params = ORACLE_CASES[case]
+    graph = make_graph()
+    expected = _reference_fr_layout(graph, params)
+    got = fr_layout(graph, params)
+    assert list(got) == list(expected)
+    for node_id, (x, y) in expected.items():
+        assert got[node_id].x == x, (node_id, got[node_id].x.hex(), x.hex())
+        assert got[node_id].y == y, (node_id, got[node_id].y.hex(), y.hex())
+
 # --- dijkstra ----------------------------------------------------------------------
 
 
