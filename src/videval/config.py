@@ -45,16 +45,22 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """Decode a JSON file whose top level must be an object; any failure is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path} is not readable JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
 def load_config(path: str | Path) -> HarnessConfig:
     config_path = Path(path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+    data = _read_json_object(config_path, "config")
     base = config_path.parent
 
     if "dataset" not in data:
@@ -152,7 +158,7 @@ def load_config(path: str | Path) -> HarnessConfig:
 
 def load_transcripts(path: str | Path) -> dict[str, Transcript]:
     """Read stored transcripts keyed by video id, each validated like an ASR payload."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read_json_object(path, "transcripts")
     transcripts = {}
     for video_id, entry in data.items():
         try:
@@ -164,9 +170,7 @@ def load_transcripts(path: str | Path) -> dict[str, Transcript]:
 
 def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
     """Read raw model outputs: {video_id: {model_name: raw_text}}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ConfigError("outputs file must map video ids to model outputs")
+    data = _read_json_object(path, "outputs")
     return {
         str(video_id): {str(m): str(text) for m, text in models.items()}
         for video_id, models in data.items()
@@ -175,7 +179,4 @@ def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
 
 def load_annotations(path: str | Path) -> dict[str, dict]:
     """Read ground-truth annotations: keyframes and binary summary verdicts."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ConfigError("annotations file must map video ids to annotation objects")
-    return data
+    return _read_json_object(path, "annotations")

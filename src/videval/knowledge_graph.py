@@ -15,8 +15,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DuplicateModelName,
     IoError,
@@ -181,6 +179,8 @@ def fr_layout(
     cools. Initial positions come from a seeded uniform draw over the layout
     square, so identical inputs give bit-identical positions.
     """
+    import numpy as np  # only the graph command pays for loading numpy
+
     p = params or LayoutParams()
     ids = list(graph.nodes)
     n = len(ids)
@@ -210,12 +210,27 @@ def fr_layout(
     rng = np.random.default_rng(p.seed)
     pos = rng.random((n, 2)) * side
 
+    # Repulsion works on (n, n) planes, reused every round. They are stored
+    # transposed, dx[j, i] = x[i] - x[j], so that summing over axis 0 adds the
+    # pair terms of node i in j order, one row at a time: the same sequence of
+    # additions a sum over j of an (n, n, 2) array does, so positions are
+    # bit-identical to it.
+    dx, dy, dist, force = (np.empty((n, n)) for _ in range(4))
+    disp = np.empty((n, 2))
     for _ in range(iterations):
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=2))
-        np.fill_diagonal(dist, 1.0)  # self-term contributes zero via delta=0
-        dist = np.maximum(dist, 1e-9)
-        disp = (delta / dist[..., None] * (k * k / dist)[..., None]).sum(axis=1)
+        np.subtract(pos[None, :, 0], pos[:, None, 0], out=dx)
+        np.subtract(pos[None, :, 1], pos[:, None, 1], out=dy)
+        np.multiply(dx, dx, out=dist)
+        np.multiply(dy, dy, out=force)
+        np.add(dist, force, out=dist)
+        np.sqrt(dist, out=dist)
+        np.fill_diagonal(dist, 1.0)  # self-term contributes zero via dx = dy = 0
+        np.maximum(dist, 1e-9, out=dist)
+        np.divide(k * k, dist, out=force)
+        for c, plane in enumerate((dx, dy)):
+            np.divide(plane, dist, out=plane)
+            np.multiply(plane, force, out=plane)
+            plane.sum(axis=0, out=disp[:, c])
 
         if len(eu):
             d = pos[eu] - pos[ev]
@@ -295,6 +310,8 @@ def graph_metrics(
     Center distances use unit weights on the undirected view of the graph;
     the directed, weighted shortest paths stay available through dijkstra().
     """
+    import numpy as np
+
     if center not in graph.nodes:
         raise UnknownCenter(f"unknown center node: {center}")
     missing = [nid for nid in graph.nodes if nid not in positions]

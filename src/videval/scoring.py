@@ -183,15 +183,21 @@ def completeness_counts(records: Iterable) -> CompletenessRow:
     )
 
 
+def _group_by(records: Iterable, key_fn) -> dict:
+    """Records grouped by key, in first-seen key order, each group in record order."""
+    groups: dict = {}
+    for record in records:
+        groups.setdefault(key_fn(record), []).append(record)
+    return groups
+
+
 def completeness_by_condition(records: Iterable) -> dict[str, CompletenessRow]:
     """One completeness row per distinct condition tag, keyed by its printed label.
 
     `ConditionTag.label()` leaves out the model and the GPU, so the label is
     prefixed with whichever of them varies across the records, model first.
     """
-    by_tag: dict = {}
-    for record in records:
-        by_tag.setdefault(record.condition, []).append(record)
+    by_tag = _group_by(records, lambda record: record.condition)
     vary_model = len({tag.model_name for tag in by_tag}) > 1
     vary_gpu = len({tag.gpu for tag in by_tag}) > 1
     rows = {}
@@ -238,11 +244,13 @@ def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
         raise MissingCondition("need records from both transcript conditions")
 
     def rows_for(key_fn, order: list[str] | None) -> dict[str, RowTriple]:
-        keys = order or sorted({key_fn(r) for r in known})
+        with_groups = _group_by(with_side, key_fn)
+        without_groups = _group_by(without_side, key_fn)
+        keys = order or sorted(with_groups.keys() | without_groups.keys())
         rows: dict[str, RowTriple] = {}
         for key in keys:
-            a = _accuracy([r for r in with_side if key_fn(r) == key])
-            b = _accuracy([r for r in without_side if key_fn(r) == key])
+            a = _accuracy(with_groups.get(key, []))
+            b = _accuracy(without_groups.get(key, []))
             if a is None or b is None:
                 warnings.append(f"row {key!r} lacks answered records on one side; skipped")
                 continue

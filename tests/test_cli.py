@@ -144,6 +144,16 @@ def test_evaluate_missing_dataset_is_config_error(demo_dir, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_evaluate_truncated_transcripts_is_config_error(demo_dir, tmp_path, capsys):
+    transcripts = tmp_path / "transcripts.json"
+    transcripts.write_text((demo_dir / "transcripts.json").read_text(encoding="utf-8").rstrip()[:-1])
+    path = _demo_config_variant(demo_dir, tmp_path, transcripts=str(transcripts))
+    assert run_cli("evaluate", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(transcripts) in err
+
+
 def test_evaluate_condition_filter(demo_dir, tmp_path):
     out_dir = tmp_path / "out"
     code = run_cli(
@@ -337,6 +347,32 @@ def test_load_transcripts_rejects_duplicate_segment_ids(tmp_path):
     path.write_text(json.dumps({"vid-7": {"segments": segments, "text": "ab"}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="vid-7.*duplicate segment ids"):
         load_transcripts(path)
+
+
+@pytest.mark.parametrize("loader", ["load_config", "load_transcripts", "load_outputs", "load_annotations"])
+@pytest.mark.parametrize("content", ['{"x": {"segments": [{"id": 0}]}', "[]", "\xff"])
+def test_json_loaders_raise_config_error_naming_the_file(tmp_path, loader, content):
+    import videval.config
+
+    path = tmp_path / "broken.json"
+    path.write_bytes(content.encode("latin-1"))
+    with pytest.raises(ConfigError, match="broken.json"):
+        getattr(videval.config, loader)(path)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import videval
+
+    src = str(Path(videval.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, videval.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_evaluate_runs_from_any_cwd(demo_dir, tmp_path, monkeypatch):
