@@ -171,12 +171,37 @@ def load_transcripts(path: str | Path) -> dict[str, Transcript]:
 def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
     """Read raw model outputs: {video_id: {model_name: raw_text}}."""
     data = _read_json_object(path, "outputs")
-    return {
-        str(video_id): {str(m): str(text) for m, text in models.items()}
-        for video_id, models in data.items()
-    }
+    for video_id, models in data.items():
+        if not isinstance(models, dict) or not all(isinstance(t, str) for t in models.values()):
+            raise ConfigError(f"outputs of video {video_id!r} must be an object of strings")
+    return data
+
+
+def _is_keyframe_pair(pair) -> bool:
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], (int, float))
+        and not isinstance(pair[0], bool)
+        and isinstance(pair[1], str)
+    )
 
 
 def load_annotations(path: str | Path) -> dict[str, dict]:
-    """Read ground-truth annotations: keyframes and binary summary verdicts."""
-    return _read_json_object(path, "annotations")
+    """Read ground-truth annotations: keyframes and binary summary verdicts.
+
+    Each entry is {"keyframes": [[seconds, caption], ...], "summary": {model: verdict}};
+    either key may be left out.
+    """
+    data = _read_json_object(path, "annotations")
+    for video_id, entry in data.items():
+        if not isinstance(entry, dict):
+            raise ConfigError(f"annotations of video {video_id!r} must be an object")
+        keyframes = entry.get("keyframes", [])
+        if not isinstance(keyframes, list) or not all(map(_is_keyframe_pair, keyframes)):
+            raise ConfigError(
+                f"keyframes of video {video_id!r} must be a list of [seconds, caption] pairs"
+            )
+        if not isinstance(entry.get("summary", {}), dict):
+            raise ConfigError(f"summary of video {video_id!r} must be an object")
+    return data

@@ -5,6 +5,12 @@ so any live run can be replayed later byte-for-byte. Replay mode never touches
 the network. Out-of-memory and timeout results are classified from provider
 error payloads and surfaced in-band as response statuses, not exceptions: the
 run accounting needs them as countable outcomes.
+
+Live calls are one JSON POST each through the standard library's
+`urllib.request`: proxies come from the `*_proxy` environment variables, HTTPS
+is verified against the system trust store (or `SSL_CERT_FILE`), every socket
+operation uses the provider's `timeout_s`, and a 307/308 reply to the POST is
+returned as an answer rather than followed.
 """
 
 from __future__ import annotations
@@ -240,11 +246,13 @@ def request_fingerprint(request: ModelRequest) -> dict:
     }
 
 
-def request_key(request: ModelRequest) -> str:
-    canonical = json.dumps(
-        request_fingerprint(request), sort_keys=True, separators=(",", ":")
-    )
+def _fingerprint_key(fingerprint: dict) -> str:
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def request_key(request: ModelRequest) -> str:
+    return _fingerprint_key(request_fingerprint(request))
 
 
 class CassetteStore:
@@ -280,20 +288,43 @@ class CassetteStore:
                 return
             self.root.mkdir(parents=True, exist_ok=True)
             record = {"key": key, "request": fingerprint, "response": response.to_dict()}
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            tmp.replace(path)
+            text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+            # one temp file per writer: other processes may record the same key
+            tmp = path.with_name(f"{key}.{os.getpid()}-{threading.get_ident()}.tmp")
+            fh = open(tmp, "x", encoding="utf-8")
+            try:
+                with fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
 
 def _default_transport(
     url: str, body: dict, headers: dict, timeout_s: float
 ) -> tuple[int, str]:
-    import requests
+    """POST body as JSON; return (status, text) for any reply, raise if none came."""
+    import urllib.error  # only live runs pay for loading http.client and ssl
+    import urllib.request
 
-    resp = requests.post(url, json=body, headers=headers, timeout=timeout_s)
-    return resp.status_code, resp.text
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(body, allow_nan=False).encode("utf-8"),
+        headers={"Content-Type": "application/json", **headers},
+        method="POST",
+    )
+    try:
+        reply = urllib.request.urlopen(request, timeout=timeout_s)
+    except urllib.error.HTTPError as exc:  # a non-2xx reply is an answer too
+        reply = exc
+    with reply:
+        raw = reply.read()
+        charset = reply.headers.get_content_charset() or "utf-8"
+        try:
+            return reply.status, raw.decode(charset, errors="replace")
+        except LookupError:  # a charset name Python does not know
+            return reply.status, raw.decode("utf-8", errors="replace")
 
 
 def _dig(payload, dotted_path: str):
@@ -309,7 +340,7 @@ def _dig(payload, dotted_path: str):
 
 
 class ProviderHub:
-    """Routes requests to providers in live or replay mode.
+    """Routes each request to its provider in live or replay mode.
 
     Live mode records every response before returning it; replay mode answers
     exclusively from the cassette store. A global in-flight limit bounds
@@ -337,7 +368,7 @@ class ProviderHub:
 
     def send(self, request: ModelRequest) -> ModelResponse:
         fingerprint = request_fingerprint(request)
-        key = request_key(request)
+        key = _fingerprint_key(fingerprint)
         if self.mode == "replay":
             record = self.store.get(key)
             if record is None:

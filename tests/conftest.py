@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,63 @@ def demo_dir() -> Path:
 def snow_white_outputs() -> dict:
     data = json.loads((DEMO_DIR / "outputs.json").read_text(encoding="utf-8"))
     return data["P69idA8JO98"]
+
+
+class LoopbackProvider:
+    """HTTP provider on 127.0.0.1 that answers POSTs from a script.
+
+    `script` holds one (status, text[, delay_s[, charset]]) reply per attempt,
+    in order; once it runs out, the last reply repeats. `seen` keeps the
+    headers and decoded JSON body of every request received.
+    """
+
+    def __init__(self):
+        self.script: list[tuple] = [(200, json.dumps({"text": "Answer: A"}))]
+        self.seen: list[tuple] = []
+        self._lock = threading.Lock()
+        self._release = threading.Event()
+        provider = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with provider._lock:
+                    provider.seen.append((self.headers, body))
+                    reply = provider.script[min(len(provider.seen), len(provider.script)) - 1]
+                status, text, delay_s, charset = reply + (0.0, "utf-8")[len(reply) - 2:]
+                provider._release.wait(delay_s)
+                payload = text.encode(charset)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", f"application/json; charset={charset}")
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except ConnectionError:  # the client gave up waiting
+                    pass
+
+            def log_message(self, format, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.endpoint = f"http://127.0.0.1:{self._server.server_address[1]}/v1/generate"
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
+
+    def __enter__(self) -> "LoopbackProvider":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._release.set()
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def loopback_provider(monkeypatch):
+    # reach 127.0.0.1 directly even where a *_proxy variable is set
+    monkeypatch.setenv("no_proxy", "*")
+    with LoopbackProvider() as provider:
+        yield provider

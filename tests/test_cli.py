@@ -212,6 +212,28 @@ def test_graph_command_empty_outputs_exits_3(demo_dir, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "key, content, message",
+    [
+        ("outputs", {"vid": "just text"}, "outputs of video 'vid' must be an object of strings"),
+        ("outputs", {"vid": {"m": 5}}, "outputs of video 'vid' must be an object of strings"),
+        ("annotations", {"P69idA8JO98": ["a"]}, "annotations of video 'P69idA8JO98' must be an object"),
+        ("annotations", {"P69idA8JO98": {"keyframes": {"7": "x"}}}, "keyframes of video 'P69idA8JO98'"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [[7]]}}, "keyframes of video 'P69idA8JO98'"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [["7", "x"]]}}, "keyframes of video 'P69idA8JO98'"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [[7, 5]]}}, "keyframes of video 'P69idA8JO98'"),
+        ("annotations", {"P69idA8JO98": {"summary": [True]}}, "summary of video 'P69idA8JO98' must be an object"),
+    ],
+)
+def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, content, message):
+    bad = tmp_path / f"{key}.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    path = _demo_config_variant(demo_dir, tmp_path, **{key: str(bad)})
+    assert run_cli("graph", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_graph_seed_flag_changes_layout(demo_dir, tmp_path):
     out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
     run_cli("graph", "--config", str(demo_dir / "config.json"), "--out-dir", str(out1), "--seed", "42")
@@ -360,7 +382,8 @@ def test_json_loaders_raise_config_error_naming_the_file(tmp_path, loader, conte
         getattr(videval.config, loader)(path)
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _run_python(code: str, **kwargs):
+    """Run code in a fresh interpreter that imports this checkout's videval."""
     import os
     import subprocess
     import sys
@@ -370,9 +393,32 @@ def test_cli_import_leaves_numpy_unloaded():
 
     src = str(Path(videval.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, **kwargs)
+
+
+def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, videval.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = _run_python(code, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_live_evaluate_runs_without_requests(demo_dir, tmp_path, loopback_provider):
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    path = _demo_config_variant(demo_dir, tmp_path, mode="live", cassette_dir=str(tmp_path / "cassettes"),
+                                providers=raw["providers"])
+    out_dir = tmp_path / "out"
+    # any import of the requests package now raises ImportError
+    code = (
+        "import sys; sys.modules['requests'] = None; from videval.cli import main; "
+        f"sys.exit(main(['evaluate', '--config', {str(path)!r}, '--out-dir', {str(out_dir)!r}]))"
+    )
+    done = _run_python(code, timeout=120)
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in (out_dir / "manifest.jsonl").read_text().splitlines()[1:]]
+    assert len(records) == len(loopback_provider.seen) == 20
+    assert {r["response"]["status"] for r in records} == {"ok"}
+    assert len(list((tmp_path / "cassettes").glob("*.json"))) == 20
 
 
 def test_evaluate_runs_from_any_cwd(demo_dir, tmp_path, monkeypatch):

@@ -120,6 +120,34 @@ def test_cassette_store_append_only(store):
     assert store.get("k1")["response"]["raw_text"] == "first"
 
 
+def test_send_hashes_each_media_file_once(tmp_path, store, providers, monkeypatch):
+    import videval.providers
+
+    frames = [tmp_path / "f0.jpg", tmp_path / "f1.jpg"]
+    for i, frame in enumerate(frames):
+        frame.write_bytes(b"pixels-%d" % i)
+    request = ModelRequest("vlm", "vlm", prompt="p", frame_refs=[str(f) for f in frames], condition=make_condition())
+    store.put(request_key(request), {}, ModelResponse("summary", 10, "ok"))
+    hashed = []
+    real_hash = videval.providers._hash_file
+    monkeypatch.setattr(videval.providers, "_hash_file", lambda ref: hashed.append(ref) or real_hash(ref))
+    assert ProviderHub(providers, store, mode="replay").send(request).raw_text == "summary"
+    assert sorted(hashed) == sorted(map(str, frames))
+
+
+def test_cassette_put_writes_through_its_own_temp_file(store):
+    # a stale or foreign <key>.tmp must not block the writer
+    store.root.mkdir(parents=True)
+    (store.root / "k1.tmp").mkdir()
+    store.put("k1", {"prompt": "p"}, ModelResponse("first", 10, "ok"))
+    assert store.get("k1")["response"]["raw_text"] == "first"
+    # a failed rename removes the writer's temp file
+    (store.root / "k2.json").mkdir()
+    with pytest.raises(OSError):
+        store.put("k2", {"prompt": "p"}, ModelResponse("second", 10, "ok"))
+    assert [p.name for p in store.root.glob("*.tmp") if not p.is_dir()] == []
+
+
 # --- status classification ------------------------------------------------------
 
 
@@ -153,6 +181,81 @@ def test_unclassified_failure_raises_after_retries(store, providers):
     with pytest.raises(ProviderUnavailable):
         hub.send(ModelRequest("vlm", "vlm", prompt="p", condition=make_condition()))
     assert len(attempts) == 2  # initial call + one retry
+
+
+# --- the default transport, against a loopback HTTP server ----------------------------
+
+
+ANSWER = json.dumps({"text": "Answer: B"})
+
+
+def loopback_hub(store, endpoint, timeout_s=5.0) -> ProviderHub:
+    settings = ProviderSettings(endpoint=endpoint, model="qwen2-vl-7b", auth_env="VLM_KEY", timeout_s=timeout_s)
+    return ProviderHub({"vlm": settings}, store, mode="live")
+
+
+def send_live(hub: ProviderHub) -> ModelResponse:
+    return hub.send(ModelRequest("vlm", "vlm", prompt="p", condition=make_condition()))
+
+
+@pytest.fixture
+def vlm_key(monkeypatch):
+    monkeypatch.setenv("VLM_KEY", "s3cret")
+
+
+@pytest.mark.parametrize(
+    "script, status, raw_text",
+    [
+        ([(200, ANSWER)], "ok", "Answer: B"),
+        ([(200, json.dumps({"text": "caf\u00e9"}, ensure_ascii=False), 0.0, "latin-1")], "ok", "caf\u00e9"),
+        ([(500, "RuntimeError: CUDA out of memory. Tried to allocate 2.00 GiB")], "oom", ""),
+        ([(504, "upstream request timed out")], "timeout", ""),
+        ([(503, "overloaded"), (200, ANSWER)], "ok", "Answer: B"),
+    ],
+)
+def test_default_transport_replies(loopback_provider, store, vlm_key, script, status, raw_text):
+    loopback_provider.script = script
+    response = send_live(loopback_hub(store, loopback_provider.endpoint))
+    assert (response.status, response.raw_text) == (status, raw_text)
+    assert len(loopback_provider.seen) == len(script)
+
+
+def test_default_transport_sends_json_and_headers(loopback_provider, store, vlm_key):
+    send_live(loopback_hub(store, loopback_provider.endpoint))
+    [(headers, body)] = loopback_provider.seen
+    assert body == {"prompt": "p", "model": "qwen2-vl-7b"}
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer s3cret"
+
+
+def test_default_transport_html_body_is_malformed(loopback_provider, store, vlm_key):
+    loopback_provider.script = [(200, "<html><body>bad gateway</body></html>")]
+    with pytest.raises(MalformedProviderOutput):
+        send_live(loopback_hub(store, loopback_provider.endpoint))
+
+
+def test_default_transport_503_twice_is_unavailable(loopback_provider, store, vlm_key):
+    loopback_provider.script = [(503, "overloaded")]
+    with pytest.raises(ProviderUnavailable, match="HTTP 503"):
+        send_live(loopback_hub(store, loopback_provider.endpoint))
+    assert len(loopback_provider.seen) == 2
+
+
+def test_default_transport_slow_reply_is_timeout(loopback_provider, store, vlm_key):
+    loopback_provider.script = [(200, ANSWER, 5.0)]
+    response = send_live(loopback_hub(store, loopback_provider.endpoint, timeout_s=0.2))
+    assert response.status == "timeout"
+    assert len(loopback_provider.seen) == 1
+
+
+def test_default_transport_closed_port_is_unavailable(store, vlm_key, monkeypatch):
+    import socket
+
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    with pytest.raises(ProviderUnavailable, match="after 2 attempt"):
+        send_live(loopback_hub(store, f"http://127.0.0.1:{port}/v1/generate"))
 
 
 def test_unknown_provider(store, providers):
