@@ -118,6 +118,8 @@ DEMO_GOLDEN_SHA256 = {
     "task_accuracy.md": "6579d0d9bca62ffce1a3943e65dccad80097a5985a0c0be5438f01742d02a23c",
     "task_accuracy.csv": "6e0dac69452c30298ff654f05b0f76ce70cf8d350a5216c2d726509940748944",
     "scores.json": "3edd270bf6908f103007063e5ff769d30a09f019727eebbaabea25d976e1a3d1",
+    # from parsing and the annotations only: graph layout does not reach it
+    "matching_scores.json": "7643c21e78c1098b425768496f3e8cc0a1cbdb03da7473970a5853c07b105cfc",
 }
 
 
