@@ -21,7 +21,6 @@ from .knowledge_graph import (
     export_json,
     fr_layout,
     graph_metrics,
-    import_json,
 )
 from .media import (
     FramePlan,
@@ -36,7 +35,6 @@ from .parsing import (
     KeyframeEntry,
     McqAnswer,
     ParsedVideoOutput,
-    format_keyframe,
     parse_keyframes,
     parse_mcq,
     parse_timestamp,
@@ -54,7 +52,6 @@ from .providers import (
 )
 from .scoring import (
     MatchVector,
-    ReportSpec,
     RowTriple,
     ScoreReport,
     aggregate,

@@ -267,12 +267,6 @@ class RunManifest:
     providers: list[str]
     started_at: str
     records: list[RunRecord] = field(default_factory=list)
-    completed: bool = False
-
-    def append(self, record: RunRecord) -> None:
-        if self.completed:
-            raise HarnessError("manifest is completed and immutable")
-        self.records.append(record)
 
     def to_jsonl(self) -> str:
         header = {
@@ -304,7 +298,6 @@ class RunManifest:
         )
         for line in lines[1:]:
             manifest.records.append(RunRecord.from_dict(json.loads(line)))
-        manifest.completed = True
         return manifest
 
 
@@ -365,7 +358,7 @@ def _run_one(
 
 
 def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
-    """Run every (condition, item) cell and return a completed manifest.
+    """Run every (condition, item) cell and return the manifest of its records.
 
     Cells are taken in condition order and, within a condition, in question id
     order; the records keep that order. Replay runs the cells one after another.
@@ -389,5 +382,4 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
         providers=sorted({c.provider for c in plan.conditions}),
         started_at=started_at,
         records=records,
-        completed=True,
     )

@@ -286,7 +286,7 @@ def _score_and_emit(
     bundle: ReportBundle,
 ) -> None:
     try:
-        report = scoring.aggregate(scoring.ReportSpec(items=items), manifest.records)
+        report = scoring.aggregate(items, manifest.records)
     except MissingCondition:
         report = scoring.ScoreReport(
             overall_accuracy=0.0,
@@ -355,8 +355,12 @@ def cmd_evaluate(args) -> int:
 def cmd_graph(args) -> int:
     config = load_config(args.config)
     if args.tolerance_s is not None:
+        if args.tolerance_s < 0:
+            raise ConfigError(f"--tolerance-s must be at least 0, got {args.tolerance_s}")
         config.tolerance_s = args.tolerance_s
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         config.layout.seed = args.seed
     outputs_path = Path(args.outputs) if args.outputs else config.outputs
     if not outputs_path or not Path(outputs_path).is_file():

@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import ConfigError, MalformedProviderOutput
 from .knowledge_graph import LayoutParams
 from .providers import ConditionTag, ProviderSettings, Transcript, transcript_from_payload
-from .templates import DEFAULT_MCQ_TEMPLATE, DEFAULT_REFINE_TEMPLATE, SUMMARY_PROMPT_PLAIN
+from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
 
 
 @dataclass
@@ -27,7 +27,6 @@ class HarnessConfig:
     request_kind: str = "mcq"
     mcq_template: str = DEFAULT_MCQ_TEMPLATE
     summary_template: str = SUMMARY_PROMPT_PLAIN
-    refine_template: str = DEFAULT_REFINE_TEMPLATE
     transcripts: Path | None = None
     outputs: Path | None = None
     annotations: Path | None = None
@@ -40,9 +39,45 @@ class HarnessConfig:
     asr_provider: str | None = None
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(base: Path, value, key: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
     path = Path(value)
     return path if path.is_absolute() else base / path
+
+
+def _number(value, what: str, kind=int, minimum=0):
+    """A JSON number of the given kind (int, or float which takes ints too), at least minimum.
+
+    Anything else, a numeric string included, is a ConfigError naming what.
+    """
+    accepted = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    if not value >= minimum:  # also false for NaN
+        raise ConfigError(f"{what} must be at least {minimum}, got {value!r}")
+    return kind(value)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _provider_settings(name: str, entry) -> ProviderSettings:
+    entry = _object(entry, f"provider {name!r}")
+    for key, kind in (("timeout_s", float), ("retries", int)):
+        if key in entry:
+            _number(entry[key], f"provider {name!r} {key}", kind)
+    patterns = _object(entry.get("error_patterns") or {}, f"provider {name!r} error_patterns")
+    for status, texts in patterns.items():
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ConfigError(
+                f"provider {name!r} error_patterns.{status} must be a list of strings"
+            )
+    return ProviderSettings.from_dict(entry)
 
 
 def _read_json_object(path: str | Path, what: str) -> dict:
@@ -65,13 +100,13 @@ def load_config(path: str | Path) -> HarnessConfig:
 
     if "dataset" not in data:
         raise ConfigError("config is missing 'dataset'")
-    dataset = _resolve(base, data["dataset"])
+    dataset = _resolve(base, data["dataset"], "dataset")
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
 
     providers = {
-        name: ProviderSettings.from_dict(entry)
-        for name, entry in (data.get("providers") or {}).items()
+        name: _provider_settings(name, entry)
+        for name, entry in _object(data.get("providers") or {}, "providers").items()
     }
 
     raw_conditions = data.get("conditions") or []
@@ -79,14 +114,14 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigError("condition matrix must be non-empty")
     conditions = []
     for i, entry in enumerate(raw_conditions):
-        provider = entry.get("provider")
+        provider = _object(entry, f"condition {i}").get("provider")
         if not provider:
             raise ConfigError(f"condition {i} is missing 'provider'")
         if provider not in providers:
             raise ConfigError(f"condition {i} references unknown provider {provider!r}")
         try:
             tag = ConditionTag.from_dict(entry)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"condition {i} is malformed: {exc}") from exc
         # records carry the tag, not the provider, so equal tags cannot be told apart
         if any(tag == seen for seen, _ in conditions):
@@ -96,37 +131,46 @@ def load_config(path: str | Path) -> HarnessConfig:
     mode = data.get("mode", "replay")
     if mode not in ("replay", "live"):
         raise ConfigError(f"mode must be 'replay' or 'live', got {mode!r}")
-    cassette_dir = _resolve(base, data.get("cassette_dir", "cassettes"))
+    cassette_dir = _resolve(base, data.get("cassette_dir", "cassettes"), "cassette_dir")
     if mode == "replay" and not cassette_dir.is_dir():
         raise ConfigError(f"cassette directory not found: {cassette_dir}")
 
     optional_paths = {}
     for key in ("transcripts", "outputs", "annotations"):
         if data.get(key):
-            resolved = _resolve(base, data[key])
+            resolved = _resolve(base, data[key], key)
             if not resolved.is_file():
                 raise ConfigError(f"{key} file not found: {resolved}")
             optional_paths[key] = resolved
         else:
             optional_paths[key] = None
 
-    templates = data.get("templates") or {}
-    layout_raw = data.get("layout") or {}
-    try:
-        layout = LayoutParams(
-            spacing=float(layout_raw.get("spacing", 1.0)),
-            area=float(layout_raw.get("area", 1.0)),
-            iterations=layout_raw.get("iterations"),
-            seed=int(layout_raw.get("seed", 42)),
-            initial_temperature=layout_raw.get("initial_temperature"),
-            cooling=float(layout_raw.get("cooling", 0.95)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad layout params: {exc}") from exc
+    templates = _object(data.get("templates") or {}, "templates")
+    for key in ("mcq", "summary"):
+        if not isinstance(templates.get(key, ""), str):
+            raise ConfigError(f"templates.{key} must be a string")
+    layout_raw = _object(data.get("layout") or {}, "layout")
 
-    max_workers = int(data.get("max_workers", 4))
-    if max_workers < 1:
-        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
+    def layout_number(key: str, default, kind=float):
+        value = layout_raw.get(key, default)
+        if value is None and default is None:  # None picks the layout's own default
+            return None
+        return _number(value, f"layout.{key}", kind)
+
+    layout = LayoutParams(
+        spacing=layout_number("spacing", 1.0),
+        area=layout_number("area", 1.0),
+        iterations=layout_number("iterations", None, int),
+        seed=layout_number("seed", 42, int),
+        initial_temperature=layout_number("initial_temperature", None),
+        cooling=layout_number("cooling", 0.95),
+    )
+
+    keyframe_match_mode = data.get("keyframe_match_mode", "any")
+    if keyframe_match_mode not in ("any", "all"):
+        raise ConfigError(
+            f"keyframe_match_mode must be 'any' or 'all', got {keyframe_match_mode!r}"
+        )
 
     request_kind = data.get("request_kind", "mcq")
     if request_kind not in ("mcq", "summary_keyframes"):
@@ -142,16 +186,15 @@ def load_config(path: str | Path) -> HarnessConfig:
         request_kind=request_kind,
         mcq_template=templates.get("mcq", DEFAULT_MCQ_TEMPLATE),
         summary_template=templates.get("summary", SUMMARY_PROMPT_PLAIN),
-        refine_template=templates.get("refine", DEFAULT_REFINE_TEMPLATE),
         transcripts=optional_paths["transcripts"],
         outputs=optional_paths["outputs"],
         annotations=optional_paths["annotations"],
-        tolerance_s=int(data.get("tolerance_s", 2)),
-        keyframe_match_mode=data.get("keyframe_match_mode", "any"),
+        tolerance_s=_number(data.get("tolerance_s", 2), "tolerance_s"),
+        keyframe_match_mode=keyframe_match_mode,
         layout=layout,
-        out_dir=_resolve(base, data.get("out_dir", "out")),
+        out_dir=_resolve(base, data.get("out_dir", "out"), "out_dir"),
         probe_command=data.get("probe_command"),
-        max_workers=max_workers,
+        max_workers=_number(data.get("max_workers", 4), "max_workers", minimum=1),
         asr_provider=data.get("asr_provider"),
     )
 

@@ -79,11 +79,6 @@ class EvalGraph:
             self._edge_set.add(key)
             self.edges.append(key)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvalGraph):
-            return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
-
 
 @dataclass
 class LayoutParams:
@@ -377,20 +372,6 @@ def export_json(graph: EvalGraph, positions: dict[str, NodePosition] | None = No
         nodes.append(entry)
     edges = [{"source": s, "target": t} for s, t in graph.edges]
     return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
-
-
-def import_json(document: str) -> tuple[EvalGraph, dict[str, NodePosition]]:
-    """Rebuild a graph (plus any stored positions) from its JSON export."""
-    data = json.loads(document)
-    graph = EvalGraph()
-    positions: dict[str, NodePosition] = {}
-    for entry in data["nodes"]:
-        graph.add_node(entry["id"], entry["label"], entry["color"], entry["size"])
-        if "x" in entry and "y" in entry:
-            positions[entry["id"]] = NodePosition(entry["id"], entry["x"], entry["y"])
-    for edge in data["edges"]:
-        graph.add_edge(edge["source"], edge["target"])
-    return graph, positions
 
 
 def export_graph(

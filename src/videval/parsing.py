@@ -92,11 +92,6 @@ def format_timestamp(seconds: int) -> str:
     return f"{minutes:02d}:{secs:02d}"
 
 
-def format_keyframe(entry: KeyframeEntry) -> str:
-    """Canonical "(MM:SS, caption)" rendering of an entry."""
-    return f"({format_timestamp(entry.timestamp_s)}, {entry.caption})"
-
-
 def parse_keyframes(raw_text: str, max_caption_len: int = MAX_CAPTION_LEN) -> list[KeyframeEntry]:
     """Extract keyframe entries from every parseable line, in order.
 

@@ -1,4 +1,4 @@
-"""Uniform request/response layer over ASR, VLM, and refinement LLM backends.
+"""Uniform request/response layer over ASR and VLM backends.
 
 Every live response is persisted to the cassette store before it is returned,
 so any live run can be replayed later byte-for-byte. Replay mode never touches
@@ -114,17 +114,6 @@ class Transcript:
     full_text: str = ""
     language: str | None = None
 
-    @classmethod
-    def from_segments(
-        cls, segments: list[TranscriptSegment], language: str | None = None
-    ) -> "Transcript":
-        ordered = sorted(segments, key=lambda s: (s.start_s, s.id))
-        return cls(
-            segments=ordered,
-            full_text="".join(s.text for s in ordered),
-            language=language,
-        )
-
     def validate(self) -> None:
         ids = [s.id for s in self.segments]
         if len(set(ids)) != len(ids):
@@ -135,14 +124,11 @@ class Transcript:
         if self.segments and _normalize_ws(self.full_text) != joined:
             raise MalformedProviderOutput("full_text does not match its segments")
 
-    def is_empty(self) -> bool:
-        return not self.full_text.strip()
-
 
 @dataclass
 class ModelRequest:
     provider_id: str
-    modality: str  # asr | vlm | llm
+    modality: str  # asr | vlm
     prompt: str = ""
     frame_refs: list[str] = field(default_factory=list)
     audio_ref: str | None = None
@@ -476,51 +462,6 @@ class ProviderHub:
         )
         response = self.send(request)
         return parse_transcript_payload(response.raw_text)
-
-    def describe_video(
-        self,
-        frame_refs: list[str],
-        prompt: str,
-        provider_id: str,
-        condition: ConditionTag,
-    ) -> ModelResponse:
-        """Ask a VLM for a description of the sampled frames."""
-        if not frame_refs:
-            raise ValueError("need at least one frame reference")
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
-        request = ModelRequest(
-            provider_id=provider_id,
-            modality="vlm",
-            prompt=prompt,
-            frame_refs=list(frame_refs),
-            condition=condition,
-        )
-        return self.send(request)
-
-    def refine_summary(
-        self,
-        vlm_text: str,
-        transcript: Transcript | None,
-        prompt_template: str,
-        provider_id: str,
-    ) -> ModelResponse:
-        """Rewrite a VLM summary with the transcript folded in.
-
-        An empty transcript elides the transcript block entirely, so the
-        refinement degenerates to a pass-through rewrite of the summary.
-        """
-        if not vlm_text:
-            raise ValueError("vlm_text must be non-empty")
-        from .templates import render_prompt, transcript_block
-
-        prompt = render_prompt(
-            prompt_template,
-            {"summary": vlm_text, "transcript": transcript_block(transcript)},
-            required=("summary",),
-        )
-        request = ModelRequest(provider_id=provider_id, modality="llm", prompt=prompt)
-        return self.send(request)
 
 
 def parse_transcript_payload(raw_text: str) -> Transcript:

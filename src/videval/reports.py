@@ -1,8 +1,7 @@
 """Render score reports as Markdown, CSV, and JSON tables.
 
 Display rounding: proportions get 3 decimals, percentage points 1 decimal.
-Emitted Markdown parses back to the displayed values (see parse_markdown_table),
-and all output is byte-stable for identical inputs.
+All output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ def format_proportion(value: float) -> str:
     return f"{value:.3f}"
 
 
-def format_signed(value: float, decimals: int = 3) -> str:
-    return f"{value:+.{decimals}f}"
+def format_signed(value: float) -> str:
+    return f"{value:+.3f}"
 
 
-def format_percent(value: float, decimals: int = 2, strip: bool = True) -> str:
+def format_percent(value: float, decimals: int = 2) -> str:
     text = f"{value * 100:.{decimals}f}"
-    if strip and "." in text:
+    if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text + "%"
 
@@ -53,21 +52,6 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_markdown_table(text: str) -> tuple[list[str], list[list[str]]]:
-    """Read back a table produced by this module (format/parse round-trip)."""
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    rows = []
-    for line in lines:
-        if not line.startswith("|"):
-            continue
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        rows.append(cells)
-    if len(rows) < 2:
-        raise ValueError("not a markdown table")
-    headers, body = rows[0], [r for r in rows[2:]]
-    return headers, body
-
-
 def _csv_table(headers: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -77,26 +61,14 @@ def _csv_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _triple_rows(
-    rows: dict[str, RowTriple],
-    average: RowTriple | None,
-    value_fmt,
-    delta_fmt,
-    average_label: str = "Average",
+    rows: dict[str, RowTriple], average: RowTriple | None, value_fmt, delta_fmt
 ) -> list[list[str]]:
-    out = [
+    """[name, with, without, delta] per row, then an "Average" row if there is one."""
+    named = [*rows.items(), *([("Average", average)] if average is not None else [])]
+    return [
         [name, value_fmt(t.with_value), value_fmt(t.without_value), delta_fmt(t.delta)]
-        for name, t in rows.items()
+        for name, t in named
     ]
-    if average is not None:
-        out.append(
-            [
-                average_label,
-                value_fmt(average.with_value),
-                value_fmt(average.without_value),
-                delta_fmt(average.delta),
-            ]
-        )
-    return out
 
 
 def task_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
@@ -105,33 +77,22 @@ def task_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
         report.by_task_type,
         report.task_average,
         format_proportion,
-        lambda d: format_signed(d, 3),
+        format_signed,
     )
     return headers, rows
 
 
 def model_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
     headers = ["Model", "w/o", "w/", "Delta"]
-    rows = [
-        [
-            name,
-            f"{t.without_value * 100:.1f}",
-            f"{t.with_value * 100:.1f}",
-            f"{t.delta * 100:+.1f}",
-        ]
-        for name, t in report.by_model.items()
-    ]
-    if report.model_average is not None:
-        avg = report.model_average
-        rows.append(
-            [
-                "Average",
-                f"{avg.without_value * 100:.1f}",
-                f"{avg.with_value * 100:.1f}",
-                f"{avg.delta * 100:+.1f}",
-            ]
-        )
-    return headers, rows
+    rows = _triple_rows(
+        report.by_model,
+        report.model_average,
+        lambda v: f"{v * 100:.1f}",
+        lambda d: f"{d * 100:+.1f}",
+    )
+    # the paper's model table puts the without-transcript column first
+    swapped = [[name, without, with_, delta] for name, with_, without, delta in rows]
+    return headers, swapped
 
 
 def completeness_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
@@ -154,7 +115,7 @@ def duration_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
         report.by_duration,
         report.duration_average,
         format_proportion,
-        lambda d: format_signed(d, 3),
+        format_signed,
     )
     return headers, rows
 

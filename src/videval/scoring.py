@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .benchmark import DURATION_CLASSES
 from .errors import EmptyVector, MissingCondition, NoRecords
 from .parsing import KeyframeEntry
 
@@ -66,16 +67,6 @@ class ScoreReport:
     model_average: RowTriple | None = None
     completeness: dict[str, CompletenessRow] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ReportSpec:
-    """Row metadata for aggregation: items supply task type and duration."""
-
-    items: list
-    task_order: list[str] | None = None
-    duration_order: tuple[str, ...] = ("short", "medium", "long")
-    model_order: list[str] | None = None
 
 
 def matching_node_score(vector: MatchVector) -> float:
@@ -223,13 +214,16 @@ def _mean_triple(rows: dict[str, RowTriple]) -> RowTriple | None:
     )
 
 
-def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
+def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
     """Build the full score report: per-task, per-duration, and per-model rows
     with (with, without, delta) triples, average rows as unweighted means of
     the listed rows, plus per-condition completeness.
+
+    Items supply each record's task type and duration. Task and model rows are
+    sorted by name, duration rows come in DURATION_CLASSES order.
     """
     records = list(records)
-    meta = {item.question_id: item for item in spec.items}
+    meta = {item.question_id: item for item in items}
     mcq = [r for r in records if r.request_kind == "mcq"]
 
     warnings: list[str] = []
@@ -243,12 +237,11 @@ def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
     if not with_side or not without_side:
         raise MissingCondition("need records from both transcript conditions")
 
-    def rows_for(key_fn, order: list[str] | None) -> dict[str, RowTriple]:
+    def rows_for(key_fn, sort_key=None) -> dict[str, RowTriple]:
         with_groups = _group_by(with_side, key_fn)
         without_groups = _group_by(without_side, key_fn)
-        keys = order or sorted(with_groups.keys() | without_groups.keys())
         rows: dict[str, RowTriple] = {}
-        for key in keys:
+        for key in sorted(with_groups.keys() | without_groups.keys(), key=sort_key):
             a = _accuracy(with_groups.get(key, []))
             b = _accuracy(without_groups.get(key, []))
             if a is None or b is None:
@@ -257,13 +250,9 @@ def aggregate(spec: ReportSpec, records: Iterable) -> ScoreReport:
             rows[key] = RowTriple(a, b)
         return rows
 
-    durations_present = {meta[r.item_ref].duration_class for r in known}
-    by_task = rows_for(lambda r: meta[r.item_ref].task_type, spec.task_order)
-    by_duration = rows_for(
-        lambda r: meta[r.item_ref].duration_class,
-        [d for d in spec.duration_order if d in durations_present],
-    )
-    by_model = rows_for(lambda r: r.condition.model_name, spec.model_order)
+    by_task = rows_for(lambda r: meta[r.item_ref].task_type)
+    by_duration = rows_for(lambda r: meta[r.item_ref].duration_class, DURATION_CLASSES.index)
+    by_model = rows_for(lambda r: r.condition.model_name)
 
     overall = _accuracy(known)
     return ScoreReport(

@@ -10,18 +10,7 @@ from __future__ import annotations
 
 from .errors import TemplateError
 
-# Per-model-family summary prompts shipped as defaults; they differ only in
-# whether the frame sampling is called out explicitly.
-SUMMARY_PROMPT_FRAME_SAMPLED = (
-    "Could you please provide a summary of this video based on sample frames "
-    "focusing on the content and workflow rather than specific logos or the "
-    "color of text? After summarizing, list the key frames with brief captions "
-    "in the format (00:00, caption). Ensure the analysis is accurate and avoid "
-    "including any assumptions or extrapolations. Use an expert domain "
-    "perspective to enhance relevance and precision. Do not repeat sentences "
-    "or focus on QR codes or logos."
-)
-
+# Default prompt of the summary_keyframes request kind (templates.summary).
 SUMMARY_PROMPT_PLAIN = (
     "Could you please provide a summary of this video, focusing on the content "
     "and workflow rather than specific logos or the color of text? After "
@@ -32,32 +21,12 @@ SUMMARY_PROMPT_PLAIN = (
     "codes or logos."
 )
 
-SUMMARY_PROMPT_PHARMA = (
-    "Focusing on the content and workflow rather than specific logos or the "
-    "color of text? After summarizing, list the key frames with brief captions "
-    "in the format (00:00, caption). Ensure the analysis is accurate and avoid "
-    "including any assumptions or extrapolations. Use a pharmaceutical expert "
-    "domain perspective to enhance relevance and precision."
-)
-
-DEFAULT_SUMMARY_PROMPTS = {
-    "frame_sampled": SUMMARY_PROMPT_FRAME_SAMPLED,
-    "plain": SUMMARY_PROMPT_PLAIN,
-    "pharma": SUMMARY_PROMPT_PHARMA,
-}
-
 DEFAULT_MCQ_TEMPLATE = (
     "{transcript}Watch the video and answer the question by replying with the "
     "letter of the correct option.\n"
     "Question: {question}\n"
     "Options:\n{options}\n"
     "Answer with A, B, C, or D."
-)
-
-DEFAULT_REFINE_TEMPLATE = (
-    "{transcript}Improve the following video summary. Keep it factual, keep "
-    "the key frame list, and fold in anything the audio transcript adds.\n"
-    "Summary:\n{summary}"
 )
 
 

@@ -46,7 +46,6 @@ from videval.providers import ConditionTag
 from videval.reports import format_percent
 from videval.scoring import (
     MatchVector,
-    ReportSpec,
     RowTriple,
     aggregate,
     claim_mismatch_warnings,
@@ -268,7 +267,7 @@ def _task_reference_report():
             idx += 1
         records += _cell_records(ids, True, with_value)
         records += _cell_records(ids, False, without_value)
-    return aggregate(ReportSpec(items=items), records)
+    return aggregate(items, records)
 
 
 def test_criterion_4_task_reference_deltas():
@@ -320,7 +319,7 @@ def _model_reference_report():
         ids = all_ids[: _row_item_count(row)]
         records += _cell_records(ids, True, with_pct / 100.0, model=model)
         records += _cell_records(ids, False, without_pct / 100.0, model=model)
-    return aggregate(ReportSpec(items=items), records)
+    return aggregate(items, records)
 
 
 def test_criterion_5_model_reference_deltas():

@@ -148,8 +148,9 @@ def test_load_dataset_benchmark_scale(tmp_path):
 
 
 def transcript_fixture() -> Transcript:
-    return Transcript.from_segments(
-        [TranscriptSegment(0, 0.0, 4.0, "Decorations through the ages.")]
+    return Transcript(
+        [TranscriptSegment(0, 0.0, 4.0, "Decorations through the ages.")],
+        "Decorations through the ages.",
     )
 
 
@@ -377,16 +378,6 @@ def test_manifest_round_trip(demo_dir):
     text = manifest.to_jsonl()
     loaded = RunManifest.from_jsonl(text)
     assert loaded.to_jsonl() == text
-    assert loaded.completed
-
-
-def test_completed_manifest_immutable(demo_dir):
-    from videval.errors import HarnessError
-
-    plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
-    with pytest.raises(HarnessError):
-        manifest.append(manifest.records[0])
 
 
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):

@@ -236,6 +236,40 @@ def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, 
     assert "config error" in err and message in err
 
 
+# (config changes, extra flags, the name the error must give); each used to end in
+# a traceback from `evaluate` and from `graph`
+BAD_CONFIG_VALUES = [
+    ({"tolerance_s": "two"}, [], "tolerance_s"),
+    ({"tolerance_s": -1}, [], "tolerance_s"),
+    ({"max_workers": "four"}, [], "max_workers"),
+    ({"keyframe_match_mode": "most"}, [], "keyframe_match_mode"),
+    ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, [], "timeout_s"),
+    ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, [], "provider 'local-qwen'"),
+    ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, [], "error_patterns"),
+    ({"conditions": ["local-qwen"]}, [], "condition 0"),
+    ({"layout": {"iterations": "10"}}, [], "layout.iterations"),
+    ({"layout": {"initial_temperature": "hot"}}, [], "layout.initial_temperature"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, changes, flags, key",
+    [
+        pytest.param(command, *case, id=f"{command}-{case[2]}")
+        for case in BAD_CONFIG_VALUES
+        for command in ("evaluate", "graph")
+    ]
+    + [pytest.param("graph", {}, ["--tolerance-s", "-1"], "--tolerance-s", id="graph-flag")],
+)
+def test_bad_config_value_is_config_error(demo_dir, tmp_path, capsys, command, changes, flags, key):
+    path = _demo_config_variant(demo_dir, tmp_path, **changes)
+    out_dir = tmp_path / "out"
+    assert run_cli(command, "--config", str(path), "--out-dir", str(out_dir), *flags) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out_dir.exists()
+
+
 def test_graph_seed_flag_changes_layout(demo_dir, tmp_path):
     out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
     run_cli("graph", "--config", str(demo_dir / "config.json"), "--out-dir", str(out1), "--seed", "42")

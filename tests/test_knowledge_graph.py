@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -22,7 +23,6 @@ from videval.knowledge_graph import (
     export_json,
     fr_layout,
     graph_metrics,
-    import_json,
 )
 from videval.parsing import KeyframeEntry, ParsedVideoOutput, parse_video_output
 
@@ -444,14 +444,15 @@ def test_export_json_round_trip(snow_white_outputs):
     outputs = {name: parse_video_output(text) for name, text in snow_white_outputs.items()}
     graph = build_comparison_graph(outputs)
     positions = fr_layout(graph)
-    doc = export_json(graph, positions)
-    rebuilt, restored_positions = import_json(doc)
-    assert rebuilt == graph
-    assert restored_positions.keys() == positions.keys()
-    assert all(
-        restored_positions[n].x == positions[n].x and restored_positions[n].y == positions[n].y
-        for n in positions
-    )
+    doc = json.loads(export_json(graph, positions))
+    assert [(n["id"], n["label"], n["color"], n["size"]) for n in doc["nodes"]] == [
+        (n.id, n.label, n.color, n.size) for n in graph.nodes.values()
+    ]
+    assert [(e["source"], e["target"]) for e in doc["edges"]] == graph.edges
+    # floats survive the JSON text exactly
+    assert {n["id"]: (n["x"], n["y"]) for n in doc["nodes"]} == {
+        node_id: (p.x, p.y) for node_id, p in positions.items()
+    }
 
 
 def test_exports_byte_stable():

@@ -5,7 +5,6 @@ import pytest
 from videval.errors import BadTimestamp, NoAnswerFound
 from videval.parsing import (
     KeyframeEntry,
-    format_keyframe,
     format_timestamp,
     parse_keyframes,
     parse_mcq,
@@ -139,7 +138,8 @@ def test_keyframe_format_parse_round_trip():
     rng = random.Random(5)
     for _ in range(200):
         entry = KeyframeEntry(rng.randrange(0, 359999), random_caption(rng))
-        [parsed] = parse_keyframes(format_keyframe(entry))
+        # the canonical "(MM:SS, caption)" line the summary prompt asks for
+        [parsed] = parse_keyframes(f"({format_timestamp(entry.timestamp_s)}, {entry.caption})")
         assert parsed == entry
 
 

@@ -15,7 +15,6 @@ from videval.providers import (
     ModelResponse,
     ProviderHub,
     ProviderSettings,
-    Transcript,
     TranscriptSegment,
     parse_transcript_payload,
     request_key,
@@ -385,67 +384,6 @@ def test_malformed_transcript_payload():
         parse_transcript_payload(
             json.dumps({"segments": [{"id": 0, "start": 0, "end": 1, "text": "a"}], "text": "zzz"})
         )
-
-
-# --- describe_video / refine_summary --------------------------------------------------
-
-
-def test_describe_video_preconditions(store, providers):
-    hub = ProviderHub(providers, store, mode="replay")
-    with pytest.raises(ValueError):
-        hub.describe_video([], "prompt", "vlm", make_condition())
-    with pytest.raises(ValueError):
-        hub.describe_video(["frame.jpg"], "", "vlm", make_condition())
-
-
-def test_describe_video_replay(tmp_path, store, providers):
-    frame = tmp_path / "f0.jpg"
-    frame.write_bytes(b"jpeg bytes")
-    condition = make_condition()
-    request = ModelRequest("vlm", "vlm", prompt="summarize", frame_refs=[str(frame)], condition=condition)
-    store.put(request_key(request), {}, ModelResponse("the summary", 2000, "ok"))
-
-    hub = ProviderHub(providers, store, mode="replay")
-    response = hub.describe_video([str(frame)], "summarize", "vlm", condition)
-    assert response.raw_text == "the summary"
-
-
-def test_refine_summary_includes_transcript(store, providers):
-    seen_prompts = []
-
-    def transport(url, body, headers, timeout_s):
-        seen_prompts.append(body["prompt"])
-        return 200, json.dumps({"text": "refined: pathological complete response"})
-
-    hub = ProviderHub(providers, store, mode="live", transport=transport)
-    transcript = Transcript.from_segments(
-        [TranscriptSegment(0, 7.72, 13.6, PCR_SEGMENT_TEXT)]
-    )
-    template = "{transcript}Rewrite this summary:\n{summary}"
-    response = hub.refine_summary("a body model demo", transcript, template, "vlm")
-    assert "pathological complete response" in response.raw_text
-    assert "Audio transcript:" in seen_prompts[0]
-    assert PCR_SEGMENT_TEXT.strip() in seen_prompts[0]
-
-
-def test_refine_summary_empty_transcript_degenerates(store, providers):
-    prompts = []
-
-    def transport(url, body, headers, timeout_s):
-        prompts.append(body["prompt"])
-        return 200, json.dumps({"text": "refined"})
-
-    hub = ProviderHub(providers, store, mode="live", transport=transport)
-    template = "{transcript}Rewrite this summary:\n{summary}"
-    hub.refine_summary("plain summary", Transcript(), template, "vlm")
-    hub.refine_summary("plain summary", None, template, "vlm")
-    assert prompts[0] == prompts[1] == "Rewrite this summary:\nplain summary"
-
-
-def test_refine_summary_requires_text(store, providers):
-    hub = ProviderHub(providers, store, mode="replay")
-    with pytest.raises(ValueError):
-        hub.refine_summary("", None, "{summary}", "vlm")
 
 
 def test_condition_label():

@@ -1,12 +1,9 @@
-import pytest
-
 from videval.reports import (
     format_hms,
     format_percent,
     format_proportion,
     format_signed,
     model_table,
-    parse_markdown_table,
     task_table,
     write_report_tables,
 )
@@ -54,11 +51,17 @@ def test_model_table_percent_points():
     assert rows[0] == ["qwen2-vl-7b", "69.0", "77.2", "+8.2"]
 
 
+def read_markdown_table(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header cells and body rows of a pipe table, skipping its --- rule."""
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in text.splitlines()]
+    return rows[0], rows[2:]
+
+
 def test_markdown_round_trip(tmp_path):
     report = sample_report()
     write_report_tables(report, tmp_path)
     text = (tmp_path / "task_accuracy.md").read_text(encoding="utf-8")
-    headers, rows = parse_markdown_table(text)
+    headers, rows = read_markdown_table(text)
     assert headers == ["Task Type", "With ALM", "Without ALM", "Delta"]
     by_name = {row[0]: row[1:] for row in rows}
     triple = report.by_task_type["Action Reasoning"]
@@ -91,7 +94,3 @@ def test_write_report_tables_byte_stable(tmp_path):
     for name in ("task_accuracy.md", "model_accuracy.csv", "scores.json"):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
 
-
-def test_parse_markdown_table_rejects_non_table():
-    with pytest.raises(ValueError):
-        parse_markdown_table("just some text")

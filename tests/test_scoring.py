@@ -8,7 +8,6 @@ from videval.parsing import KeyframeEntry, ParsedVideoOutput
 from videval.providers import ConditionTag
 from videval.scoring import (
     MatchVector,
-    ReportSpec,
     RowTriple,
     aggregate,
     build_match_vector,
@@ -195,7 +194,7 @@ def records_for_pairs(pairs, items):
 def test_aggregate_rows_and_average():
     pairs = {"Action Reasoning": (0.759, 0.545), "OCR Problems": (0.744, 0.698)}
     records, items = records_for_pairs(pairs, None)
-    report = aggregate(ReportSpec(items=items), records)
+    report = aggregate(items, records)
     assert report.by_task_type["Action Reasoning"].with_value == pytest.approx(0.759)
     assert report.by_task_type["Action Reasoning"].delta == pytest.approx(0.214, abs=1e-12)
     avg = report.task_average
@@ -207,10 +206,10 @@ def test_aggregate_rows_and_average():
 def test_aggregate_permutation_invariant():
     pairs = {"A Task": (0.6, 0.4), "B Task": (0.9, 0.8)}
     records, items = records_for_pairs(pairs, None)
-    report1 = aggregate(ReportSpec(items=items), records)
+    report1 = aggregate(items, records)
     shuffled = list(records)
     random.Random(3).shuffle(shuffled)
-    report2 = aggregate(ReportSpec(items=items), shuffled)
+    report2 = aggregate(items, shuffled)
     assert report1.by_task_type == report2.by_task_type
     assert report1.overall_accuracy == report2.overall_accuracy
 
@@ -218,7 +217,7 @@ def test_aggregate_permutation_invariant():
 def test_aggregate_missing_condition():
     records = make_records(["q0"], False, ["answered_correct"])
     with pytest.raises(MissingCondition):
-        aggregate(ReportSpec(items=[FakeItem("q0")]), records)
+        aggregate([FakeItem("q0")], records)
 
 
 def test_aggregate_single_record_pair():
@@ -226,7 +225,7 @@ def test_aggregate_single_record_pair():
     records = make_records(["q0"], True, ["answered_correct"]) + make_records(
         ["q0"], False, ["answered_correct"]
     )
-    report = aggregate(ReportSpec(items=items), records)
+    report = aggregate(items, records)
     triple = report.by_task_type["OCR Problems"]
     assert (triple.with_value, triple.without_value, triple.delta) == (1.0, 1.0, 0.0)
     assert report.by_duration["long"] == triple
@@ -239,7 +238,7 @@ def test_aggregate_completeness_split_by_condition():
     ids = [i.question_id for i in items]
     records = make_records(ids, False, ["answered_correct", "oom", "unanswered", "answered_wrong"])
     records += make_records(ids, True, ["answered_correct"] * 4)
-    report = aggregate(ReportSpec(items=items), records)
+    report = aggregate(items, records)
     without_label = "SDPA (0.1 FPS) without Audio Transcription"
     with_label = "SDPA (0.1 FPS) with Audio Transcription"
     assert report.completeness[without_label].answered == 2
@@ -257,7 +256,7 @@ def test_aggregate_completeness_one_row_per_model_and_side():
             for record in cell:
                 record.wall_ms = 1000 if model == "m1" else 250
             records += cell
-    report = aggregate(ReportSpec(items=items), records)
+    report = aggregate(items, records)
     assert list(report.completeness) == [
         "m1 / SDPA (0.1 FPS) with Audio Transcription",
         "m1 / SDPA (0.1 FPS) without Audio Transcription",
