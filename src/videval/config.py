@@ -119,6 +119,8 @@ def load_config(path: str | Path) -> HarnessConfig:
             raise ConfigError(f"condition {i} is missing 'provider'")
         if provider not in providers:
             raise ConfigError(f"condition {i} references unknown provider {provider!r}")
+        if not isinstance(entry.get("with_transcript", False), bool):  # "false" would read true
+            raise ConfigError(f"condition {i} with_transcript must be true or false")
         try:
             tag = ConditionTag.from_dict(entry)
         except (KeyError, TypeError, ValueError) as exc:
@@ -172,6 +174,10 @@ def load_config(path: str | Path) -> HarnessConfig:
             f"keyframe_match_mode must be 'any' or 'all', got {keyframe_match_mode!r}"
         )
 
+    probe_command = data.get("probe_command")
+    if probe_command is not None and not isinstance(probe_command, str):
+        raise ConfigError(f"probe_command must be a command string, got {probe_command!r}")
+
     request_kind = data.get("request_kind", "mcq")
     if request_kind not in ("mcq", "summary_keyframes"):
         raise ConfigError(f"bad request_kind: {request_kind!r}")
@@ -193,7 +199,7 @@ def load_config(path: str | Path) -> HarnessConfig:
         keyframe_match_mode=keyframe_match_mode,
         layout=layout,
         out_dir=_resolve(base, data.get("out_dir", "out"), "out_dir"),
-        probe_command=data.get("probe_command"),
+        probe_command=probe_command,
         max_workers=_number(data.get("max_workers", 4), "max_workers", minimum=1),
         asr_provider=data.get("asr_provider"),
     )

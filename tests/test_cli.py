@@ -236,30 +236,40 @@ def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, 
     assert "config error" in err and message in err
 
 
-# (config changes, extra flags, the name the error must give); each used to end in
-# a traceback from `evaluate` and from `graph`
+# (config changes, the name the error must give); each of these, and the graph
+# flags below 0, used to end in a traceback or run on regardless
 BAD_CONFIG_VALUES = [
-    ({"tolerance_s": "two"}, [], "tolerance_s"),
-    ({"tolerance_s": -1}, [], "tolerance_s"),
-    ({"max_workers": "four"}, [], "max_workers"),
-    ({"keyframe_match_mode": "most"}, [], "keyframe_match_mode"),
-    ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, [], "timeout_s"),
-    ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, [], "provider 'local-qwen'"),
-    ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, [], "error_patterns"),
-    ({"conditions": ["local-qwen"]}, [], "condition 0"),
-    ({"layout": {"iterations": "10"}}, [], "layout.iterations"),
-    ({"layout": {"initial_temperature": "hot"}}, [], "layout.initial_temperature"),
+    ({"tolerance_s": "two"}, "tolerance_s"),
+    ({"tolerance_s": -1}, "tolerance_s"),
+    ({"max_workers": "four"}, "max_workers"),
+    ({"keyframe_match_mode": "most"}, "keyframe_match_mode"),
+    ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, "timeout_s"),
+    ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, "provider 'local-qwen'"),
+    ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, "error_patterns"),
+    ({"conditions": ["local-qwen"]}, "condition 0"),
+    (
+        {"conditions": [{"provider": "local-qwen", "model_name": "m", "with_transcript": "false"}]},
+        "with_transcript",
+    ),
+    ({"probe_command": 5}, "probe_command"),
+    ({"layout": {"iterations": "10"}}, "layout.iterations"),
+    ({"layout": {"initial_temperature": "hot"}}, "layout.initial_temperature"),
+    ({"templates": {"mcq": 5}}, "templates.mcq"),
+    ({"outputs": 5}, "outputs"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, changes, flags, key",
     [
-        pytest.param(command, *case, id=f"{command}-{case[2]}")
-        for case in BAD_CONFIG_VALUES
+        pytest.param(command, changes, [], key, id=f"{command}-{key}")
+        for changes, key in BAD_CONFIG_VALUES
         for command in ("evaluate", "graph")
     ]
-    + [pytest.param("graph", {}, ["--tolerance-s", "-1"], "--tolerance-s", id="graph-flag")],
+    + [
+        pytest.param("graph", {}, [flag, "-1"], flag, id=f"graph{flag}")
+        for flag in ("--tolerance-s", "--seed")
+    ],
 )
 def test_bad_config_value_is_config_error(demo_dir, tmp_path, capsys, command, changes, flags, key):
     path = _demo_config_variant(demo_dir, tmp_path, **changes)

@@ -93,4 +93,3 @@ def test_write_report_tables_byte_stable(tmp_path):
     write_report_tables(report, dir2)
     for name in ("task_accuracy.md", "model_accuracy.csv", "scores.json"):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
-
