@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import (
     HarnessError,
+    MalformedProviderOutput,
     NoAnswerFound,
     SchemaError,
 )
@@ -172,8 +173,9 @@ class RunRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
+        # not vars(): it would give each record and answer a dict of its own for the run's life
         if isinstance(self.parsed, McqAnswer):
-            parsed = {"letter": self.parsed.letter, "confidence_source": self.parsed.confidence_source}
+            parsed = {name: getattr(self.parsed, name) for name in self.parsed.__match_args__}
         elif isinstance(self.parsed, ParsedVideoOutput):
             parsed = {
                 "summary": self.parsed.summary,
@@ -183,14 +185,10 @@ class RunRecord:
         else:
             parsed = None
         return {
-            "item_ref": self.item_ref,
+            **{name: getattr(self, name) for name in self.__match_args__},
             "condition": self.condition.to_dict(),
-            "request_kind": self.request_kind,
             "response": self.response.to_dict(),
             "parsed": parsed,
-            "outcome": self.outcome,
-            "wall_ms": self.wall_ms,
-            "error": self.error,
         }
 
     @classmethod
@@ -283,21 +281,29 @@ class RunManifest:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunManifest":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise HarnessError("empty manifest")
-        header = json.loads(lines[0])
-        manifest = cls(
-            dataset_path=header["dataset_path"],
-            conditions=[
-                RunCondition(ConditionTag.from_dict(c["tag"]), c["provider"])
-                for c in header["conditions"]
-            ],
-            providers=list(header["providers"]),
-            started_at=header["started_at"],
-        )
-        for line in lines[1:]:
-            manifest.records.append(RunRecord.from_dict(json.loads(line)))
+        """Read a manifest back; a line that does not decode is a SchemaError naming it."""
+        manifest = None
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+                if manifest is None:
+                    manifest = cls(
+                        dataset_path=data["dataset_path"],
+                        conditions=[
+                            RunCondition(ConditionTag.from_dict(c["tag"]), c["provider"])
+                            for c in data["conditions"]
+                        ],
+                        providers=list(data["providers"]),
+                        started_at=data["started_at"],
+                    )
+                else:
+                    manifest.records.append(RunRecord.from_dict(data))
+            except (KeyError, TypeError, ValueError, MalformedProviderOutput) as exc:
+                raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
+        if manifest is None:
+            raise SchemaError("empty manifest")
         return manifest
 
 

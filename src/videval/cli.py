@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import benchmark as bench
@@ -91,20 +91,24 @@ def _duration_bucket(duration_s: float) -> str:
     return "long"
 
 
+def _probed_assets(paths: list[str], tool: media.MediaToolRunner):
+    """Yield the probed asset of each supported file; report and skip those that fail."""
+    for path in _walk_media_files(paths):
+        if not media.is_supported(path):
+            continue
+        try:
+            asset = media.probe(path, tool)
+        except (ProbeFailure, UnsupportedFormat) as exc:
+            print(f"skipping {path}: {exc}", file=sys.stderr)
+            continue
+        yield asset
+
+
 def cmd_ingest(args) -> int:
     probe_cmd = media.DEFAULT_PROBE_CMD
     if args.config:
         probe_cmd = load_config(args.config).probe_command or probe_cmd
-    tool = media.MediaToolRunner(probe_cmd=probe_cmd)
-
-    assets = []
-    for path in _walk_media_files(args.paths):
-        if not media.is_supported(path):
-            continue
-        try:
-            assets.append(media.probe(path, tool))
-        except (ProbeFailure, UnsupportedFormat) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
+    assets = list(_probed_assets(args.paths, media.MediaToolRunner(probe_cmd=probe_cmd)))
 
     if not assets:
         print("0 usable assets", file=sys.stderr)
@@ -118,18 +122,7 @@ def cmd_ingest(args) -> int:
         durations[bucket] = durations.get(bucket, 0) + 1
 
     inventory = {
-        "assets": [
-            {
-                "path": a.path,
-                "kind": a.kind,
-                "container": a.container,
-                "duration_s": a.duration_s,
-                "has_audio_stream": a.has_audio_stream,
-                "width_px": a.width_px,
-                "height_px": a.height_px,
-            }
-            for a in assets
-        ],
+        "assets": [asdict(asset) for asset in assets],
         "histogram": {"containers": containers, "durations": durations},
     }
     out_path = Path(args.out or "inventory.json")
@@ -138,7 +131,7 @@ def cmd_ingest(args) -> int:
     print(f"{len(assets)} usable assets -> {out_path}")
     for tag in sorted(containers):
         print(f"  {tag}: {containers[tag]}")
-    for bucket in ("short", "medium", "long"):
+    for bucket in bench.DURATION_CLASSES:
         if bucket in durations:
             print(f"  {bucket}: {durations[bucket]}")
     return EXIT_OK
@@ -156,19 +149,12 @@ def cmd_transcribe(args) -> int:
     hub = ProviderHub(config.providers, CassetteStore(config.cassette_dir), mode=mode)
 
     transcripts: dict[str, dict] = {}
-    for path in _walk_media_files(args.paths):
-        if not media.is_supported(path):
-            continue
-        try:
-            asset = media.probe(path, tool)
-        except (ProbeFailure, UnsupportedFormat) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
+    for asset in _probed_assets(args.paths, tool):
         if asset.kind != "audio" and not asset.has_audio_stream:
-            print(f"skipping {path}: no audio stream", file=sys.stderr)
+            print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
             continue
         transcript = hub.transcribe(asset, config.asr_provider)
-        transcripts[Path(path).stem] = {
+        transcripts[Path(asset.path).stem] = {
             "segments": [
                 {"id": s.id, "start": s.start_s, "end": s.end_s, "text": s.text}
                 for s in transcript.segments
@@ -206,11 +192,7 @@ def _filter_conditions(config: HarnessConfig, expr: str | None):
             if not matches:
                 raise ConfigError(f"no condition matches {token!r}")
             selected.extend(matches)
-    deduped = []
-    for pair in selected:
-        if pair not in deduped:
-            deduped.append(pair)
-    return deduped
+    return list(dict.fromkeys(selected))
 
 
 def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bundle: ReportBundle):

@@ -7,20 +7,29 @@ so a bundled demo runs from any working directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, MalformedProviderOutput
+from .errors import ConfigError, MalformedProviderOutput, TemplateError
 from .knowledge_graph import LayoutParams
-from .providers import ConditionTag, ProviderSettings, Transcript, transcript_from_payload
-from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
+from .providers import (
+    DEFAULT_ERROR_PATTERNS,
+    ConditionTag,
+    ProviderSettings,
+    Transcript,
+    transcript_from_payload,
+)
+from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN, render_prompt
 
 
 @dataclass
 class HarnessConfig:
-    base_dir: Path
+    """One config file, read by load_config; a key the file leaves out takes the default here."""
+
     dataset: Path
     cassette_dir: Path
+    out_dir: Path
     providers: dict[str, ProviderSettings]
     conditions: list[tuple[ConditionTag, str]]  # (tag, provider id)
     mode: str = "replay"
@@ -33,17 +42,24 @@ class HarnessConfig:
     tolerance_s: int = 2
     keyframe_match_mode: str = "any"
     layout: LayoutParams = field(default_factory=LayoutParams)
-    out_dir: Path = Path("out")
     probe_command: str | None = None
     max_workers: int = 4
     asr_provider: str | None = None
 
 
-def _resolve(base: Path, value, key: str) -> Path:
+# Readers take (value, what) and return the field's value or raise a ConfigError naming what.
+
+
+def _string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path string, got {value!r}")
-    path = Path(value)
-    return path if path.is_absolute() else base / path
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):  # "false" would read true
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _number(value, what: str, kind=int, minimum=0):
@@ -60,24 +76,95 @@ def _number(value, what: str, kind=int, minimum=0):
     return kind(value)
 
 
+_float = partial(_number, kind=float)
+
+
+def _choice(*allowed):
+    def read(value, what: str):
+        if value not in allowed:
+            raise ConfigError(f"{what} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
+        return value
+
+    return read
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
     return value
 
 
-def _provider_settings(name: str, entry) -> ProviderSettings:
-    entry = _object(entry, f"provider {name!r}")
-    for key, kind in (("timeout_s", float), ("retries", int)):
-        if key in entry:
-            _number(entry[key], f"provider {name!r} {key}", kind)
-    patterns = _object(entry.get("error_patterns") or {}, f"provider {name!r} error_patterns")
-    for status, texts in patterns.items():
+def _fill(cls, entry, what: str, readers: dict):
+    """Build the dataclass cls from the JSON object entry, one key per field.
+
+    An absent key keeps the field's default, and so does null where that
+    default is None. Any other value goes through its reader in readers, a
+    string check if it has none there. Unknown keys are ignored.
+    """
+    entry = _object(entry, what)
+    values = {}
+    for f in fields(cls):
+        value = entry.get(f.name, MISSING)
+        if value is MISSING:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{what} is missing {f.name!r}")
+        elif value is not None or f.default is not None:
+            values[f.name] = readers.get(f.name, _string)(value, f"{what}.{f.name}")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a check in __post_init__
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _error_patterns(value, what: str) -> dict[str, list[str]]:
+    """The defaults, with each status the config names replaced by its list."""
+    given = _object(value or {}, what)
+    for status, texts in given.items():
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-            raise ConfigError(
-                f"provider {name!r} error_patterns.{status} must be a list of strings"
-            )
-    return ProviderSettings.from_dict(entry)
+            raise ConfigError(f"{what}.{status} must be a list of strings")
+    return {k: list(v) for k, v in {**DEFAULT_ERROR_PATTERNS, **given}.items()}
+
+
+PROVIDER_READERS = {
+    "timeout_s": _float,
+    "retries": _number,
+    "error_patterns": _error_patterns,
+}
+CONDITION_READERS = {
+    "fps": _float,
+    "with_transcript": _boolean,
+    "attention": _choice(*ConditionTag.ATTENTION_VALUES),
+}
+LAYOUT_READERS = {
+    "spacing": _float,
+    "area": _float,
+    "iterations": _number,
+    "seed": _number,
+    "initial_temperature": _float,
+    "cooling": _float,
+}
+
+
+def _providers(value, what: str) -> dict[str, ProviderSettings]:
+    return {
+        name: _fill(ProviderSettings, entry, f"provider {name!r}", PROVIDER_READERS)
+        for name, entry in _object(value, what).items()
+    }
+
+
+def _conditions(value, what: str) -> list[tuple[ConditionTag, str]]:
+    if not value or not isinstance(value, list):
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    conditions = []
+    for i, entry in enumerate(value):
+        tag = _fill(ConditionTag, entry, f"condition {i}", CONDITION_READERS)
+        if not entry.get("provider"):
+            raise ConfigError(f"condition {i} is missing 'provider'")
+        # records carry the tag, not the provider, so equal tags cannot be told apart
+        if any(tag == seen for seen, _ in conditions):
+            raise ConfigError(f"condition {i} repeats the tag of an earlier condition")
+        conditions.append((tag, entry["provider"]))
+    return conditions
 
 
 def _read_json_object(path: str | Path, what: str) -> dict:
@@ -95,114 +182,51 @@ def load_config(path: str | Path) -> HarnessConfig:
     config_path = Path(path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = _read_json_object(config_path, "config")
     base = config_path.parent
 
-    if "dataset" not in data:
-        raise ConfigError("config is missing 'dataset'")
-    dataset = _resolve(base, data["dataset"], "dataset")
-    if not dataset.is_file():
-        raise ConfigError(f"dataset file not found: {dataset}")
+    def path_in_base(value, what: str) -> Path:
+        return base / _string(value, what)  # an absolute path replaces base
 
-    providers = {
-        name: _provider_settings(name, entry)
-        for name, entry in _object(data.get("providers") or {}, "providers").items()
+    def file_in_base(value, what: str) -> Path:
+        resolved = path_in_base(value, what)
+        if not resolved.is_file():
+            raise ConfigError(f"{what} file not found: {resolved}")
+        return resolved
+
+    readers = {
+        "dataset": file_in_base,
+        "cassette_dir": path_in_base,
+        "out_dir": path_in_base,
+        "providers": _providers,
+        "conditions": _conditions,
+        "mode": _choice("replay", "live"),
+        "request_kind": _choice("mcq", "summary_keyframes"),
+        "transcripts": file_in_base,
+        "outputs": file_in_base,
+        "annotations": file_in_base,
+        "tolerance_s": _number,
+        "keyframe_match_mode": _choice("any", "all"),
+        "layout": lambda value, what: _fill(LayoutParams, value or {}, what, LAYOUT_READERS),
+        "max_workers": partial(_number, minimum=1),
     }
-
-    raw_conditions = data.get("conditions") or []
-    if not raw_conditions:
-        raise ConfigError("condition matrix must be non-empty")
-    conditions = []
-    for i, entry in enumerate(raw_conditions):
-        provider = _object(entry, f"condition {i}").get("provider")
-        if not provider:
-            raise ConfigError(f"condition {i} is missing 'provider'")
-        if provider not in providers:
-            raise ConfigError(f"condition {i} references unknown provider {provider!r}")
-        if not isinstance(entry.get("with_transcript", False), bool):  # "false" would read true
-            raise ConfigError(f"condition {i} with_transcript must be true or false")
-        try:
-            tag = ConditionTag.from_dict(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"condition {i} is malformed: {exc}") from exc
-        # records carry the tag, not the provider, so equal tags cannot be told apart
-        if any(tag == seen for seen, _ in conditions):
-            raise ConfigError(f"condition {i} repeats the tag of an earlier condition")
-        conditions.append((tag, provider))
-
-    mode = data.get("mode", "replay")
-    if mode not in ("replay", "live"):
-        raise ConfigError(f"mode must be 'replay' or 'live', got {mode!r}")
-    cassette_dir = _resolve(base, data.get("cassette_dir", "cassettes"), "cassette_dir")
-    if mode == "replay" and not cassette_dir.is_dir():
-        raise ConfigError(f"cassette directory not found: {cassette_dir}")
-
-    optional_paths = {}
-    for key in ("transcripts", "outputs", "annotations"):
-        if data.get(key):
-            resolved = _resolve(base, data[key], key)
-            if not resolved.is_file():
-                raise ConfigError(f"{key} file not found: {resolved}")
-            optional_paths[key] = resolved
-        else:
-            optional_paths[key] = None
+    # both directories default to a name in the config file's directory
+    data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config")}
+    config = _fill(HarnessConfig, data, "config", readers)
+    for i, (_, provider) in enumerate(config.conditions):
+        _choice(*config.providers)(provider, f"condition {i}.provider")
+    _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
+    if config.mode == "replay" and not config.cassette_dir.is_dir():
+        raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
 
     templates = _object(data.get("templates") or {}, "templates")
     for key in ("mcq", "summary"):
-        if not isinstance(templates.get(key, ""), str):
-            raise ConfigError(f"templates.{key} must be a string")
-    layout_raw = _object(data.get("layout") or {}, "layout")
-
-    def layout_number(key: str, default, kind=float):
-        value = layout_raw.get(key, default)
-        if value is None and default is None:  # None picks the layout's own default
-            return None
-        return _number(value, f"layout.{key}", kind)
-
-    layout = LayoutParams(
-        spacing=layout_number("spacing", 1.0),
-        area=layout_number("area", 1.0),
-        iterations=layout_number("iterations", None, int),
-        seed=layout_number("seed", 42, int),
-        initial_temperature=layout_number("initial_temperature", None),
-        cooling=layout_number("cooling", 0.95),
-    )
-
-    keyframe_match_mode = data.get("keyframe_match_mode", "any")
-    if keyframe_match_mode not in ("any", "all"):
-        raise ConfigError(
-            f"keyframe_match_mode must be 'any' or 'all', got {keyframe_match_mode!r}"
-        )
-
-    probe_command = data.get("probe_command")
-    if probe_command is not None and not isinstance(probe_command, str):
-        raise ConfigError(f"probe_command must be a command string, got {probe_command!r}")
-
-    request_kind = data.get("request_kind", "mcq")
-    if request_kind not in ("mcq", "summary_keyframes"):
-        raise ConfigError(f"bad request_kind: {request_kind!r}")
-
-    return HarnessConfig(
-        base_dir=base,
-        dataset=dataset,
-        cassette_dir=cassette_dir,
-        providers=providers,
-        conditions=conditions,
-        mode=mode,
-        request_kind=request_kind,
-        mcq_template=templates.get("mcq", DEFAULT_MCQ_TEMPLATE),
-        summary_template=templates.get("summary", SUMMARY_PROMPT_PLAIN),
-        transcripts=optional_paths["transcripts"],
-        outputs=optional_paths["outputs"],
-        annotations=optional_paths["annotations"],
-        tolerance_s=_number(data.get("tolerance_s", 2), "tolerance_s"),
-        keyframe_match_mode=keyframe_match_mode,
-        layout=layout,
-        out_dir=_resolve(base, data.get("out_dir", "out"), "out_dir"),
-        probe_command=probe_command,
-        max_workers=_number(data.get("max_workers", 4), "max_workers", minimum=1),
-        asr_provider=data.get("asr_provider"),
-    )
+        if key in templates:
+            setattr(config, f"{key}_template", _string(templates[key], f"templates.{key}"))
+    try:
+        render_prompt(config.mcq_template, {}, required=("question", "options"))
+    except TemplateError as exc:
+        raise ConfigError(f"templates.mcq: {exc}") from exc
+    return config
 
 
 def load_transcripts(path: str | Path) -> dict[str, Transcript]:

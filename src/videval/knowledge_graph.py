@@ -284,14 +284,8 @@ def _undirected_view(graph: EvalGraph) -> EvalGraph:
     view = EvalGraph()
     view.nodes = dict(graph.nodes)
     for s, t in graph.edges:
-        key = (s, t)
-        if key not in view._edge_set:
-            view._edge_set.add(key)
-            view.edges.append(key)
-        rkey = (t, s)
-        if rkey not in view._edge_set:
-            view._edge_set.add(rkey)
-            view.edges.append(rkey)
+        view.add_edge(s, t)
+        view.add_edge(t, s)
     return view
 
 

@@ -31,9 +31,6 @@ from .errors import (
 )
 from .media import MediaAsset
 
-DEFAULT_TIMEOUT_S = 300.0
-DEFAULT_RETRIES = 1
-
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
         "CUDA out of memory",
@@ -64,6 +61,8 @@ class ConditionTag:
     def __post_init__(self):
         if self.attention not in self.ATTENTION_VALUES:
             raise ValueError(f"bad attention tag: {self.attention}")
+        if not self.fps > 0:
+            raise ValueError(f"fps must be a positive number, got {self.fps!r}")
 
     def label(self) -> str:
         names = {"sdpa": "SDPA", "flash_attention": "FlashAttention", "other": "Other"}
@@ -71,23 +70,13 @@ class ConditionTag:
         return f"{names[self.attention]} ({self.fps:g} FPS) {suffix} Audio Transcription"
 
     def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "fps": self.fps,
-            "with_transcript": self.with_transcript,
-            "attention": self.attention,
-            "gpu": self.gpu,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConditionTag":
-        return cls(
-            model_name=data["model_name"],
-            fps=float(data.get("fps", 1.0)),
-            with_transcript=bool(data.get("with_transcript", False)),
-            attention=data.get("attention", "other"),
-            gpu=data.get("gpu", ""),
-        )
+        """The tag from the fields present in data; other keys, such as a provider, are ignored."""
+        # __match_args__ names the fields; fields(cls) would rebuild that list on every call
+        return cls(**{name: data[name] for name in cls.__match_args__ if name in data})
 
 
 @dataclass(frozen=True)
@@ -155,11 +144,8 @@ class ModelResponse:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "raw_text": self.raw_text,
-            "latency_ms": self.latency_ms,
-            "status": self.status,
-        }
+        # not vars(self): reading it gives each of a run's many responses a dict of its own
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelResponse":
@@ -184,32 +170,11 @@ class ProviderSettings:
     audio_field: str = "audio"
     model_field: str = "model"
     response_text_path: str = "text"
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    retries: int = DEFAULT_RETRIES
+    timeout_s: float = 300.0
+    retries: int = 1
     error_patterns: dict[str, list[str]] = field(
         default_factory=lambda: {k: list(v) for k, v in DEFAULT_ERROR_PATTERNS.items()}
     )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProviderSettings":
-        patterns = {k: list(v) for k, v in DEFAULT_ERROR_PATTERNS.items()}
-        for status, pats in (data.get("error_patterns") or {}).items():
-            patterns[status] = list(pats)
-        return cls(
-            endpoint=data.get("endpoint", ""),
-            model=data.get("model", ""),
-            auth_env=data.get("auth_env"),
-            auth_header=data.get("auth_header", "Authorization"),
-            auth_scheme=data.get("auth_scheme", "Bearer"),
-            prompt_field=data.get("prompt_field", "prompt"),
-            frames_field=data.get("frames_field", "frames"),
-            audio_field=data.get("audio_field", "audio"),
-            model_field=data.get("model_field", "model"),
-            response_text_path=data.get("response_text_path", "text"),
-            timeout_s=float(data.get("timeout_s", DEFAULT_TIMEOUT_S)),
-            retries=int(data.get("retries", DEFAULT_RETRIES)),
-            error_patterns=patterns,
-        )
 
 
 def _hash_file(path: str) -> str:

@@ -121,16 +121,8 @@ def duration_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
 
 
 def _completeness_json(row: CompletenessRow) -> dict:
-    return {
-        "total": row.total,
-        "answered": row.answered,
-        "correct": row.correct,
-        "oom": row.oom,
-        "unanswered": row.unanswered,
-        "invalid_output": row.invalid_output,
-        "answered_pct": row.answered_pct,
-        "correct_pct": row.correct_pct,
-    }
+    counts = {name: value for name, value in vars(row).items() if name != "wall_ms"}
+    return {**counts, "answered_pct": row.answered_pct, "correct_pct": row.correct_pct}
 
 
 def report_to_json(report: ScoreReport) -> dict:

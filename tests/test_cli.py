@@ -5,6 +5,7 @@ import pytest
 from videval.cli import main
 from videval.config import load_config
 from videval.errors import ConfigError
+from videval.providers import ModelRequest, request_key
 
 
 def run_cli(*argv) -> int:
@@ -256,6 +257,24 @@ BAD_CONFIG_VALUES = [
     ({"layout": {"initial_temperature": "hot"}}, "layout.initial_temperature"),
     ({"templates": {"mcq": 5}}, "templates.mcq"),
     ({"outputs": 5}, "outputs"),
+    *(
+        ({"conditions": [{"provider": "local-qwen", "model_name": "m", "fps": fps}]}, "fps")
+        for fps in ("0.1", True, 0)
+    ),
+    ({"conditions": [{"provider": "local-qwen", "model_name": 5}]}, "model_name"),
+    (
+        {
+            "conditions": [
+                {"provider": "local-qwen", "model_name": "m", "gpu": 5},
+                {"provider": "local-qwen", "model_name": "m", "gpu": "a10g"},
+            ]
+        },
+        "gpu",
+    ),
+    ({"providers": {"local-qwen": {"endpoint": 5}}}, "endpoint"),
+    ({"providers": {"local-qwen": {"response_text_path": 5}}}, "response_text_path"),
+    ({"asr_provider": "nope"}, "asr_provider"),
+    ({"templates": {"mcq": "Answer: {options}"}}, "templates.mcq: template is missing a {question}"),
 ]
 
 
@@ -278,6 +297,18 @@ def test_bad_config_value_is_config_error(demo_dir, tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out_dir.exists()
+
+
+def test_integer_fps_loads_like_float(demo_dir, tmp_path):
+    # the tag is part of the cassette key, so "fps": 1 must key like "fps": 1.0
+    tags = []
+    for fps in (1, 1.0):
+        condition = {"provider": "local-qwen", "model_name": "m", "fps": fps}
+        path = _demo_config_variant(demo_dir, tmp_path, conditions=[condition])
+        tags.append(load_config(path).conditions[0][0])
+    assert json.dumps(tags[0].to_dict()) == json.dumps(tags[1].to_dict())
+    keys = [request_key(ModelRequest("local-qwen", "vlm", prompt="p", condition=t)) for t in tags]
+    assert keys[0] == keys[1]
 
 
 def test_graph_seed_flag_changes_layout(demo_dir, tmp_path):
@@ -306,6 +337,33 @@ def test_report_regenerates_tables_from_manifest(demo_dir, tmp_path):
     assert code == 0
     for name in ("task_accuracy.md", "model_accuracy.md", "completeness.md", "scores.json"):
         assert (report_dir / name).read_bytes() == (eval_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage, line",
+    [
+        pytest.param(lambda text: text[:-40], 21, id="record-cut-mid-line"),
+        pytest.param(
+            lambda text: text.replace('"dataset_path":', '"dataset":', 1), 1, id="header-without-dataset_path"
+        ),
+        pytest.param(lambda text: "manifest\n" + text.split("\n", 1)[1], 1, id="first-line-not-json"),
+    ],
+)
+def test_report_on_damaged_manifest_is_invalid_input(demo_dir, tmp_path, capsys, damage, line):
+    eval_dir = tmp_path / "eval"
+    run_cli("evaluate", "--config", str(demo_dir / "config.json"), "--out-dir", str(eval_dir))
+    manifest = eval_dir / "manifest.jsonl"
+    manifest.write_text(damage(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(
+        "report",
+        "--config", str(demo_dir / "config.json"),
+        "--manifest", str(manifest),
+        "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "invalid input" in err and f"manifest line {line} " in err
 
 
 # --- transcribe -----------------------------------------------------------------------------
