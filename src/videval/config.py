@@ -14,7 +14,6 @@ from pathlib import Path
 from .errors import ConfigError, MalformedProviderOutput, TemplateError
 from .knowledge_graph import LayoutParams
 from .providers import (
-    DEFAULT_ERROR_PATTERNS,
     ConditionTag,
     ProviderSettings,
     Transcript,
@@ -117,12 +116,11 @@ def _fill(cls, entry, what: str, readers: dict):
 
 
 def _error_patterns(value, what: str) -> dict[str, list[str]]:
-    """The defaults, with each status the config names replaced by its list."""
     given = _object(value or {}, what)
     for status, texts in given.items():
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise ConfigError(f"{what}.{status} must be a list of strings")
-    return {k: list(v) for k, v in {**DEFAULT_ERROR_PATTERNS, **given}.items()}
+    return given
 
 
 PROVIDER_READERS = {
@@ -133,7 +131,6 @@ PROVIDER_READERS = {
 CONDITION_READERS = {
     "fps": _float,
     "with_transcript": _boolean,
-    "attention": _choice(*ConditionTag.ATTENTION_VALUES),
 }
 LAYOUT_READERS = {
     "spacing": _float,
@@ -208,20 +205,20 @@ def load_config(path: str | Path) -> HarnessConfig:
         "keyframe_match_mode": _choice("any", "all"),
         "layout": lambda value, what: _fill(LayoutParams, value or {}, what, LAYOUT_READERS),
         "max_workers": partial(_number, minimum=1),
+        "mcq_template": lambda value, _what: _string(value, "templates.mcq"),
+        "summary_template": lambda value, _what: _string(value, "templates.summary"),
     }
     # both directories default to a name in the config file's directory
     data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config")}
+    templates = _object(data.get("templates") or {}, "templates")
+    # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
+    data.update({f"{key}_template": templates.get(key, MISSING) for key in ("mcq", "summary")})
     config = _fill(HarnessConfig, data, "config", readers)
     for i, (_, provider) in enumerate(config.conditions):
         _choice(*config.providers)(provider, f"condition {i}.provider")
     _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
     if config.mode == "replay" and not config.cassette_dir.is_dir():
         raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
-
-    templates = _object(data.get("templates") or {}, "templates")
-    for key in ("mcq", "summary"):
-        if key in templates:
-            setattr(config, f"{key}_template", _string(templates[key], f"templates.{key}"))
     try:
         render_prompt(config.mcq_template, {}, required=("question", "options"))
     except TemplateError as exc:

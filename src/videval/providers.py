@@ -60,7 +60,8 @@ class ConditionTag:
 
     def __post_init__(self):
         if self.attention not in self.ATTENTION_VALUES:
-            raise ValueError(f"bad attention tag: {self.attention}")
+            values = ", ".join(self.ATTENTION_VALUES)
+            raise ValueError(f"attention must be one of {values}, got {self.attention!r}")
         if not self.fps > 0:
             raise ValueError(f"fps must be a positive number, got {self.fps!r}")
 
@@ -69,13 +70,14 @@ class ConditionTag:
         suffix = "with" if self.with_transcript else "without"
         return f"{names[self.attention]} ({self.fps:g} FPS) {suffix} Audio Transcription"
 
+    # __match_args__ names the fields: fields(cls) would rebuild that list on every call, and
+    # vars(self) would give each of a run's many tags a dict of its own
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConditionTag":
         """The tag from the fields present in data; other keys, such as a provider, are ignored."""
-        # __match_args__ names the fields; fields(cls) would rebuild that list on every call
         return cls(**{name: data[name] for name in cls.__match_args__ if name in data})
 
 
@@ -172,9 +174,12 @@ class ProviderSettings:
     response_text_path: str = "text"
     timeout_s: float = 300.0
     retries: int = 1
-    error_patterns: dict[str, list[str]] = field(
-        default_factory=lambda: {k: list(v) for k, v in DEFAULT_ERROR_PATTERNS.items()}
-    )
+    error_patterns: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a status the given patterns leave out keeps its default texts
+        defaults = {status: list(texts) for status, texts in DEFAULT_ERROR_PATTERNS.items()}
+        self.error_patterns = {**defaults, **self.error_patterns}
 
 
 def _hash_file(path: str) -> str:

@@ -121,7 +121,7 @@ def duration_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
 
 
 def _completeness_json(row: CompletenessRow) -> dict:
-    counts = {name: value for name, value in vars(row).items() if name != "wall_ms"}
+    counts = {name: getattr(row, name) for name in row.__match_args__ if name != "wall_ms"}
     return {**counts, "answered_pct": row.answered_pct, "correct_pct": row.correct_pct}
 
 

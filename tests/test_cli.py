@@ -274,6 +274,7 @@ BAD_CONFIG_VALUES = [
     ({"providers": {"local-qwen": {"endpoint": 5}}}, "endpoint"),
     ({"providers": {"local-qwen": {"response_text_path": 5}}}, "response_text_path"),
     ({"asr_provider": "nope"}, "asr_provider"),
+    ({"conditions": [{"provider": "local-qwen", "model_name": "m", "attention": "xformers"}]}, "attention"),
     ({"templates": {"mcq": "Answer: {options}"}}, "templates.mcq: template is missing a {question}"),
 ]
 
@@ -309,6 +310,13 @@ def test_integer_fps_loads_like_float(demo_dir, tmp_path):
     assert json.dumps(tags[0].to_dict()) == json.dumps(tags[1].to_dict())
     keys = [request_key(ModelRequest("local-qwen", "vlm", prompt="p", condition=t)) for t in tags]
     assert keys[0] == keys[1]
+
+
+def test_top_level_template_keys_are_ignored(demo_dir, tmp_path):
+    # only the templates object sets a template; a key named like the field is not read
+    path = _demo_config_variant(demo_dir, tmp_path, mcq_template="Answer: {options}", summary_template=5)
+    loaded, demo = load_config(path), load_config(demo_dir / "config.json")
+    assert (loaded.mcq_template, loaded.summary_template) == (demo.mcq_template, demo.summary_template)
 
 
 def test_graph_seed_flag_changes_layout(demo_dir, tmp_path):
