@@ -14,6 +14,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -30,11 +31,13 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
+from .schema import _boolean, _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 OPTION_LETTERS = ("A", "B", "C", "D")
 DURATION_CLASSES = ("short", "medium", "long")
 OUTCOMES = ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom")
+REQUEST_KINDS = ("mcq", "summary_keyframes")
 
 REPLAY_EPOCH = "1970-01-01T00:00:00Z"
 
@@ -87,6 +90,7 @@ def _normalize_duration(raw) -> str:
 
 
 def item_from_record(record: dict) -> BenchmarkItem:
+    record = _object(record, "dataset row")
     try:
         return BenchmarkItem(
             video_id=str(record["video_id"]),
@@ -106,14 +110,14 @@ def item_from_record(record: dict) -> BenchmarkItem:
 
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Load a JSON array or JSON-lines file of benchmark items."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_bytes()  # json.loads decodes it: a byte that is not UTF-8 is bad JSON
     stripped = text.lstrip()
     if not stripped:
         raise SchemaError(f"dataset file is empty: {path}")
-    if stripped.startswith("["):
+    if stripped.startswith(b"["):
         try:
             rows = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"dataset is not valid JSON: {exc}") from exc
     else:
         rows = []
@@ -122,7 +126,7 @@ def load_dataset(path: str | Path) -> list[BenchmarkItem]:
                 continue
             try:
                 rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise SchemaError(f"line {lineno} is not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
         raise SchemaError("dataset must be a JSON array or JSON-lines file")
@@ -161,11 +165,22 @@ def build_question_prompt(
     return rendered
 
 
+# the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
+PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes, "valid": _boolean}
+
+
+def _parsed(value, what: str) -> McqAnswer | ParsedVideoOutput | None:
+    if value is None:
+        return None
+    cls = McqAnswer if "letter" in _object(value, what) else ParsedVideoOutput
+    return _fill(cls, value, what, PARSED_READERS)
+
+
 @dataclass
 class RunRecord:
     item_ref: str
     condition: ConditionTag
-    request_kind: str  # mcq | summary_keyframes
+    request_kind: str  # one of REQUEST_KINDS
     response: ModelResponse
     parsed: McqAnswer | ParsedVideoOutput | None
     outcome: str
@@ -173,50 +188,29 @@ class RunRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        # not vars(): it would give each record and answer a dict of its own for the run's life
-        if isinstance(self.parsed, McqAnswer):
-            parsed = {name: getattr(self.parsed, name) for name in self.parsed.__match_args__}
-        elif isinstance(self.parsed, ParsedVideoOutput):
-            parsed = {
-                "summary": self.parsed.summary,
-                "keyframes": [[e.timestamp_s, e.caption] for e in self.parsed.keyframes],
-                "valid": self.parsed.valid,
-            }
-        else:
-            parsed = None
+        parsed = None if self.parsed is None else _plain(self.parsed)
+        if isinstance(self.parsed, ParsedVideoOutput):
+            parsed["keyframes"] = [[e.timestamp_s, e.caption] for e in self.parsed.keyframes]
         return {
-            **{name: getattr(self, name) for name in self.__match_args__},
+            **_plain(self),
             "condition": self.condition.to_dict(),
             "response": self.response.to_dict(),
             "parsed": parsed,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        parsed_raw = data.get("parsed")
-        parsed: McqAnswer | ParsedVideoOutput | None
-        if parsed_raw is None:
-            parsed = None
-        elif "letter" in parsed_raw:
-            parsed = McqAnswer(parsed_raw["letter"], parsed_raw["confidence_source"])
-        else:
-            from .parsing import KeyframeEntry
+    def from_dict(cls, data: dict, what: str = "record") -> "RunRecord":
+        return _fill(cls, data, what, RECORD_READERS)
 
-            parsed = ParsedVideoOutput(
-                summary=parsed_raw["summary"],
-                keyframes=[KeyframeEntry(ts, cap) for ts, cap in parsed_raw["keyframes"]],
-                valid=parsed_raw["valid"],
-            )
-        return cls(
-            item_ref=data["item_ref"],
-            condition=ConditionTag.from_dict(data["condition"]),
-            request_kind=data["request_kind"],
-            response=ModelResponse.from_dict(data["response"]),
-            parsed=parsed,
-            outcome=data["outcome"],
-            wall_ms=int(data.get("wall_ms", 0)),
-            error=data.get("error"),
-        )
+
+RECORD_READERS = {
+    "condition": ConditionTag.from_dict,
+    "request_kind": _choice(*REQUEST_KINDS),
+    "response": ModelResponse.from_dict,
+    "parsed": _parsed,
+    "outcome": _choice(*OUTCOMES),
+    "wall_ms": _number,
+}
 
 
 def classify_outcome(
@@ -244,7 +238,13 @@ class RunCondition:
     provider: str
 
     def to_dict(self) -> dict:
-        return {"tag": self.tag.to_dict(), "provider": self.provider}
+        return {**_plain(self), "tag": self.tag.to_dict()}
+
+
+HEADER_READERS = {
+    "conditions": _list_of(partial(_fill, RunCondition, readers={"tag": ConditionTag.from_dict})),
+    "providers": _strings,
+}
 
 
 @dataclass
@@ -267,21 +267,17 @@ class RunManifest:
     records: list[RunRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        header = {
-            "kind": "manifest",
-            "dataset_path": self.dataset_path,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "providers": self.providers,
-            "started_at": self.started_at,
-        }
+        header = {**_plain(self), "kind": "manifest"}
+        header["conditions"] = [c.to_dict() for c in self.conditions]
+        del header["records"]
         lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
         for record in self.records:
             lines.append(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "RunManifest":
-        """Read a manifest back; a line that does not decode is a SchemaError naming it."""
+    def from_jsonl(cls, text: str | bytes) -> "RunManifest":
+        """Read a manifest back (text or bytes); a SchemaError names a line that does not decode."""
         manifest = None
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -289,18 +285,10 @@ class RunManifest:
             try:
                 data = json.loads(line)
                 if manifest is None:
-                    manifest = cls(
-                        dataset_path=data["dataset_path"],
-                        conditions=[
-                            RunCondition(ConditionTag.from_dict(c["tag"]), c["provider"])
-                            for c in data["conditions"]
-                        ],
-                        providers=list(data["providers"]),
-                        started_at=data["started_at"],
-                    )
+                    manifest = _fill(cls, data, "header", HEADER_READERS)
                 else:
                     manifest.records.append(RunRecord.from_dict(data))
-            except (KeyError, TypeError, ValueError, MalformedProviderOutput) as exc:
+            except (ValueError, SchemaError, MalformedProviderOutput) as exc:
                 raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
         if manifest is None:
             raise SchemaError("empty manifest")

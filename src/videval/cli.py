@@ -35,6 +35,7 @@ from .errors import (
 )
 from .parsing import parse_video_output
 from .providers import CassetteStore, ProviderHub
+from .schema import _plain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,19 +48,12 @@ class ReportBundle:
     score_report: scoring.ScoreReport | None
     graph_metrics: dict[str, dict] = field(default_factory=dict)
     matching_scores: dict[str, dict] = field(default_factory=dict)
-    manifest_path: str | None = None
+    manifest: str | None = None  # the manifest's file name
     emitted: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "score_report": (
-                reports.report_to_json(self.score_report) if self.score_report else None
-            ),
-            "graph_metrics": self.graph_metrics,
-            "matching_scores": self.matching_scores,
-            "manifest": self.manifest_path,
-            "emitted": sorted(self.emitted),
-        }
+        score_report = reports.report_to_json(self.score_report) if self.score_report else None
+        return {**_plain(self), "score_report": score_report, "emitted": sorted(self.emitted)}
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -155,10 +149,7 @@ def cmd_transcribe(args) -> int:
             continue
         transcript = hub.transcribe(asset, config.asr_provider)
         transcripts[Path(asset.path).stem] = {
-            "segments": [
-                {"id": s.id, "start": s.start_s, "end": s.end_s, "text": s.text}
-                for s in transcript.segments
-            ],
+            "segments": [_plain(segment) for segment in transcript.segments],
             "text": transcript.full_text,
             "language": transcript.language,
         }
@@ -217,13 +208,9 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
         json_path = graphs_dir / f"{video_id}.json"
         graphs_dir.mkdir(parents=True, exist_ok=True)
         kg.export_graph(graph, positions, str(dot_path), str(json_path))
-        metrics = kg.graph_metrics(graph, positions)
-        bundle.graph_metrics[video_id] = {
-            "node_count": metrics.node_count,
-            "mean_pairwise_distance": metrics.mean_pairwise_distance,
-            "distances_to_center": dict(sorted(metrics.distances_to_center.items())),
-            "unreachable": sorted(metrics.unreachable),
-        }
+        metrics = _plain(kg.graph_metrics(graph, positions))
+        metrics["unreachable"] = sorted(metrics["unreachable"])
+        bundle.graph_metrics[video_id] = metrics
         bundle.emitted.extend([f"graphs/{video_id}.dot", f"graphs/{video_id}.json"])
 
     if not parsed_by_video:
@@ -313,7 +300,7 @@ def cmd_evaluate(args) -> int:
     manifest_path = out_dir / "manifest.jsonl"
     manifest_path.write_text(manifest.to_jsonl(), encoding="utf-8")
 
-    bundle = ReportBundle(score_report=None, manifest_path=manifest_path.name)
+    bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
     bundle.emitted.append(manifest_path.name)
     _score_and_emit(config, items, manifest, out_dir, bundle)
     if config.outputs:
@@ -361,11 +348,12 @@ def cmd_report(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    manifest = bench.RunManifest.from_jsonl(manifest_path.read_text(encoding="utf-8"))
+    # as bytes, so that a byte that is not UTF-8 is reported with its line
+    manifest = bench.RunManifest.from_jsonl(manifest_path.read_bytes())
     items = bench.load_dataset(config.dataset)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
-    bundle = ReportBundle(score_report=None, manifest_path=manifest_path.name)
+    bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
     _score_and_emit(config, items, manifest, out_dir, bundle)
     _dump_json(out_dir / "bundle.json", bundle.to_dict())
     print(f"tables -> {out_dir}")

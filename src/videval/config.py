@@ -7,11 +7,12 @@ so a bundled demo runs from any working directory.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, MalformedProviderOutput, TemplateError
+from .benchmark import REQUEST_KINDS
+from .errors import ConfigError, MalformedProviderOutput, SchemaError, TemplateError
 from .knowledge_graph import LayoutParams
 from .providers import (
     ConditionTag,
@@ -19,6 +20,7 @@ from .providers import (
     Transcript,
     transcript_from_payload,
 )
+from .schema import _boolean, _choice, _fill, _float, _keyframes, _number, _object, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN, render_prompt
 
 
@@ -46,91 +48,15 @@ class HarnessConfig:
     asr_provider: str | None = None
 
 
-# Readers take (value, what) and return the field's value or raise a ConfigError naming what.
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _boolean(value, what: str) -> bool:
-    if not isinstance(value, bool):  # "false" would read true
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _number(value, what: str, kind=int, minimum=0):
-    """A JSON number of the given kind (int, or float which takes ints too), at least minimum.
-
-    Anything else, a numeric string included, is a ConfigError naming what.
-    """
-    accepted = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}")
-    if not value >= minimum:  # also false for NaN
-        raise ConfigError(f"{what} must be at least {minimum}, got {value!r}")
-    return kind(value)
-
-
-_float = partial(_number, kind=float)
-
-
-def _choice(*allowed):
-    def read(value, what: str):
-        if value not in allowed:
-            raise ConfigError(f"{what} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
-        return value
-
-    return read
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _fill(cls, entry, what: str, readers: dict):
-    """Build the dataclass cls from the JSON object entry, one key per field.
-
-    An absent key keeps the field's default, and so does null where that
-    default is None. Any other value goes through its reader in readers, a
-    string check if it has none there. Unknown keys are ignored.
-    """
-    entry = _object(entry, what)
-    values = {}
-    for f in fields(cls):
-        value = entry.get(f.name, MISSING)
-        if value is MISSING:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{what} is missing {f.name!r}")
-        elif value is not None or f.default is not None:
-            values[f.name] = readers.get(f.name, _string)(value, f"{what}.{f.name}")
-    try:
-        return cls(**values)
-    except ValueError as exc:  # a check in __post_init__
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 def _error_patterns(value, what: str) -> dict[str, list[str]]:
     given = _object(value or {}, what)
-    for status, texts in given.items():
-        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-            raise ConfigError(f"{what}.{status} must be a list of strings")
-    return given
+    return {status: _strings(texts, f"{what}.{status}") for status, texts in given.items()}
 
 
 PROVIDER_READERS = {
     "timeout_s": _float,
     "retries": _number,
     "error_patterns": _error_patterns,
-}
-CONDITION_READERS = {
-    "fps": _float,
-    "with_transcript": _boolean,
 }
 LAYOUT_READERS = {
     "spacing": _float,
@@ -151,15 +77,15 @@ def _providers(value, what: str) -> dict[str, ProviderSettings]:
 
 def _conditions(value, what: str) -> list[tuple[ConditionTag, str]]:
     if not value or not isinstance(value, list):
-        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+        raise SchemaError(f"{what} must be a non-empty list, got {value!r}")
     conditions = []
     for i, entry in enumerate(value):
-        tag = _fill(ConditionTag, entry, f"condition {i}", CONDITION_READERS)
+        tag = ConditionTag.from_dict(entry, f"condition {i}")
         if not entry.get("provider"):
-            raise ConfigError(f"condition {i} is missing 'provider'")
+            raise SchemaError(f"condition {i} is missing 'provider'")
         # records carry the tag, not the provider, so equal tags cannot be told apart
         if any(tag == seen for seen, _ in conditions):
-            raise ConfigError(f"condition {i} repeats the tag of an earlier condition")
+            raise SchemaError(f"condition {i} repeats the tag of an earlier condition")
         conditions.append((tag, entry["provider"]))
     return conditions
 
@@ -187,7 +113,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     def file_in_base(value, what: str) -> Path:
         resolved = path_in_base(value, what)
         if not resolved.is_file():
-            raise ConfigError(f"{what} file not found: {resolved}")
+            raise SchemaError(f"{what} file not found: {resolved}")
         return resolved
 
     readers = {
@@ -197,7 +123,7 @@ def load_config(path: str | Path) -> HarnessConfig:
         "providers": _providers,
         "conditions": _conditions,
         "mode": _choice("replay", "live"),
-        "request_kind": _choice("mcq", "summary_keyframes"),
+        "request_kind": _choice(*REQUEST_KINDS),
         "transcripts": file_in_base,
         "outputs": file_in_base,
         "annotations": file_in_base,
@@ -210,13 +136,16 @@ def load_config(path: str | Path) -> HarnessConfig:
     }
     # both directories default to a name in the config file's directory
     data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config")}
-    templates = _object(data.get("templates") or {}, "templates")
-    # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
-    data.update({f"{key}_template": templates.get(key, MISSING) for key in ("mcq", "summary")})
-    config = _fill(HarnessConfig, data, "config", readers)
-    for i, (_, provider) in enumerate(config.conditions):
-        _choice(*config.providers)(provider, f"condition {i}.provider")
-    _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
+    try:
+        templates = _object(data.get("templates") or {}, "templates")
+        # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
+        data.update({f"{key}_template": templates.get(key, MISSING) for key in ("mcq", "summary")})
+        config = _fill(HarnessConfig, data, "config", readers)
+        for i, (_, provider) in enumerate(config.conditions):
+            _choice(*config.providers)(provider, f"condition {i}.provider")
+        _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
     if config.mode == "replay" and not config.cassette_dir.is_dir():
         raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
     try:
@@ -247,31 +176,20 @@ def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
     return data
 
 
-def _is_keyframe_pair(pair) -> bool:
-    return (
-        isinstance(pair, list)
-        and len(pair) == 2
-        and isinstance(pair[0], (int, float))
-        and not isinstance(pair[0], bool)
-        and isinstance(pair[1], str)
-    )
-
-
 def load_annotations(path: str | Path) -> dict[str, dict]:
     """Read ground-truth annotations: keyframes and binary summary verdicts.
 
-    Each entry is {"keyframes": [[seconds, caption], ...], "summary": {model: verdict}};
+    Each entry is {"keyframes": [[seconds, caption], ...], "summary": {model: true | false}};
     either key may be left out.
     """
     data = _read_json_object(path, "annotations")
-    for video_id, entry in data.items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"annotations of video {video_id!r} must be an object")
-        keyframes = entry.get("keyframes", [])
-        if not isinstance(keyframes, list) or not all(map(_is_keyframe_pair, keyframes)):
-            raise ConfigError(
-                f"keyframes of video {video_id!r} must be a list of [seconds, caption] pairs"
-            )
-        if not isinstance(entry.get("summary", {}), dict):
-            raise ConfigError(f"summary of video {video_id!r} must be an object")
+    try:
+        for video_id, entry in data.items():
+            entry = _object(entry, f"annotations of video {video_id!r}")
+            _keyframes(entry.get("keyframes", []), f"keyframes of video {video_id!r}")
+            summary = _object(entry.get("summary", {}), f"summary of video {video_id!r}")
+            for model, verdict in summary.items():  # "false" would count as a match
+                _boolean(verdict, f"summary of video {video_id!r}[{model!r}]")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
     return data

@@ -50,7 +50,11 @@ class NoAnswerFound(HarnessError):
 # --- benchmark -----------------------------------------------------------
 
 class SchemaError(HarnessError):
-    """Dataset record violates the benchmark item schema."""
+    """A JSON document, or one of its fields, does not fit its schema.
+
+    Every field reader in `schema` raises it. A dataset or manifest that does
+    not fit is invalid input; the config and the other loaders convert it.
+    """
 
 
 class TemplateError(HarnessError):

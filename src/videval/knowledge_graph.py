@@ -24,6 +24,7 @@ from .errors import (
     UnknownSource,
 )
 from .parsing import ParsedVideoOutput
+from .schema import _plain
 
 KEYFRAMES_NODE = "KeyFrames"
 SUMMARY_NODE = "VideoSummary"
@@ -354,12 +355,7 @@ def export_json(graph: EvalGraph, positions: dict[str, NodePosition] | None = No
     """Render the graph as the JSON schema {nodes: [...], edges: [...]}."""
     nodes = []
     for node in graph.nodes.values():
-        entry: dict = {
-            "id": node.id,
-            "label": node.label,
-            "color": node.color,
-            "size": node.size,
-        }
+        entry = _plain(node)
         if positions and node.id in positions:
             entry["x"] = positions[node.id].x
             entry["y"] = positions[node.id].y

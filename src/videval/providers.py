@@ -21,6 +21,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -28,8 +29,10 @@ from .errors import (
     MalformedProviderOutput,
     ProviderUnavailable,
     ReplayMiss,
+    SchemaError,
 )
 from .media import MediaAsset
+from .schema import _boolean, _fill, _float, _list_of, _number, _object, _plain, _string
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -44,6 +47,8 @@ DEFAULT_ERROR_PATTERNS = {
         "timeout",
     ],
 }
+CONDITION_READERS = {"fps": _float, "with_transcript": _boolean}
+_TAGS: dict[str, "ConditionTag"] = {}  # from_dict's tags, keyed by the repr of their dict
 
 
 @dataclass(frozen=True)
@@ -70,28 +75,31 @@ class ConditionTag:
         suffix = "with" if self.with_transcript else "without"
         return f"{names[self.attention]} ({self.fps:g} FPS) {suffix} Audio Transcription"
 
-    # __match_args__ names the fields: fields(cls) would rebuild that list on every call, and
-    # vars(self) would give each of a run's many tags a dict of its own
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__match_args__}
+        return _plain(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ConditionTag":
+    def from_dict(cls, data: dict, what: str = "condition") -> "ConditionTag":
         """The tag from the fields present in data; other keys, such as a provider, are ignored."""
-        return cls(**{name: data[name] for name in cls.__match_args__ if name in data})
+        key = repr(data)  # a manifest repeats a few tags: read each once (repr tells true from 1)
+        if key not in _TAGS:
+            _TAGS[key] = _fill(cls, data, what, CONDITION_READERS)
+        return _TAGS[key]
 
 
 @dataclass(frozen=True)
 class TranscriptSegment:
+    """One timed span of an ASR payload, its fields named as the payload's keys."""
+
     id: int
-    start_s: float
-    end_s: float
+    start: float
+    end: float
     text: str
 
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("segment id must be non-negative")
-        if self.start_s > self.end_s:
+        if self.start > self.end:
             raise ValueError("segment start must not exceed end")
 
 
@@ -109,7 +117,7 @@ class Transcript:
         ids = [s.id for s in self.segments]
         if len(set(ids)) != len(ids):
             raise MalformedProviderOutput("duplicate segment ids")
-        if any(a.start_s > b.start_s for a, b in zip(self.segments, self.segments[1:])):
+        if any(a.start > b.start for a, b in zip(self.segments, self.segments[1:])):
             raise MalformedProviderOutput("segments out of order")
         joined = _normalize_ws("".join(s.text for s in self.segments))
         if self.segments and _normalize_ws(self.full_text) != joined:
@@ -124,6 +132,9 @@ class ModelRequest:
     frame_refs: list[str] = field(default_factory=list)
     audio_ref: str | None = None
     condition: ConditionTag | None = None
+
+
+RESPONSE_READERS = {"latency_ms": _number}
 
 
 @dataclass
@@ -146,16 +157,11 @@ class ModelResponse:
         return self
 
     def to_dict(self) -> dict:
-        # not vars(self): reading it gives each of a run's many responses a dict of its own
-        return {name: getattr(self, name) for name in self.__match_args__}
+        return _plain(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelResponse":
-        return cls(
-            raw_text=data.get("raw_text", ""),
-            latency_ms=int(data.get("latency_ms", 0)),
-            status=data.get("status", "ok"),
-        ).validate()
+    def from_dict(cls, data: dict, what: str = "response") -> "ModelResponse":
+        return _fill(cls, data, what, RESPONSE_READERS).validate()
 
 
 @dataclass
@@ -332,7 +338,10 @@ class ProviderHub:
                     f"no cassette entry for {request.modality} request to "
                     f"{request.provider_id} (key {key[:12]}...)"
                 )
-            return ModelResponse.from_dict(record["response"])
+            try:
+                return ModelResponse.from_dict(_object(record, "entry").get("response"))
+            except (SchemaError, MalformedProviderOutput) as exc:  # a field, or validate()
+                raise MalformedProviderOutput(f"corrupt cassette entry {key}: {exc}") from exc
         response = self._call_live(request)
         self.store.put(key, fingerprint, response)
         return response
@@ -354,19 +363,17 @@ class ProviderHub:
             value = f"{settings.auth_scheme} {secret}".strip()
             headers[settings.auth_header] = value
 
+        import base64  # only live runs load it
+
         body: dict = {settings.prompt_field: request.prompt}
         if settings.model:
             body[settings.model_field] = settings.model
         if request.frame_refs:
-            import base64
-
             body[settings.frames_field] = [
                 base64.b64encode(Path(ref).read_bytes()).decode("ascii")
                 for ref in request.frame_refs
             ]
         if request.audio_ref:
-            import base64
-
             body[settings.audio_field] = base64.b64encode(
                 Path(request.audio_ref).read_bytes()
             ).decode("ascii")
@@ -380,20 +387,15 @@ class ProviderHub:
                     status_code, text = self.transport(
                         settings.endpoint, body, headers, settings.timeout_s
                     )
-            except Exception as exc:  # transport-level failure
-                elapsed = int((time.perf_counter() - start) * 1000)
-                classified = self._classify_error(settings, str(exc))
-                if classified:
-                    return ModelResponse("", elapsed, classified).validate()
-                last_error = str(exc)
-                continue
+            except Exception as exc:  # transport-level failure: no reply, only its message
+                status_code, text = None, str(exc)
             elapsed = int((time.perf_counter() - start) * 1000)
             if status_code == 200:
                 return self._parse_live_payload(settings, text, elapsed)
             classified = self._classify_error(settings, text)
             if classified:
                 return ModelResponse("", elapsed, classified).validate()
-            last_error = f"HTTP {status_code}: {text[:200]}"
+            last_error = text if status_code is None else f"HTTP {status_code}: {text[:200]}"
         raise ProviderUnavailable(
             f"provider {request.provider_id} failed after {attempts} attempt(s): {last_error}"
         )
@@ -445,29 +447,25 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
     return transcript_from_payload(payload)
 
 
+SEGMENT_READERS = {"id": _number, "start": _float, "end": _float}
+_segments = _list_of(partial(_fill, TranscriptSegment, readers=SEGMENT_READERS))
+
+
 def transcript_from_payload(payload) -> Transcript:
     """Decode and validate one {"segments": [...], "text": ..., "language"} object."""
-    if not isinstance(payload, dict):
-        raise MalformedProviderOutput("transcript payload must be a JSON object")
-    segments = []
-    for entry in payload.get("segments") or []:
-        try:
-            segments.append(
-                TranscriptSegment(
-                    id=int(entry["id"]),
-                    start_s=float(entry["start"]),
-                    end_s=float(entry["end"]),
-                    text=str(entry["text"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedProviderOutput(f"bad transcript segment {entry!r}") from exc
-    segments.sort(key=lambda s: (s.start_s, s.id))
-    full_text = payload.get("text")
-    if full_text is None:
-        full_text = "".join(s.text for s in segments)
-    transcript = Transcript(
-        segments=segments, full_text=str(full_text), language=payload.get("language")
-    )
+    try:
+        payload = _object(payload, "transcript")
+        segments = _segments(payload.get("segments") or [], "transcript.segments")
+        segments.sort(key=lambda s: (s.start, s.id))
+        text, language = payload.get("text"), payload.get("language")
+        if text is None:
+            text = "".join(s.text for s in segments)
+        transcript = Transcript(
+            segments=segments,
+            full_text=_string(text, "transcript.text"),
+            language=None if language is None else _string(language, "transcript.language"),
+        )
+    except SchemaError as exc:
+        raise MalformedProviderOutput(str(exc)) from exc
     transcript.validate()
     return transcript

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 
+from .schema import _plain
 from .scoring import CompletenessRow, RowTriple, ScoreReport
 
 
@@ -71,15 +72,19 @@ def _triple_rows(
     ]
 
 
+def _proportion_table(
+    first_header: str, rows: dict[str, RowTriple], average: RowTriple | None
+) -> tuple[list[str], list[list[str]]]:
+    headers = [first_header, "With ALM", "Without ALM", "Delta"]
+    return headers, _triple_rows(rows, average, format_proportion, format_signed)
+
+
 def task_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
-    headers = ["Task Type", "With ALM", "Without ALM", "Delta"]
-    rows = _triple_rows(
-        report.by_task_type,
-        report.task_average,
-        format_proportion,
-        format_signed,
-    )
-    return headers, rows
+    return _proportion_table("Task Type", report.by_task_type, report.task_average)
+
+
+def duration_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
+    return _proportion_table("Duration", report.by_duration, report.duration_average)
 
 
 def model_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
@@ -109,47 +114,21 @@ def completeness_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]
     return headers, rows
 
 
-def duration_table(report: ScoreReport) -> tuple[list[str], list[list[str]]]:
-    headers = ["Duration", "With ALM", "Without ALM", "Delta"]
-    rows = _triple_rows(
-        report.by_duration,
-        report.duration_average,
-        format_proportion,
-        format_signed,
-    )
-    return headers, rows
-
-
-def _completeness_json(row: CompletenessRow) -> dict:
-    counts = {name: getattr(row, name) for name in row.__match_args__ if name != "wall_ms"}
-    return {**counts, "answered_pct": row.answered_pct, "correct_pct": row.correct_pct}
+def _json_value(value):
+    """A report field as JSON: row triples and completeness rows become objects, dicts map over."""
+    if isinstance(value, RowTriple):
+        return {"with": value.with_value, "without": value.without_value, "delta": value.delta}
+    if isinstance(value, CompletenessRow):
+        counts = _plain(value)
+        del counts["wall_ms"]
+        return {**counts, "answered_pct": value.answered_pct, "correct_pct": value.correct_pct}
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
 
 
 def report_to_json(report: ScoreReport) -> dict:
-    def triples(rows: dict[str, RowTriple]) -> dict:
-        return {
-            name: {"with": t.with_value, "without": t.without_value, "delta": t.delta}
-            for name, t in rows.items()
-        }
-
-    def triple(t: RowTriple | None) -> dict | None:
-        if t is None:
-            return None
-        return {"with": t.with_value, "without": t.without_value, "delta": t.delta}
-
-    return {
-        "overall_accuracy": report.overall_accuracy,
-        "by_task_type": triples(report.by_task_type),
-        "task_average": triple(report.task_average),
-        "by_duration": triples(report.by_duration),
-        "duration_average": triple(report.duration_average),
-        "by_model": triples(report.by_model),
-        "model_average": triple(report.model_average),
-        "completeness": {
-            label: _completeness_json(row) for label, row in report.completeness.items()
-        },
-        "warnings": report.warnings,
-    }
+    return {name: _json_value(value) for name, value in _plain(report).items()}
 
 
 def write_report_tables(report: ScoreReport, out_dir) -> list[str]:

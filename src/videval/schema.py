@@ -1,0 +1,131 @@
+"""Field readers: the one place where a JSON document becomes dataclass fields.
+
+The config, manifests, cassette entries, transcripts and annotations are all
+read here. A reader takes (value, what) and returns the field's value or raises
+a SchemaError naming what; each caller turns that error into its own once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import MISSING, fields
+from functools import partial
+
+from .errors import SchemaError
+from .parsing import KeyframeEntry
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):  # "false" would read true
+        raise SchemaError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value, what: str, kind=int, minimum=0):
+    """A JSON number of the given kind (int, or float which takes ints too), at least minimum.
+
+    Anything else, a numeric string included, is a SchemaError naming what.
+    """
+    if type(value) is kind and value >= minimum:  # the common case, checked first
+        return value
+    accepted = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"{what} must be {noun}, got {value!r}")
+    if not value >= minimum:  # also false for NaN
+        raise SchemaError(f"{what} must be at least {minimum}, got {value!r}")
+    return kind(value)
+
+
+_float = partial(_number, kind=float)
+
+
+def _choice(*allowed):
+    def read(value, what: str):
+        if value not in allowed:
+            raise SchemaError(f"{what} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
+        return value
+
+    return read
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _list_of(read):
+    """A reader of JSON lists whose every item goes through read."""
+
+    def read_list(value, what: str) -> list:
+        if not isinstance(value, list):
+            raise SchemaError(f"{what} must be a list, got {value!r}")
+        return [read(item, f"{what}[{i}]") for i, item in enumerate(value)]
+
+    return read_list
+
+
+_strings = _list_of(_string)
+
+
+def _keyframe(pair, what: str) -> KeyframeEntry:
+    """A [seconds, caption] pair; seconds may be any number and counts in whole seconds."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise SchemaError(f"{what} must be a [seconds, caption] pair, got {pair!r}")
+    seconds, caption = _float(pair[0], what), _string(pair[1], what)
+    try:
+        return KeyframeEntry(int(seconds), caption)
+    except (ValueError, OverflowError) as exc:  # out of range, untrimmed, or infinite
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+_keyframes = _list_of(_keyframe)
+
+# per class, (name, required, null keeps the default) of each field: no decode calls fields()
+_FIELDS: dict[type, list] = {}
+
+
+def _fill(cls, entry, what: str, readers: dict):
+    """Build the dataclass cls from the JSON object entry, one key per field.
+
+    An absent key keeps the field's default, and so does null where that
+    default is None. Any other value goes through its reader in readers, a
+    string check if it has none there. Unknown keys are ignored. A missing
+    required field, or a ValueError from __post_init__, is a SchemaError.
+    A reader is given the field's name as its what, and its error gets this
+    what in front, so the message names the whole path ("record.response.raw_text").
+    """
+    entry = _object(entry, what)
+    specs = _FIELDS.get(cls)
+    if specs is None:
+        specs = _FIELDS[cls] = [
+            (f.name, f.default is MISSING and f.default_factory is MISSING, f.default is None)
+            for f in fields(cls)
+        ]
+    values = {}
+    for name, required, null_keeps_default in specs:
+        value = entry.get(name, MISSING)
+        if value is MISSING:
+            if required:
+                raise SchemaError(f"{what} is missing {name!r}")
+        elif value is not None or not null_keeps_default:
+            try:
+                values[name] = readers.get(name, _string)(value, name)
+            except SchemaError as exc:
+                raise SchemaError(f"{what}.{exc}") from exc
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a check in __post_init__
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+# __match_args__ names the fields: fields() would rebuild that list on every call, and
+# vars() would give each of a run's many records a dict of its own
+def _plain(obj) -> dict:
+    return {name: getattr(obj, name) for name in obj.__match_args__}

@@ -13,6 +13,7 @@ from typing import Iterable
 from .benchmark import DURATION_CLASSES
 from .errors import EmptyVector, MissingCondition, NoRecords
 from .parsing import KeyframeEntry
+from .schema import _keyframes
 
 ANSWERED_OUTCOMES = ("answered_correct", "answered_wrong")
 
@@ -127,10 +128,7 @@ def build_match_vector(
         if ann is None:
             continue
         if scenario == "keyframe":
-            truth = [
-                KeyframeEntry(int(ts), str(caption))
-                for ts, caption in (ann.get("keyframes") or [])
-            ]
+            truth = _keyframes(ann.get("keyframes") or [], f"keyframes of video {video_id!r}")
             matches.append(
                 match_keyframe_lists(output.keyframes, truth, tolerance_s, mode)
             )
@@ -268,6 +266,19 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
     )
 
 
+def _differences(a: RowTriple, b: RowTriple, tolerance: float) -> list[tuple[str, float, float]]:
+    """(column, a's value, b's value) of each column that differs by more than tolerance."""
+    return [
+        (name, x, y)
+        for name, x, y in (
+            ("with", a.with_value, b.with_value),
+            ("without", a.without_value, b.without_value),
+            ("delta", a.delta, b.delta),
+        )
+        if abs(x - y) > tolerance
+    ]
+
+
 def stated_average_warnings(
     label: str,
     rows: dict[str, RowTriple],
@@ -278,33 +289,18 @@ def stated_average_warnings(
     computed = _mean_triple(rows)
     if computed is None:
         return [f"{label}: no rows to average against the stated values"]
-    warnings = []
-    for name, got, want in (
-        ("with", computed.with_value, stated.with_value),
-        ("without", computed.without_value, stated.without_value),
-        ("delta", computed.delta, stated.delta),
-    ):
-        if abs(got - want) > tolerance:
-            warnings.append(
-                f"{label}: stated average ({name}) {want:g} differs from the "
-                f"mean of its rows {got:.4f} by more than {tolerance:g}"
-            )
-    return warnings
+    return [
+        f"{label}: stated average ({name}) {want:g} differs from the "
+        f"mean of its rows {got:.4f} by more than {tolerance:g}"
+        for name, got, want in _differences(computed, stated, tolerance)
+    ]
 
 
 def claim_mismatch_warnings(
     label: str, claimed: RowTriple, reference: RowTriple, tolerance: float
 ) -> list[str]:
     """Warn when two stated claims about the same quantity disagree."""
-    warnings = []
-    for name, a, b in (
-        ("with", claimed.with_value, reference.with_value),
-        ("without", claimed.without_value, reference.without_value),
-        ("delta", claimed.delta, reference.delta),
-    ):
-        if abs(a - b) > tolerance:
-            warnings.append(
-                f"{label}: claimed {name} value {a:g} disagrees with {b:g} "
-                f"beyond {tolerance:g}"
-            )
-    return warnings
+    return [
+        f"{label}: claimed {name} value {a:g} disagrees with {b:g} beyond {tolerance:g}"
+        for name, a, b in _differences(claimed, reference, tolerance)
+    ]

@@ -18,7 +18,7 @@ from videval.benchmark import (
 )
 from videval.config import load_config, load_transcripts
 from videval.errors import SchemaError, TemplateError
-from videval.parsing import McqAnswer, ParsedVideoOutput
+from videval.parsing import McqAnswer, ParsedVideoOutput, parse_video_output
 from videval.providers import (
     CassetteStore,
     ModelResponse,
@@ -372,12 +372,23 @@ def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
     assert all(r.error and "ReplayMiss" in r.error for r in manifest.records)
 
 
-def test_manifest_round_trip(demo_dir):
+def test_manifest_round_trip(demo_dir, tmp_path):
     plan, hub = demo_plan_and_hub(demo_dir)
     manifest = run_benchmark(plan, hub)
     text = manifest.to_jsonl()
     loaded = RunManifest.from_jsonl(text)
     assert loaded.to_jsonl() == text
+    # a summary_keyframes manifest: records with keyframes, and replay misses that carry their error
+    summary_plan = replace(plan, request_kind="summary_keyframes", summary_template="Summarize.")
+    empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
+    summaries = run_benchmark(summary_plan, empty_hub)
+    answer = ModelResponse("A dog runs.\n(00:08, a dog)\n(1:02:03, the end)", 1200)
+    summaries.records[0] = replace(
+        summaries.records[0], response=answer, parsed=parse_video_output(answer.raw_text), outcome="answered", error=None
+    )
+    assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
+    text = summaries.to_jsonl()
+    assert RunManifest.from_jsonl(text).to_jsonl() == text
 
 
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):

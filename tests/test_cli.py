@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -226,6 +227,13 @@ def test_graph_command_empty_outputs_exits_3(demo_dir, tmp_path, capsys):
         ("annotations", {"P69idA8JO98": {"keyframes": [["7", "x"]]}}, "keyframes of video 'P69idA8JO98'"),
         ("annotations", {"P69idA8JO98": {"keyframes": [[7, 5]]}}, "keyframes of video 'P69idA8JO98'"),
         ("annotations", {"P69idA8JO98": {"summary": [True]}}, "summary of video 'P69idA8JO98' must be an object"),
+        # each of these passed the loader, then stopped `graph` with a ValueError traceback
+        *(
+            ("annotations", {"P69idA8JO98": {"keyframes": [pair]}}, "keyframes of video 'P69idA8JO98'")
+            for pair in ([-1, "x"], [10000000, "x"], [5, ""], [5, " x"])
+        ),
+        # a string verdict counted as a match
+        ("annotations", {"P69idA8JO98": {"summary": {"Qwen-7B": "false"}}}, "summary of video 'P69idA8JO98'"),
     ],
 )
 def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, content, message):
@@ -372,6 +380,106 @@ def test_report_on_damaged_manifest_is_invalid_input(demo_dir, tmp_path, capsys,
     assert code == 3
     err = capsys.readouterr().err
     assert "invalid input" in err and f"manifest line {line} " in err
+
+
+def _evaluate_demo(demo_dir, tmp_path, **changes):
+    """Run evaluate on the demo with the given config changes; return the config's and manifest's paths."""
+    config = _demo_config_variant(demo_dir, tmp_path, **changes)
+    out_dir = tmp_path / "eval"
+    assert run_cli("evaluate", "--config", str(config), "--out-dir", str(out_dir)) == 0
+    return str(config), out_dir / "manifest.jsonl"
+
+
+def _set_field(record: dict, dotted: str, value) -> dict:
+    """Set the field at a dotted path of record, in place; return record."""
+    *parents, key = dotted.split(".")
+    target = record
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    return record
+
+
+# (dotted field of the first record, value); report took each of these, some changing its tables
+MISTYPED_RECORD_FIELDS = [
+    ("outcome", "bogus"),
+    ("condition.with_transcript", "false"),
+    ("wall_ms", "12"),
+    ("parsed.letter", "Z"),
+    ("response.raw_text", 5),
+    ("request_kind", "essay"),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS)
+def test_report_on_mistyped_manifest_field_is_invalid_input(demo_dir, tmp_path, capsys, field, value):
+    _, manifest = _evaluate_demo(demo_dir, tmp_path)
+    header, first, *rest = manifest.read_text(encoding="utf-8").splitlines()
+    record = _set_field(json.loads(first), field, value)
+    manifest.write_text("\n".join([header, json.dumps(record), *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(
+        "report",
+        "--config", str(demo_dir / "config.json"),
+        "--manifest", str(manifest),
+        "--out-dir", str(tmp_path / "rep"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "manifest line 2 " in err and field.split(".")[-1] in err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda entry: {k: v for k, v in entry.items() if k != "response"}, id="no-response"),
+        pytest.param(lambda entry: [entry], id="json-list"),
+        pytest.param(lambda entry: _set_field(entry, "response.raw_text", 5), id="raw_text-number"),
+        pytest.param(lambda entry: _set_field(entry, "response.latency_ms", "12"), id="latency-string"),
+        pytest.param(lambda entry: _set_field(entry, "response.status", "weird"), id="status-unknown"),
+        # guard: an entry that is not JSON already became this record
+        pytest.param(None, id="not-json"),
+    ],
+)
+def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, damage):
+    cassettes = tmp_path / "cassettes"
+    shutil.copytree(demo_dir / "cassettes", cassettes)
+    victim = sorted(cassettes.glob("*.json"))[0]
+    entry = json.loads(victim.read_text(encoding="utf-8"))
+    victim.write_text("{not json" if damage is None else json.dumps(damage(entry)), encoding="utf-8")
+    _, manifest = _evaluate_demo(demo_dir, tmp_path, cassette_dir=str(cassettes))
+    records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()[1:]]
+    damaged = [r for r in records if r["error"]]
+    assert len(damaged) == 1 and len(records) == 20
+    assert damaged[0]["outcome"] == "invalid_output"
+    assert damaged[0]["error"].startswith(f"MalformedProviderOutput: corrupt cassette entry {victim.stem}")
+
+
+# each of these stopped the command with a traceback (TypeError or UnicodeDecodeError)
+@pytest.mark.parametrize(
+    "command, name, damage",
+    [
+        pytest.param("evaluate", "dataset.json", lambda data: b"[5]", id="dataset-row-not-object"),
+        pytest.param(
+            "evaluate", "dataset.json", lambda data: data.replace(b"001-2", b"001-\xff"), id="dataset-not-utf8"
+        ),
+        pytest.param(
+            "report", "eval/manifest.jsonl", lambda data: data.replace(b"001-2", b"001-\xff"), id="manifest-not-utf8"
+        ),
+    ],
+)
+def test_undecodable_input_is_invalid_input(demo_dir, tmp_path, capsys, command, name, damage):
+    shutil.copy(demo_dir / "dataset.json", tmp_path / "dataset.json")
+    config, manifest = _evaluate_demo(demo_dir, tmp_path, dataset=str(tmp_path / "dataset.json"))
+    target = tmp_path / name
+    target.write_bytes(damage(target.read_bytes()))
+    capsys.readouterr()
+    if command == "evaluate":
+        code = run_cli("evaluate", "--config", config, "--out-dir", str(tmp_path / "again"))
+    else:
+        code = run_cli("report", "--config", config, "--manifest", str(manifest), "--out-dir", str(tmp_path / "rep"))
+    assert code == 3
+    assert "invalid input" in capsys.readouterr().err
 
 
 # --- transcribe -----------------------------------------------------------------------------

@@ -384,6 +384,11 @@ def test_malformed_transcript_payload():
         parse_transcript_payload(
             json.dumps({"segments": [{"id": 0, "start": 0, "end": 1, "text": "a"}], "text": "zzz"})
         )
+    # each of these was coerced (the id 1.7 read as 1) and accepted
+    for change in ({"id": "3"}, {"id": 1.7}, {"start": "0.5"}, {"text": 5}):
+        segment = {"id": 0, "start": 0, "end": 1, "text": "a", **change}
+        with pytest.raises(MalformedProviderOutput):
+            parse_transcript_payload(json.dumps({"segments": [segment]}))
 
 
 def test_condition_label():
