@@ -53,9 +53,10 @@ def main() -> None:
     items = load_dataset(config.dataset)
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
 
-    for stale in cassette_dir.glob("*.json"):
+    # old segments, and the one-file-per-answer entries of earlier versions
+    for stale in [*cassette_dir.glob("segment-*.jsonl"), *cassette_dir.glob("*.json")]:
         stale.unlink()
-    store = CassetteStore(cassette_dir)
+    store = CassetteStore(cassette_dir)  # writes one segment
 
     written = 0
     for item in items:

@@ -134,13 +134,19 @@ def cmd_ingest(args) -> int:
 # --- transcribe --------------------------------------------------------------
 
 
+def _report_dropped(store: CassetteStore) -> None:
+    if store.dropped:
+        print(f"{store.dropped} cassette lines dropped (cut off, not JSON or without a key)", file=sys.stderr)
+
+
 def cmd_transcribe(args) -> int:
     config = load_config(args.config)
     mode = args.mode or config.mode
     if not config.asr_provider:
         raise ConfigError("config has no 'asr_provider' for the transcribe command")
     tool = media.MediaToolRunner(probe_cmd=config.probe_command or media.DEFAULT_PROBE_CMD)
-    hub = ProviderHub(config.providers, CassetteStore(config.cassette_dir), mode=mode)
+    store = CassetteStore(config.cassette_dir)
+    hub = ProviderHub(config.providers, store, mode=mode)
 
     transcripts: dict[str, dict] = {}
     for asset in _probed_assets(args.paths, tool):
@@ -153,6 +159,7 @@ def cmd_transcribe(args) -> int:
             "text": transcript.full_text,
             "language": transcript.language,
         }
+    _report_dropped(store)
 
     if not transcripts:
         print("0 transcribable assets", file=sys.stderr)
@@ -279,12 +286,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_EMPTY
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
 
-    hub = ProviderHub(
-        config.providers,
-        CassetteStore(config.cassette_dir),
-        mode=mode,
-        max_in_flight=config.max_workers,
-    )
+    store = CassetteStore(config.cassette_dir)
     plan = bench.RunPlan(
         dataset_path=str(config.dataset),
         items=items,
@@ -294,7 +296,10 @@ def cmd_evaluate(args) -> int:
         summary_template=config.summary_template,
         transcripts=transcripts,
     )
+    hub = ProviderHub(config.providers, store, mode=mode, max_in_flight=config.max_workers)
     manifest = bench.run_benchmark(plan, hub)
+    _report_dropped(store)
+    del hub, store  # the index of every recorded answer is not needed past the run
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"

@@ -1,8 +1,10 @@
 """Uniform request/response layer over ASR and VLM backends.
 
-Every live response is persisted to the cassette store before it is returned,
+Every live response is appended to the cassette store before it is returned,
 so any live run can be replayed later byte-for-byte. Replay mode never touches
-the network. Out-of-memory and timeout results are classified from provider
+the network: it reads the store's JSON-lines segments once into memory and
+answers each request with a dict lookup (see `CassetteStore` for the layout and
+for which of two answers to one key wins). Out-of-memory and timeout results are classified from provider
 error payloads and surfaced in-band as response statuses, not exceptions: the
 run accounting needs them as countable outcomes.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,6 +51,7 @@ DEFAULT_ERROR_PATTERNS = {
     ],
 }
 CONDITION_READERS = {"fps": _float, "with_transcript": _boolean}
+SEGMENT_NAME = re.compile(r"segment-(\d+)\.jsonl")
 _TAGS: dict[str, "ConditionTag"] = {}  # from_dict's tags, keyed by the repr of their dict
 
 
@@ -218,49 +222,87 @@ def request_key(request: ModelRequest) -> str:
 
 
 class CassetteStore:
-    """Append-only directory of JSON request/response records.
+    """Append-only directory of recorded answers, one compact JSON line each.
 
-    Reads are lock-free; appends are serialized. Existing entries are never
-    overwritten, so a recorded run stays stable.
+    Each line is {"key", "request", "response"}: the request key, the request
+    fingerprint it hashes and the answer. Every store writes the lines of its
+    own `segment-<n>.jsonl`, which it creates on its first `put` under the next
+    free sequence number, and each line is on disk before `put` returns. The
+    first `get`, `put` or `in` reads every segment once, in sequence order, into
+    an index of decoded answers.
+
+    The first recorded answer to a key wins, across segments and within one:
+    a key already held is never written again, and a later line for it is
+    ignored. A line that is cut off, is not JSON or holds no string `key` is
+    dropped and counted in `dropped`; a line with a key whose `response` does
+    not decode becomes that key's error, raised by `get`.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._write_lock = threading.Lock()
+        self.dropped = 0
+        self._lock = threading.Lock()
+        self._index: dict[str, ModelResponse | str] | None = None  # str: a corrupt entry's error
+        self._next = 1  # sequence number of the first segment this store tries to create
+        self._segment: Path | None = None
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _entries(self) -> dict[str, ModelResponse | str]:
+        if self._index is None:
+            with self._lock:
+                if self._index is None:
+                    self._index = self._read_segments()
+        return self._index
+
+    def _read_segments(self) -> dict[str, ModelResponse | str]:
+        numbered = [(int(m[1]), p) for p in self.root.glob("segment-*.jsonl")
+                    if (m := SEGMENT_NAME.fullmatch(p.name))]
+        index: dict[str, ModelResponse | str] = {}
+        for number, path in sorted(numbered):
+            self._next = number + 1
+            with open(path, "rb") as fh:
+                for line in fh:
+                    try:
+                        entry = json.loads(line)
+                        key = entry["key"]
+                    except (ValueError, TypeError, KeyError):  # cut off, not JSON, no key
+                        key = None
+                    if not isinstance(key, str):
+                        self.dropped += 1
+                    elif key not in index:
+                        try:
+                            index[key] = ModelResponse.from_dict(entry.get("response"))
+                        except (SchemaError, MalformedProviderOutput) as exc:  # a field, or validate()
+                            index[key] = f"corrupt cassette entry {key}: {exc}"
+        return index
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
+        return key in self._entries()
 
-    def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MalformedProviderOutput(f"corrupt cassette entry {key}: {exc}") from exc
+    def get(self, key: str) -> ModelResponse | None:
+        response = self._entries().get(key)
+        if isinstance(response, str):
+            raise MalformedProviderOutput(response)
+        return response
 
     def put(self, key: str, fingerprint: dict, response: ModelResponse) -> None:
-        with self._write_lock:
-            path = self._path(key)
-            if path.is_file():
+        entries = self._entries()
+        with self._lock:
+            if key in entries:
                 return
-            self.root.mkdir(parents=True, exist_ok=True)
             record = {"key": key, "request": fingerprint, "response": response.to_dict()}
-            text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-            # one temp file per writer: other processes may record the same key
-            tmp = path.with_name(f"{key}.{os.getpid()}-{threading.get_ident()}.tmp")
-            fh = open(tmp, "x", encoding="utf-8")
-            try:
-                with fh:
-                    fh.write(text)
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+            while self._segment is None:  # the first put creates this store's own segment
+                self.root.mkdir(parents=True, exist_ok=True)
+                path = self.root / f"segment-{self._next:06d}.jsonl"
+                self._next += 1
+                try:
+                    open(path, "xb").close()
+                    self._segment = path
+                except FileExistsError:  # another writer's, or one this store did not read
+                    pass
+            with open(self._segment, "ab") as fh:
+                fh.write(line)
+            entries[key] = response
 
 
 def _default_transport(
@@ -332,16 +374,13 @@ class ProviderHub:
         fingerprint = request_fingerprint(request)
         key = _fingerprint_key(fingerprint)
         if self.mode == "replay":
-            record = self.store.get(key)
-            if record is None:
+            response = self.store.get(key)
+            if response is None:
                 raise ReplayMiss(
                     f"no cassette entry for {request.modality} request to "
-                    f"{request.provider_id} (key {key[:12]}...)"
+                    f"{request.provider_id} (key {key})"
                 )
-            try:
-                return ModelResponse.from_dict(_object(record, "entry").get("response"))
-            except (SchemaError, MalformedProviderOutput) as exc:  # a field, or validate()
-                raise MalformedProviderOutput(f"corrupt cassette entry {key}: {exc}") from exc
+            return response
         response = self._call_live(request)
         self.store.put(key, fingerprint, response)
         return response

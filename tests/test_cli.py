@@ -437,22 +437,33 @@ def test_report_on_mistyped_manifest_field_is_invalid_input(demo_dir, tmp_path, 
         pytest.param(lambda entry: _set_field(entry, "response.raw_text", 5), id="raw_text-number"),
         pytest.param(lambda entry: _set_field(entry, "response.latency_ms", "12"), id="latency-string"),
         pytest.param(lambda entry: _set_field(entry, "response.status", "weird"), id="status-unknown"),
-        # guard: an entry that is not JSON already became this record
         pytest.param(None, id="not-json"),
     ],
 )
-def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, damage):
+def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, capsys, damage):
     cassettes = tmp_path / "cassettes"
     shutil.copytree(demo_dir / "cassettes", cassettes)
-    victim = sorted(cassettes.glob("*.json"))[0]
-    entry = json.loads(victim.read_text(encoding="utf-8"))
-    victim.write_text("{not json" if damage is None else json.dumps(damage(entry)), encoding="utf-8")
+    (segment,) = cassettes.glob("segment-*.jsonl")
+    lines = segment.read_text(encoding="utf-8").splitlines()
+    key = json.loads(lines[0])["key"]
+    entry = None if damage is None else damage(json.loads(lines[0]))
+    lines[0] = "{not json" if entry is None else json.dumps(entry)
+    segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
     _, manifest = _evaluate_demo(demo_dir, tmp_path, cassette_dir=str(cassettes))
     records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()[1:]]
     damaged = [r for r in records if r["error"]]
     assert len(damaged) == 1 and len(records) == 20
     assert damaged[0]["outcome"] == "invalid_output"
-    assert damaged[0]["error"].startswith(f"MalformedProviderOutput: corrupt cassette entry {victim.stem}")
+    err = capsys.readouterr().err
+    if isinstance(entry, dict):
+        # the line still names its key: the damage is that key's error
+        assert damaged[0]["error"].startswith(f"MalformedProviderOutput: corrupt cassette entry {key}")
+        assert "dropped" not in err
+    else:
+        # a line with no key to read is dropped, and its request misses by the full key
+        assert damaged[0]["error"].startswith("ReplayMiss: ") and damaged[0]["error"].endswith(f"(key {key})")
+        assert "1 cassette lines dropped" in err
 
 
 # each of these stopped the command with a traceback (TypeError or UnicodeDecodeError)
@@ -638,7 +649,8 @@ def test_live_evaluate_runs_without_requests(demo_dir, tmp_path, loopback_provid
     records = [json.loads(line) for line in (out_dir / "manifest.jsonl").read_text().splitlines()[1:]]
     assert len(records) == len(loopback_provider.seen) == 20
     assert {r["response"]["status"] for r in records} == {"ok"}
-    assert len(list((tmp_path / "cassettes").glob("*.json"))) == 20
+    segments = list((tmp_path / "cassettes").glob("segment-*.jsonl"))
+    assert sum(len(path.read_bytes().splitlines()) for path in segments) == 20
 
 
 def test_evaluate_runs_from_any_cwd(demo_dir, tmp_path, monkeypatch):

@@ -116,7 +116,10 @@ def test_cassette_store_append_only(store):
     response = ModelResponse("first", 10, "ok")
     store.put("k1", {"prompt": "p"}, response)
     store.put("k1", {"prompt": "p"}, ModelResponse("second", 20, "ok"))
-    assert store.get("k1")["response"]["raw_text"] == "first"
+    assert store.get("k1").raw_text == "first"
+    assert CassetteStore(store.root).get("k1").raw_text == "first"
+    (segment,) = store.root.iterdir()
+    assert len(segment.read_bytes().splitlines()) == 1
 
 
 def test_send_hashes_each_media_file_once(tmp_path, store, providers, monkeypatch):
@@ -134,17 +137,59 @@ def test_send_hashes_each_media_file_once(tmp_path, store, providers, monkeypatc
     assert sorted(hashed) == sorted(map(str, frames))
 
 
-def test_cassette_put_writes_through_its_own_temp_file(store):
-    # a stale or foreign <key>.tmp must not block the writer
-    store.root.mkdir(parents=True)
-    (store.root / "k1.tmp").mkdir()
+def test_cassette_put_is_on_disk_when_it_returns(store):
     store.put("k1", {"prompt": "p"}, ModelResponse("first", 10, "ok"))
-    assert store.get("k1")["response"]["raw_text"] == "first"
-    # a failed rename removes the writer's temp file
-    (store.root / "k2.json").mkdir()
-    with pytest.raises(OSError):
-        store.put("k2", {"prompt": "p"}, ModelResponse("second", 10, "ok"))
-    assert [p.name for p in store.root.glob("*.tmp") if not p.is_dir()] == []
+    # a store opened after put returns, as a child process would be, reads the answer
+    assert CassetteStore(store.root).get("k1") == ModelResponse("first", 10, "ok")
+    store.put("k2", {"prompt": "p"}, ModelResponse("", 30, "oom"))
+    assert CassetteStore(store.root).get("k2") == ModelResponse("", 30, "oom")
+
+
+def test_cassette_writers_have_their_own_segments_and_the_earlier_wins(store):
+    first, second = store, CassetteStore(store.root)
+    # both read the (empty) directory before either writes, so both record k1
+    assert "k1" not in first and "k1" not in second
+    first.put("k1", {"prompt": "p"}, ModelResponse("first", 10, "ok"))
+    second.put("k1", {"prompt": "p"}, ModelResponse("second", 20, "ok"))
+    second.put("k2", {"prompt": "q"}, ModelResponse("only", 30, "ok"))
+    assert sorted(p.name for p in store.root.iterdir()) == ["segment-000001.jsonl", "segment-000002.jsonl"]
+    reader = CassetteStore(store.root)
+    assert reader.get("k1").raw_text == "first"
+    assert reader.get("k2").raw_text == "only"
+    assert reader.dropped == 0
+
+
+def test_cassette_segment_cut_mid_record(store):
+    store.put("k1", {"prompt": "p"}, ModelResponse("kept", 10, "ok"))
+    store.put("k2", {"prompt": "p"}, ModelResponse("cut off", 20, "ok"))
+    (segment,) = store.root.iterdir()
+    data = segment.read_bytes()
+    segment.write_bytes(data[: len(data) - 25])  # as a crash in the middle of the second line leaves it
+    reader = CassetteStore(store.root)
+    assert reader.get("k1").raw_text == "kept"
+    assert reader.get("k2") is None
+    assert reader.dropped == 1
+    # the next writer opens a segment of its own instead of appending to the cut one
+    reader.put("k3", {"prompt": "p"}, ModelResponse("after", 30, "ok"))
+    assert segment.read_bytes() == data[: len(data) - 25]
+    again = CassetteStore(store.root)
+    assert again.get("k3").raw_text == "after"
+    assert again.dropped == 1
+
+
+def test_cassette_directory_without_segments_replays_as_misses(store, providers):
+    request = ModelRequest("vlm", "vlm", prompt="p", condition=make_condition())
+    key = request_key(request)
+    # an entry in the one-file-per-answer layout of earlier versions is not read
+    store.root.mkdir(parents=True)
+    (store.root / f"{key}.json").write_text(
+        json.dumps({"key": key, "request": {}, "response": {"raw_text": "old", "latency_ms": 1, "status": "ok"}}),
+        encoding="utf-8",
+    )
+    hub = ProviderHub(providers, store, mode="replay")
+    with pytest.raises(ReplayMiss, match=f"key {key}"):
+        hub.send(request)
+    assert store.dropped == 0
 
 
 # --- status classification ------------------------------------------------------
