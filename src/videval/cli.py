@@ -149,17 +149,19 @@ def cmd_transcribe(args) -> int:
     hub = ProviderHub(config.providers, store, mode=mode)
 
     transcripts: dict[str, dict] = {}
-    for asset in _probed_assets(args.paths, tool):
-        if asset.kind != "audio" and not asset.has_audio_stream:
-            print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
-            continue
-        transcript = hub.transcribe(asset, config.asr_provider)
-        transcripts[Path(asset.path).stem] = {
-            "segments": [_plain(segment) for segment in transcript.segments],
-            "text": transcript.full_text,
-            "language": transcript.language,
-        }
-    _report_dropped(store)
+    try:
+        for asset in _probed_assets(args.paths, tool):
+            if asset.kind != "audio" and not asset.has_audio_stream:
+                print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
+                continue
+            transcript = hub.transcribe(asset, config.asr_provider)
+            transcripts[Path(asset.path).stem] = {
+                "segments": [_plain(segment) for segment in transcript.segments],
+                "text": transcript.full_text,
+                "language": transcript.language,
+            }
+    finally:  # a replay miss stops the command, and a dropped line may be why
+        _report_dropped(store)
 
     if not transcripts:
         print("0 transcribable assets", file=sys.stderr)

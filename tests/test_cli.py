@@ -496,7 +496,8 @@ def test_undecodable_input_is_invalid_input(demo_dir, tmp_path, capsys, command,
 # --- transcribe -----------------------------------------------------------------------------
 
 
-def test_transcribe_command_replay(tmp_path, fake_probe_cmd):
+def _recorded_transcribe(tmp_path, fake_probe_cmd):
+    """An audio file, a replay config for transcribe and its one cassette entry; return (audio, config, key)."""
     from videval.providers import CassetteStore, ModelRequest, ModelResponse, request_key
 
     audio = tmp_path / "talk.wav"
@@ -524,15 +525,30 @@ def test_transcribe_command_replay(tmp_path, fake_probe_cmd):
     payload = json.dumps(
         {"segments": [{"id": 0, "start": 0.0, "end": 2.0, "text": "hello world"}], "text": "hello world"}
     )
-    request = ModelRequest("whisper", "asr", audio_ref=str(audio))
-    CassetteStore(cassettes).put(request_key(request), {}, ModelResponse(payload, 150, "ok"))
+    key = request_key(ModelRequest("whisper", "asr", audio_ref=str(audio)))
+    CassetteStore(cassettes).put(key, {}, ModelResponse(payload, 150, "ok"))
+    return audio, config_path, key
 
+
+def test_transcribe_command_replay(tmp_path, fake_probe_cmd):
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
     out = tmp_path / "transcripts.json"
     code = run_cli("transcribe", str(audio), "--config", str(config_path), "--out", str(out))
     assert code == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["talk"]["text"] == "hello world"
     assert data["talk"]["segments"][0]["start"] == 0.0
+
+
+def test_transcribe_reports_dropped_cassette_lines(tmp_path, capsys, fake_probe_cmd):
+    audio, config_path, key = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    (segment,) = (tmp_path / "cassettes").iterdir()
+    segment.write_bytes(segment.read_bytes()[:-10])  # the only line, cut off as a crash while writing leaves it
+    capsys.readouterr()
+    code = run_cli("transcribe", str(audio), "--config", str(config_path), "--out", str(tmp_path / "t.json"))
+    err = capsys.readouterr().err
+    assert code == 1  # the replay miss stops the command, after the count is printed
+    assert "1 cassette lines dropped" in err and f"(key {key})" in err
 
 
 # --- config loading ----------------------------------------------------------------------------
