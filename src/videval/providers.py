@@ -3,10 +3,10 @@
 Every live response is appended to the cassette store before it is returned,
 so any live run can be replayed later byte-for-byte. Replay mode never touches
 the network: it reads the store's JSON-lines segments once into memory and
-answers each request with a dict lookup (see `CassetteStore` for the layout and
-for which of two answers to one key wins). Out-of-memory and timeout results are classified from provider
-error payloads and surfaced in-band as response statuses, not exceptions: the
-run accounting needs them as countable outcomes.
+answers each request with a dict lookup (`CassetteStore` gives the layout and
+which of two answers to one key wins). Out-of-memory and timeout results are
+classified from provider error payloads and surfaced in-band as response
+statuses, not exceptions: the run accounting needs them as countable outcomes.
 
 Live calls are one JSON POST each through the standard library's
 `urllib.request`: proxies come from the `*_proxy` environment variables, HTTPS
