@@ -48,7 +48,6 @@ SCRIPTED: dict[tuple[str, int], tuple[str, str, int]] = {
 
 def main() -> None:
     cassette_dir = DEMO_DIR / "cassettes"
-    cassette_dir.mkdir(exist_ok=True)  # replay config validation wants it present
     config = load_config(DEMO_DIR / "config.json")
     items = load_dataset(config.dataset)
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}

@@ -150,19 +150,15 @@ def build_question_prompt(
     template: str = DEFAULT_MCQ_TEMPLATE,
 ) -> str:
     """Render the MCQ prompt; the transcript block appears only when non-empty."""
-    block = transcript_block(transcript)
-    rendered = render_prompt(
+    return render_prompt(
         template,
         {
             "question": item.question,
             "options": render_options(item.options),
-            "transcript": block,
+            "transcript": transcript_block(transcript),
         },
         required=("question", "options"),
     )
-    if block and "{transcript}" not in template:
-        rendered = block + rendered
-    return rendered
 
 
 # the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
@@ -301,11 +297,7 @@ def _build_prompt(plan: RunPlan, condition: RunCondition, item: BenchmarkItem) -
         transcript = plan.transcripts.get(item.video_id)
     if plan.request_kind == "mcq":
         return build_question_prompt(item, transcript, plan.mcq_template)
-    return render_prompt(
-        plan.summary_template,
-        {"transcript": transcript_block(transcript)},
-        required=(),
-    )
+    return render_prompt(plan.summary_template, {"transcript": transcript_block(transcript)})
 
 
 def _run_one(

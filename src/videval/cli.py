@@ -1,13 +1,13 @@
 """Command-line entry point: ingest, transcribe, evaluate, graph, report.
 
-Exit codes: 0 success, 2 config error, 3 empty or invalid inputs, 4 provider
-hard failure in live mode.
+Exit codes: 0 success, 1 a harness error (an output file that cannot be
+written, say), 2 config error, 3 empty or invalid inputs, 4 provider hard
+failure in live mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +26,7 @@ from .errors import (
     ConfigError,
     EmptyVector,
     HarnessError,
-    MissingCondition,
+    IoError,
     NoValidOutputs,
     ProbeFailure,
     ProviderUnavailable,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .parsing import parse_video_output
 from .providers import CassetteStore, ProviderHub
-from .schema import _plain
+from .schema import _plain, _pretty_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,11 +56,19 @@ class ReportBundle:
         return {**_plain(self), "score_report": score_report, "emitted": sorted(self.emitted)}
 
 
-def _dump_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write(path: Path, text: str) -> None:
+    """Write one output file as UTF-8, making its directory; an OSError is an IoError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(out_dir: Path, bundle: ReportBundle, name: str, text: str) -> None:
+    """Write the artifact name (a path under out_dir) and list it in the bundle."""
+    _write(out_dir / name, text)
+    bundle.emitted.append(name)
 
 
 # --- ingest ----------------------------------------------------------------
@@ -120,7 +128,7 @@ def cmd_ingest(args) -> int:
         "histogram": {"containers": containers, "durations": durations},
     }
     out_path = Path(args.out or "inventory.json")
-    _dump_json(out_path, inventory)
+    _write(out_path, _pretty_json(inventory))
 
     print(f"{len(assets)} usable assets -> {out_path}")
     for tag in sorted(containers):
@@ -139,14 +147,24 @@ def _report_dropped(store: CassetteStore) -> None:
         print(f"{store.dropped} cassette lines dropped (cut off, not JSON or without a key)", file=sys.stderr)
 
 
+def _hub(config: HarnessConfig, args) -> ProviderHub:
+    """The hub of evaluate and transcribe, in the mode --replay/--live sets or else the config's.
+
+    Replay reads the cassette directory, so it must exist; a live run's first answer makes it.
+    """
+    mode = args.mode or config.mode
+    if mode == "replay" and not config.cassette_dir.is_dir():
+        raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
+    store = CassetteStore(config.cassette_dir)
+    return ProviderHub(config.providers, store, mode=mode, max_in_flight=config.max_workers)
+
+
 def cmd_transcribe(args) -> int:
     config = load_config(args.config)
-    mode = args.mode or config.mode
     if not config.asr_provider:
         raise ConfigError("config has no 'asr_provider' for the transcribe command")
     tool = media.MediaToolRunner(probe_cmd=config.probe_command or media.DEFAULT_PROBE_CMD)
-    store = CassetteStore(config.cassette_dir)
-    hub = ProviderHub(config.providers, store, mode=mode)
+    hub = _hub(config, args)
 
     transcripts: dict[str, dict] = {}
     try:
@@ -161,13 +179,13 @@ def cmd_transcribe(args) -> int:
                 "language": transcript.language,
             }
     finally:  # a replay miss stops the command, and a dropped line may be why
-        _report_dropped(store)
+        _report_dropped(hub.store)
 
     if not transcripts:
         print("0 transcribable assets", file=sys.stderr)
         return EXIT_EMPTY
     out_path = Path(args.out or "transcripts.json")
-    _dump_json(out_path, transcripts)
+    _write(out_path, _pretty_json(transcripts))
     print(f"{len(transcripts)} transcripts -> {out_path}")
     return EXIT_OK
 
@@ -199,7 +217,6 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
     raw_outputs = load_outputs(outputs_path)
     annotations = load_annotations(config.annotations) if config.annotations else {}
 
-    graphs_dir = out_dir / "graphs"
     parsed_by_video: dict[str, dict] = {}
     for video_id in sorted(raw_outputs):
         parsed = {
@@ -213,20 +230,16 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
         parsed_by_video[video_id] = valid
         graph = kg.build_comparison_graph(valid)
         positions = kg.fr_layout(graph, config.layout)
-        dot_path = graphs_dir / f"{video_id}.dot"
-        json_path = graphs_dir / f"{video_id}.json"
-        graphs_dir.mkdir(parents=True, exist_ok=True)
-        kg.export_graph(graph, positions, str(dot_path), str(json_path))
+        _emit(out_dir, bundle, f"graphs/{video_id}.dot", kg.export_dot(graph, positions))
+        _emit(out_dir, bundle, f"graphs/{video_id}.json", kg.export_json(graph, positions))
         metrics = _plain(kg.graph_metrics(graph, positions))
         metrics["unreachable"] = sorted(metrics["unreachable"])
         bundle.graph_metrics[video_id] = metrics
-        bundle.emitted.extend([f"graphs/{video_id}.dot", f"graphs/{video_id}.json"])
 
     if not parsed_by_video:
         raise NoValidOutputs(f"no valid model outputs in {outputs_path}")
 
-    _dump_json(out_dir / "graph_metrics.json", bundle.graph_metrics)
-    bundle.emitted.append("graph_metrics.json")
+    _emit(out_dir, bundle, "graph_metrics.json", _pretty_json(bundle.graph_metrics))
 
     if annotations:
         models = sorted({m for v in parsed_by_video.values() for m in v})
@@ -252,35 +265,20 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
                     score = None
                 entry[scenario] = {"score": score, "n": len(vector.matches)}
             bundle.matching_scores[model] = entry
-        _dump_json(out_dir / "matching_scores.json", bundle.matching_scores)
-        bundle.emitted.append("matching_scores.json")
+        _emit(out_dir, bundle, "matching_scores.json", _pretty_json(bundle.matching_scores))
 
 
-def _score_and_emit(
-    config: HarnessConfig,
-    items,
-    manifest: bench.RunManifest,
-    out_dir: Path,
-    bundle: ReportBundle,
-) -> None:
-    try:
-        report = scoring.aggregate(items, manifest.records)
-    except MissingCondition:
-        report = scoring.ScoreReport(
-            overall_accuracy=0.0,
-            completeness=scoring.completeness_by_condition(manifest.records),
-            warnings=["records cover a single transcript condition; delta tables skipped"],
-        )
-    written = reports.write_report_tables(report, out_dir)
-    bundle.score_report = report
-    bundle.emitted.extend(written)
+def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, bundle: ReportBundle) -> None:
+    bundle.score_report = scoring.aggregate(items, manifest.records)
+    for name, text in reports.report_files(bundle.score_report).items():
+        _emit(out_dir, bundle, name, text)
 
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
-    mode = args.mode or config.mode
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
     conditions = _filter_conditions(config, args.conditions)
+    hub = _hub(config, args)
 
     items = bench.load_dataset(config.dataset)
     if not items:
@@ -288,7 +286,6 @@ def cmd_evaluate(args) -> int:
         return EXIT_EMPTY
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
 
-    store = CassetteStore(config.cassette_dir)
     plan = bench.RunPlan(
         dataset_path=str(config.dataset),
         items=items,
@@ -298,23 +295,19 @@ def cmd_evaluate(args) -> int:
         summary_template=config.summary_template,
         transcripts=transcripts,
     )
-    hub = ProviderHub(config.providers, store, mode=mode, max_in_flight=config.max_workers)
     manifest = bench.run_benchmark(plan, hub)
-    _report_dropped(store)
-    del hub, store  # the index of every recorded answer is not needed past the run
+    _report_dropped(hub.store)
+    mode = hub.mode
+    del hub  # the index of every recorded answer is not needed past the run
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = out_dir / "manifest.jsonl"
-    manifest_path.write_text(manifest.to_jsonl(), encoding="utf-8")
-
-    bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
-    bundle.emitted.append(manifest_path.name)
-    _score_and_emit(config, items, manifest, out_dir, bundle)
+    bundle = ReportBundle(score_report=None, manifest="manifest.jsonl")
+    _emit(out_dir, bundle, bundle.manifest, manifest.to_jsonl())
+    _score_and_emit(items, manifest, out_dir, bundle)
     if config.outputs:
         _graph_outputs(config, config.outputs, out_dir, bundle)
-    _dump_json(out_dir / "bundle.json", bundle.to_dict())
+    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
 
-    print(f"{len(manifest.records)} records -> {manifest_path}")
+    print(f"{len(manifest.records)} records -> {out_dir / bundle.manifest}")
     print(f"tables and exports -> {out_dir}")
 
     if (
@@ -345,7 +338,7 @@ def cmd_graph(args) -> int:
 
     bundle = ReportBundle(score_report=None)
     _graph_outputs(config, Path(outputs_path), out_dir, bundle)
-    _dump_json(out_dir / "bundle.json", bundle.to_dict())
+    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
     print(f"{len(bundle.graph_metrics)} graph(s) -> {out_dir / 'graphs'}")
     return EXIT_OK
 
@@ -361,8 +354,8 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
     bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
-    _score_and_emit(config, items, manifest, out_dir, bundle)
-    _dump_json(out_dir / "bundle.json", bundle.to_dict())
+    _score_and_emit(items, manifest, out_dir, bundle)
+    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
     print(f"tables -> {out_dir}")
     return EXIT_OK
 

@@ -146,8 +146,6 @@ def load_config(path: str | Path) -> HarnessConfig:
         _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.mode == "replay" and not config.cassette_dir.is_dir():
-        raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
     try:
         render_prompt(config.mcq_template, {}, required=("question", "options"))
     except TemplateError as exc:

@@ -71,10 +71,6 @@ class NoRecords(HarnessError):
     """Accuracy requested over an empty record set."""
 
 
-class MissingCondition(HarnessError):
-    """Delta columns need records from both transcript conditions."""
-
-
 # --- knowledge graph -----------------------------------------------------
 
 class NoValidOutputs(HarnessError):
@@ -98,7 +94,10 @@ class UnknownCenter(HarnessError):
 
 
 class IoError(HarnessError):
-    """Failed to write an export document."""
+    """An output file cannot be written: its directory cannot be made, or the write fails.
+
+    The one writer of the CLI, `cli._write`, raises it; the command exits 1.
+    """
 
 
 # --- config / cli --------------------------------------------------------

@@ -10,21 +10,19 @@ edges, repulsion k^2/d between all pairs, temperature-capped displacement).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import re
 from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateModelName,
-    IoError,
     NegativeWeight,
     NoValidOutputs,
     UnknownCenter,
     UnknownSource,
 )
 from .parsing import ParsedVideoOutput
-from .schema import _plain
+from .schema import _plain, _pretty_json
 
 KEYFRAMES_NODE = "KeyFrames"
 SUMMARY_NODE = "VideoSummary"
@@ -361,20 +359,4 @@ def export_json(graph: EvalGraph, positions: dict[str, NodePosition] | None = No
             entry["y"] = positions[node.id].y
         nodes.append(entry)
     edges = [{"source": s, "target": t} for s, t in graph.edges]
-    return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
-
-
-def export_graph(
-    graph: EvalGraph,
-    positions: dict[str, NodePosition] | None,
-    dot_path: str,
-    json_path: str,
-) -> None:
-    """Write both export documents to disk."""
-    try:
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph, positions))
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(export_json(graph, positions))
-    except OSError as exc:
-        raise IoError(f"failed to write graph export: {exc}") from exc
+    return _pretty_json({"nodes": nodes, "edges": edges})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadTimestamp, NoAnswerFound
 
-MAX_TIMESTAMP_S = 359999  # exclusive bound; two-digit hour field tops out at 99:59:59
+MAX_TIMESTAMP_S = 359999  # exclusive: 99:59:59, the largest time with a two-digit hour, is out of range
 MAX_CAPTION_LEN = 500
 
 _TIME = r"\d{1,2}(?::\d{2}){1,2}"
@@ -67,7 +67,7 @@ class McqAnswer:
 
 
 def parse_timestamp(text: str) -> int:
-    """Convert "MM:SS" or "HH:MM:SS" to whole seconds."""
+    """Convert "MM:SS" or "HH:MM:SS" to whole seconds, below MAX_TIMESTAMP_S."""
     m = _TS_RE.match(text.strip())
     if not m:
         raise BadTimestamp(f"not a timestamp: {text!r}")
@@ -78,7 +78,10 @@ def parse_timestamp(text: str) -> int:
         hours, minutes, seconds = int(lead), int(mid), int(last)
     if minutes >= 60 or seconds >= 60:
         raise BadTimestamp(f"minutes/seconds must be < 60: {text!r}")
-    return 3600 * hours + 60 * minutes + seconds
+    total = 3600 * hours + 60 * minutes + seconds
+    if total >= MAX_TIMESTAMP_S:
+        raise BadTimestamp(f"timestamp must be under {MAX_TIMESTAMP_S} s: {text!r}")
+    return total
 
 
 def format_timestamp(seconds: int) -> str:
@@ -92,35 +95,28 @@ def format_timestamp(seconds: int) -> str:
     return f"{minutes:02d}:{secs:02d}"
 
 
+def _keyframe_line(line: str, max_caption_len: int = MAX_CAPTION_LEN) -> KeyframeEntry | None:
+    """The entry a stripped line holds in the first shape it matches, or None."""
+    for pattern in _KEYFRAME_RES:
+        m = pattern.match(line)
+        if m:
+            try:
+                ts = parse_timestamp(m.group(1))
+            except BadTimestamp:
+                return None
+            caption = m.group(2).strip()[:max_caption_len].strip()
+            return KeyframeEntry(ts, caption) if caption else None
+    return None
+
+
 def parse_keyframes(raw_text: str, max_caption_len: int = MAX_CAPTION_LEN) -> list[KeyframeEntry]:
     """Extract keyframe entries from every parseable line, in order.
 
     Unparseable lines are skipped; identical (timestamp, caption) pairs are
     deduplicated keeping the first occurrence.
     """
-    entries: list[KeyframeEntry] = []
-    seen: set[KeyframeEntry] = set()
-    for line in raw_text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        for pattern in _KEYFRAME_RES:
-            m = pattern.match(line)
-            if not m:
-                continue
-            try:
-                ts = parse_timestamp(m.group(1))
-            except BadTimestamp:
-                break
-            caption = m.group(2).strip()[:max_caption_len].strip()
-            if not caption:
-                break
-            entry = KeyframeEntry(ts, caption)
-            if entry not in seen:
-                seen.add(entry)
-                entries.append(entry)
-            break
-    return entries
+    entries = (_keyframe_line(line.strip(), max_caption_len) for line in raw_text.splitlines())
+    return list(dict.fromkeys(filter(None, entries)))
 
 
 def parse_mcq(raw_text: str) -> McqAnswer:
@@ -134,31 +130,15 @@ def parse_mcq(raw_text: str) -> McqAnswer:
     raise NoAnswerFound(f"no option letter in: {raw_text[:80]!r}")
 
 
-def _is_keyframe_line(line: str) -> bool:
-    stripped = line.strip()
-    if not stripped:
-        return False
-    if _KEYFRAME_HEADER_RE.match(stripped):
-        return True
-    for pattern in _KEYFRAME_RES:
-        m = pattern.match(stripped)
-        if m:
-            try:
-                parse_timestamp(m.group(1))
-            except BadTimestamp:
-                return False
-            return bool(m.group(2).strip())
-    return False
-
-
 def parse_video_output(raw_text: str) -> ParsedVideoOutput:
     """Split raw text into summary (before the keyframe block) and keyframes."""
     lines = raw_text.splitlines()
-    boundary = len(lines)
-    for i, line in enumerate(lines):
-        if _is_keyframe_line(line):
-            boundary = i
-            break
+    entries = [_keyframe_line(line.strip()) for line in lines]
+    # the block starts at a "Key frames" header or at its first entry
+    boundary = next(
+        (i for i, line in enumerate(lines) if entries[i] or _KEYFRAME_HEADER_RE.match(line.strip())),
+        len(lines),
+    )
     summary = "\n".join(lines[:boundary]).strip()
-    keyframes = parse_keyframes(raw_text)
+    keyframes = list(dict.fromkeys(filter(None, entries)))
     return ParsedVideoOutput(summary=summary, keyframes=keyframes, valid=bool(summary))

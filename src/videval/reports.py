@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
-from .schema import _plain
+from .schema import _plain, _pretty_json
 from .scoring import CompletenessRow, RowTriple, ScoreReport
 
 
@@ -131,13 +130,8 @@ def report_to_json(report: ScoreReport) -> dict:
     return {name: _json_value(value) for name, value in _plain(report).items()}
 
 
-def write_report_tables(report: ScoreReport, out_dir) -> list[str]:
-    """Write the three tables (md + csv) and scores.json; returns file names."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+def report_files(report: ScoreReport) -> dict[str, str]:
+    """The three tables (md + csv) and scores.json: each file name mapped to its text."""
     tables = {
         "task_accuracy": task_table(report),
         "model_accuracy": model_table(report),
@@ -145,13 +139,9 @@ def write_report_tables(report: ScoreReport, out_dir) -> list[str]:
     }
     if report.by_duration:
         tables["duration_accuracy"] = duration_table(report)
+    files = {}
     for name, (headers, rows) in tables.items():
-        (out / f"{name}.md").write_text(_markdown_table(headers, rows), encoding="utf-8")
-        (out / f"{name}.csv").write_text(_csv_table(headers, rows), encoding="utf-8")
-        written.extend([f"{name}.md", f"{name}.csv"])
-    (out / "scores.json").write_text(
-        json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    written.append("scores.json")
-    return written
+        files[f"{name}.md"] = _markdown_table(headers, rows)
+        files[f"{name}.csv"] = _csv_table(headers, rows)
+    files["scores.json"] = _pretty_json(report_to_json(report))
+    return files

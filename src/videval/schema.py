@@ -7,6 +7,7 @@ a SchemaError naming what; each caller turns that error into its own once.
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, fields
 from functools import partial
 
@@ -129,3 +130,8 @@ def _fill(cls, entry, what: str, readers: dict):
 # vars() would give each of a run's many records a dict of its own
 def _plain(obj) -> dict:
     return {name: getattr(obj, name) for name in obj.__match_args__}
+
+
+def _pretty_json(payload) -> str:
+    """The encoding of every pretty-printed JSON artifact: indent 2, sorted keys, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

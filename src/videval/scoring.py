@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .benchmark import DURATION_CLASSES
-from .errors import EmptyVector, MissingCondition, NoRecords
+from .errors import EmptyVector, NoRecords
 from .parsing import KeyframeEntry
 from .schema import _keyframes
 
@@ -218,7 +218,8 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
     the listed rows, plus per-condition completeness.
 
     Items supply each record's task type and duration. Task and model rows are
-    sorted by name, duration rows come in DURATION_CLASSES order.
+    sorted by name, duration rows come in DURATION_CLASSES order. Records of
+    one transcript side only give no rows, a warning and the overall accuracy.
     """
     records = list(records)
     meta = {item.question_id: item for item in items}
@@ -233,7 +234,8 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
     with_side = [r for r in known if r.condition.with_transcript]
     without_side = [r for r in known if not r.condition.with_transcript]
     if not with_side or not without_side:
-        raise MissingCondition("need records from both transcript conditions")
+        warnings.append("records cover a single transcript condition; delta tables skipped")
+        with_side = without_side = []
 
     def rows_for(key_fn, sort_key=None) -> dict[str, RowTriple]:
         with_groups = _group_by(with_side, key_fn)

@@ -3,7 +3,8 @@
 Placeholders use {name} syntax and are substituted literally (no str.format,
 so braces elsewhere in a template are harmless). A transcript renders as a
 self-contained block: when it is empty the substitution is the empty string
-and the resulting prompt is identical to the no-transcript prompt.
+and the resulting prompt is identical to the no-transcript prompt. A template
+without a {transcript} placeholder gets the block in front.
 """
 
 from __future__ import annotations
@@ -33,13 +34,18 @@ DEFAULT_MCQ_TEMPLATE = (
 def render_prompt(
     template: str, values: dict[str, str], required: tuple[str, ...] = ()
 ) -> str:
-    """Substitute {name} placeholders; required ones must appear in the template."""
+    """Substitute {name} placeholders; required ones must appear in the template.
+
+    A "transcript" value goes in front when the template has no {transcript}.
+    """
     for name in required:
         if "{%s}" % name not in template:
             raise TemplateError(f"template is missing a {{{name}}} placeholder")
     rendered = template
     for name, value in values.items():
         rendered = rendered.replace("{%s}" % name, value)
+    if "{transcript}" not in template:
+        rendered = values.get("transcript", "") + rendered
     return rendered
 
 

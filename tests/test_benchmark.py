@@ -26,6 +26,7 @@ from videval.providers import (
     Transcript,
     TranscriptSegment,
 )
+from videval.templates import transcript_block
 
 GENRE_RECORD = {
     "video_id": "001",
@@ -389,6 +390,38 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
     text = summaries.to_jsonl()
     assert RunManifest.from_jsonl(text).to_jsonl() == text
+
+
+class PromptRecorder:
+    """Stands in for a replay hub: keeps each prompt under its condition's transcript flag."""
+
+    mode = "replay"
+
+    def __init__(self):
+        self.prompts = {}
+
+    def send(self, request):
+        self.prompts[request.condition.with_transcript] = request.prompt
+        return ModelResponse("A summary.", 10)
+
+
+@pytest.mark.parametrize(
+    "template, without, with_",
+    [
+        # without a placeholder the block goes in front, as it does for an mcq template
+        ("Summarize.", "Summarize.", "BLOCKSummarize."),
+        ("Summarize: {transcript}done", "Summarize: done", "Summarize: BLOCKdone"),
+    ],
+)
+def test_summary_prompt_places_the_transcript(demo_dir, template, without, with_):
+    plan, _ = demo_plan_and_hub(demo_dir)
+    item = next(item for item in plan.items if item.video_id in plan.transcripts)
+    plan = replace(plan, items=[item], request_kind="summary_keyframes", summary_template=template)
+    hub = PromptRecorder()
+    run_benchmark(plan, hub)
+    block = transcript_block(plan.transcripts[item.video_id])
+    assert block.startswith("Audio transcript:")
+    assert hub.prompts == {False: without, True: with_.replace("BLOCK", block)}
 
 
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):

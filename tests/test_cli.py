@@ -216,6 +216,18 @@ def test_graph_command_empty_outputs_exits_3(demo_dir, tmp_path, capsys):
     assert code == 3
 
 
+def test_graph_skips_a_keyframe_at_the_timestamp_bound(demo_dir, tmp_path):
+    # 99:59:59 is a timestamp parse_timestamp once accepted and KeyframeEntry rejects
+    outputs = json.loads((demo_dir / "outputs.json").read_text(encoding="utf-8"))
+    outputs["P69idA8JO98"]["Qwen-7B"] += "\n(99:59:59, the curtain falls)"
+    path = tmp_path / "outputs.json"
+    path.write_text(json.dumps(outputs), encoding="utf-8")
+    out_dir = tmp_path / "gout"
+    code = run_cli("graph", "--config", str(demo_dir / "config.json"), "--outputs", str(path), "--out-dir", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "graph_metrics.json").read_text())["P69idA8JO98"]["node_count"] == 28
+
+
 @pytest.mark.parametrize(
     "key, content, message",
     [
@@ -493,6 +505,30 @@ def test_undecodable_input_is_invalid_input(demo_dir, tmp_path, capsys, command,
     assert "invalid input" in capsys.readouterr().err
 
 
+# --- output files ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report", "graph", "ingest", "transcribe"])
+def test_unwritable_output_path_exits_1(demo_dir, tmp_path, capsys, request, fake_probe_cmd, command):
+    blocker = tmp_path / "afile"  # a regular file where the output's directory should be
+    blocker.write_text("not a directory", encoding="utf-8")
+    demo_config = str(demo_dir / "config.json")
+    if command == "report":
+        _, manifest = _evaluate_demo(demo_dir, tmp_path)
+        argv = ["report", "--config", demo_config, "--manifest", str(manifest), "--out-dir", str(blocker / "out")]
+    elif command == "ingest":
+        media, config = request.getfixturevalue("media_tree"), request.getfixturevalue("probe_config")
+        argv = ["ingest", str(media), "--config", str(config), "--out", str(blocker / "inventory.json")]
+    elif command == "transcribe":
+        audio, config, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+        argv = ["transcribe", str(audio), "--config", str(config), "--out", str(blocker / "transcripts.json")]
+    else:
+        argv = [command, "--config", demo_config, "--out-dir", str(blocker / "out")]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
+
 # --- transcribe -----------------------------------------------------------------------------
 
 
@@ -549,6 +585,36 @@ def test_transcribe_reports_dropped_cassette_lines(tmp_path, capsys, fake_probe_
     err = capsys.readouterr().err
     assert code == 1  # the replay miss stops the command, after the count is printed
     assert "1 cassette lines dropped" in err and f"(key {key})" in err
+
+
+# --- the cassette directory ----------------------------------------------------------------------
+
+
+def test_graph_and_report_need_no_cassette_directory(demo_dir, tmp_path):
+    _, manifest = _evaluate_demo(demo_dir, tmp_path)
+    path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(tmp_path / "absent"))
+    assert run_cli("graph", "--config", str(path), "--out-dir", str(tmp_path / "g")) == 0
+    assert run_cli("report", "--config", str(path), "--manifest", str(manifest), "--out-dir", str(tmp_path / "r")) == 0
+    assert not (tmp_path / "absent").exists()
+
+
+def test_live_flag_records_into_a_new_cassette_directory(demo_dir, tmp_path, loopback_provider):
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    cassettes = tmp_path / "cassettes"
+    # the config's mode is replay; --live overrides it, and the first answer creates the directory
+    path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(cassettes), providers=raw["providers"])
+    assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 0
+    assert len((cassettes / "segment-000001.jsonl").read_bytes().splitlines()) == 20
+
+
+def test_replay_flag_needs_the_cassette_directory(demo_dir, tmp_path, capsys):
+    # a live config: the check follows --replay, not the config's mode
+    path = _demo_config_variant(demo_dir, tmp_path, mode="live", cassette_dir=str(tmp_path / "absent"))
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--replay", "--config", str(path), "--out-dir", str(out_dir)) == 2
+    assert "cassette directory not found" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- config loading ----------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_parse_timestamp_hours():
 
 
 @pytest.mark.parametrize(
-    "text", ["01:60", "60:00", "1:62:03", "ab:cd", "12", "1:2", "1:02:3", ":05", "01:05:06:07"]
+    "text", ["01:60", "60:00", "1:62:03", "ab:cd", "12", "1:2", "1:02:3", ":05", "01:05:06:07", "99:59:59"]
 )
 def test_parse_timestamp_rejects(text):
     with pytest.raises(BadTimestamp):

@@ -4,8 +4,8 @@ from videval.reports import (
     format_proportion,
     format_signed,
     model_table,
+    report_files,
     task_table,
-    write_report_tables,
 )
 from videval.scoring import CompletenessRow, RowTriple, ScoreReport
 
@@ -57,10 +57,9 @@ def read_markdown_table(text: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[2:]
 
 
-def test_markdown_round_trip(tmp_path):
+def test_markdown_round_trip():
     report = sample_report()
-    write_report_tables(report, tmp_path)
-    text = (tmp_path / "task_accuracy.md").read_text(encoding="utf-8")
+    text = report_files(report)["task_accuracy.md"]
     headers, rows = read_markdown_table(text)
     assert headers == ["Task Type", "With ALM", "Without ALM", "Delta"]
     by_name = {row[0]: row[1:] for row in rows}
@@ -77,19 +76,16 @@ def test_markdown_round_trip(tmp_path):
         assert format_signed(float(row[3])) == row[3]
 
 
-def test_write_report_tables_emits_three_tables(tmp_path):
-    written = write_report_tables(sample_report(), tmp_path)
-    md_files = [name for name in written if name.endswith(".md")]
+def test_report_files_emits_three_tables():
+    files = report_files(sample_report())
+    md_files = [name for name in files if name.endswith(".md")]
     assert sorted(md_files) == ["completeness.md", "model_accuracy.md", "task_accuracy.md"]
-    assert "scores.json" in written
-    for name in written:
-        assert (tmp_path / name).is_file()
+    assert "scores.json" in files
+    assert all(files.values())
 
 
-def test_write_report_tables_byte_stable(tmp_path):
+def test_report_files_byte_stable():
     report = sample_report()
-    dir1, dir2 = tmp_path / "a", tmp_path / "b"
-    write_report_tables(report, dir1)
-    write_report_tables(report, dir2)
+    first, second = report_files(report), report_files(report)
     for name in ("task_accuracy.md", "model_accuracy.csv", "scores.json"):
-        assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
+        assert first[name].encode("utf-8") == second[name].encode("utf-8")

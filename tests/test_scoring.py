@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from videval.errors import EmptyVector, MissingCondition, NoRecords
+from videval.errors import EmptyVector, NoRecords
 from videval.parsing import KeyframeEntry, ParsedVideoOutput
 from videval.providers import ConditionTag
 from videval.scoring import (
@@ -215,9 +215,14 @@ def test_aggregate_permutation_invariant():
 
 
 def test_aggregate_missing_condition():
-    records = make_records(["q0"], False, ["answered_correct"])
-    with pytest.raises(MissingCondition):
-        aggregate([FakeItem("q0")], records)
+    # one transcript side: no delta rows, but the accuracy of the records there is
+    records = make_records(["q0", "q1", "q2"], False, ["answered_correct", "answered_wrong", "oom"])
+    report = aggregate([FakeItem(f"q{i}") for i in range(3)], records)
+    assert report.warnings == ["records cover a single transcript condition; delta tables skipped"]
+    assert report.by_task_type == report.by_duration == report.by_model == {}
+    assert report.task_average is report.duration_average is report.model_average is None
+    assert report.overall_accuracy == 0.5
+    assert list(report.completeness.values())[0].total == 3
 
 
 def test_aggregate_single_record_pair():
