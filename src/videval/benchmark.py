@@ -291,19 +291,31 @@ class RunManifest:
         return manifest
 
 
-def _build_prompt(plan: RunPlan, condition: RunCondition, item: BenchmarkItem) -> str:
-    transcript = None
-    if condition.tag.with_transcript:
-        transcript = plan.transcripts.get(item.video_id)
+def _build_prompt(plan: RunPlan, item: BenchmarkItem, with_transcript: bool) -> str:
+    transcript = plan.transcripts.get(item.video_id) if with_transcript else None
     if plan.request_kind == "mcq":
         return build_question_prompt(item, transcript, plan.mcq_template)
     return render_prompt(plan.summary_template, {"transcript": transcript_block(transcript)})
 
 
+def _cells(plan: RunPlan, items: list[BenchmarkItem]):
+    """(slot, condition, item, prompt) of every cell, item by item.
+
+    Each item's prompt is rendered once per transcript side, and dropped when
+    the next item starts. slot is the cell's place in (condition, item) order.
+    """
+    for i, item in enumerate(items):
+        prompts: dict[bool, str] = {}
+        for c, condition in enumerate(plan.conditions):
+            side = condition.tag.with_transcript
+            if side not in prompts:
+                prompts[side] = _build_prompt(plan, item, side)
+            yield c * len(items) + i, condition, item, prompts[side]
+
+
 def _run_one(
-    plan: RunPlan, hub: ProviderHub, condition: RunCondition, item: BenchmarkItem
+    plan: RunPlan, hub: ProviderHub, condition: RunCondition, item: BenchmarkItem, prompt: str
 ) -> RunRecord:
-    prompt = _build_prompt(plan, condition, item)
     request = ModelRequest(
         provider_id=condition.provider,
         modality="vlm",
@@ -346,8 +358,9 @@ def _run_one(
 def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
     """Run every (condition, item) cell and return the manifest of its records.
 
-    Cells are taken in condition order and, within a condition, in question id
-    order; the records keep that order. Replay runs the cells one after another.
+    Cells are taken item by item, in question id order, so each item's prompt
+    is rendered once per transcript side; each record goes to its place in
+    (condition, question id) order. Replay runs the cells one after another.
     Live runs them through one pool as wide as the hub's in-flight limit.
     """
     started_at = (
@@ -356,12 +369,16 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
         else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
     items = sorted(plan.items, key=lambda item: item.question_id)
-    cells = [(condition, item) for condition in plan.conditions for item in items]
+    records: list = [None] * (len(plan.conditions) * len(items))
     if hub.mode == "replay":
-        records = [_run_one(plan, hub, condition, item) for condition, item in cells]
+        for slot, *cell in _cells(plan, items):
+            records[slot] = _run_one(plan, hub, *cell)
     else:
+        cells = list(_cells(plan, items))
         with ThreadPoolExecutor(hub.max_in_flight) as pool:
-            records = list(pool.map(lambda cell: _run_one(plan, hub, *cell), cells))
+            done = pool.map(lambda cell: _run_one(plan, hub, *cell[1:]), cells)
+            for (slot, *_), record in zip(cells, done):
+                records[slot] = record
     return RunManifest(
         dataset_path=plan.dataset_path,
         conditions=plan.conditions,

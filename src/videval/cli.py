@@ -144,7 +144,7 @@ def cmd_ingest(args) -> int:
 
 def _report_dropped(store: CassetteStore) -> None:
     if store.dropped:
-        print(f"{store.dropped} cassette lines dropped (cut off, not JSON or without a key)", file=sys.stderr)
+        print(f"{store.dropped} cassette lines dropped (cut off, or no key to read)", file=sys.stderr)
 
 
 def _hub(config: HarnessConfig, args) -> ProviderHub:

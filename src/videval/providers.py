@@ -1,9 +1,13 @@
 """Uniform request/response layer over ASR and VLM backends.
 
 Every live response is appended to the cassette store before it is returned,
-so any live run can be replayed later byte-for-byte. Replay mode never touches
-the network: it reads the store's JSON-lines segments once into memory and
-answers each request with a dict lookup (`CassetteStore` gives the layout and
+so any live run can be replayed later byte-for-byte. A request's key is the
+SHA-256 of its fingerprint's canonical JSON, which `_fingerprint_json` writes
+by hand. Replay mode never touches the network: it reads the store's segments
+once into memory and answers each request with a dict lookup. A segment line
+is `key<TAB>response<TAB>request`, so replay decodes only the response; a
+one-object `{...}` line of earlier versions is still read, and a line whose key
+cannot be read is dropped and counted (`CassetteStore` gives the details and
 which of two answers to one key wins). Out-of-memory and timeout results are
 classified from provider error payloads and surfaced in-band as response
 statuses, not exceptions: the run accounting needs them as countable outcomes.
@@ -24,7 +28,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
 from typing import Callable
 
@@ -81,6 +86,11 @@ class ConditionTag:
 
     def to_dict(self) -> dict:
         return _plain(self)
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """to_dict() as compact, sorted-keys JSON, the form a request key hashes."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: dict, what: str = "condition") -> "ConditionTag":
@@ -200,42 +210,93 @@ def _hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def request_fingerprint(request: ModelRequest) -> dict:
-    """Stable request description: file contents, not paths, identify media."""
+def _media_hashes(request: ModelRequest) -> tuple[list[str], str | None]:
+    """The SHA-256 of each frame and of the audio: file contents, not paths, identify media."""
+    audio_hash = _hash_file(request.audio_ref) if request.audio_ref else None
+    return [_hash_file(ref) for ref in request.frame_refs], audio_hash
+
+
+def _fingerprint(request: ModelRequest, frame_hashes: list[str], audio_hash: str | None) -> dict:
     return {
         "provider_id": request.provider_id,
         "modality": request.modality,
         "prompt": request.prompt,
-        "frame_hashes": [_hash_file(ref) for ref in request.frame_refs],
-        "audio_hash": _hash_file(request.audio_ref) if request.audio_ref else None,
+        "frame_hashes": frame_hashes,
+        "audio_hash": audio_hash,
         "condition": request.condition.to_dict() if request.condition else None,
     }
 
 
-def _fingerprint_key(fingerprint: dict) -> str:
-    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def request_fingerprint(request: ModelRequest) -> dict:
+    """Stable request description, as a cassette line records it."""
+    return _fingerprint(request, *_media_hashes(request))
+
+
+def _fingerprint_json(request: ModelRequest, frame_hashes: list[str], audio_hash: str | None) -> str:
+    """The text a request key hashes, written by hand for speed.
+
+    It is json.dumps(fingerprint, sort_keys=True, separators=(",", ":")) byte for
+    byte: the keys in sorted order, every string escaped as that call escapes it,
+    and the condition's JSON encoded once per tag.
+    """
+    audio = "null" if audio_hash is None else _quote(audio_hash)
+    condition = "null" if request.condition is None else request.condition.canonical_json
+    return (
+        f'{{"audio_hash":{audio},"condition":{condition},'
+        f'"frame_hashes":[{",".join(map(_quote, frame_hashes))}],'
+        f'"modality":{_quote(request.modality)},"prompt":{_quote(request.prompt)},'
+        f'"provider_id":{_quote(request.provider_id)}}}'
+    )
+
+
+def _key(fingerprint_json: str) -> str:
+    return hashlib.sha256(fingerprint_json.encode("ascii")).hexdigest()
 
 
 def request_key(request: ModelRequest) -> str:
-    return _fingerprint_key(request_fingerprint(request))
+    return _key(_fingerprint_json(request, *_media_hashes(request)))
+
+
+def _line_fields(line: bytes) -> tuple[str | None, bytes | dict | None]:
+    """The key of one segment line and its response, undecoded; key None for a line to drop."""
+    if line.startswith(b"{"):  # the one-object line of earlier versions
+        try:
+            entry = json.loads(line)
+            key = entry["key"]
+        except (ValueError, KeyError):  # cut off, not JSON, no key
+            return None, None
+        return (key, entry.get("response")) if isinstance(key, str) else (None, None)
+    fields = line.split(b"\t", 2)
+    if len(fields) < 3 or not line.endswith(b"\n"):  # cut off, or not a line of this layout
+        return None, None
+    try:
+        return fields[0].decode("utf-8"), fields[1]
+    except UnicodeDecodeError:
+        return None, None
 
 
 class CassetteStore:
-    """Append-only directory of recorded answers, one compact JSON line each.
+    """Append-only directory of recorded answers, one line each.
 
-    Each line is {"key", "request", "response"}: the request key, the request
-    fingerprint it hashes and the answer. Every store writes the lines of its
-    own `segment-<n>.jsonl`, which it creates on its first `put` under the next
-    free sequence number, and each line is on disk before `put` returns. The
-    first `get`, `put` or `in` reads every segment once, in sequence order, into
-    an index of decoded answers.
+    A line is `key<TAB>response<TAB>request<LF>`: the request key, then the
+    answer and the request fingerprint it hashes, each as compact JSON, which
+    holds no raw tab or newline. Replay splits off the key and decodes only the
+    response. A line that starts with `{` is one compact JSON object
+    {"key", "request", "response"}, as earlier versions wrote, and is still read.
+    So `put` refuses a key that holds a tab or newline or starts with `{`.
+
+    Every store writes the lines of its own `segment-<n>.jsonl`, which it
+    creates on its first `put` under the next free sequence number, and each
+    line is on disk before `put` returns. The first `get`, `put` or `in` reads
+    every segment once, in sequence order, into an index of decoded answers.
 
     The first recorded answer to a key wins, across segments and within one:
     a key already held is never written again, and a later line for it is
-    ignored. A line that is cut off, is not JSON or holds no string `key` is
-    dropped and counted in `dropped`; a line with a key whose `response` does
-    not decode becomes that key's error, raised by `get`.
+    ignored. A line is dropped and counted in `dropped` when its key cannot be
+    read: a tab line without its final newline or with fewer than three
+    fields, or a `{` line that is not JSON or holds no string `key`. A line
+    with a key whose response does not decode becomes that key's error, raised
+    by `get`.
     """
 
     def __init__(self, root: str | Path):
@@ -261,17 +322,15 @@ class CassetteStore:
             self._next = number + 1
             with open(path, "rb") as fh:
                 for line in fh:
-                    try:
-                        entry = json.loads(line)
-                        key = entry["key"]
-                    except (ValueError, TypeError, KeyError):  # cut off, not JSON, no key
-                        key = None
-                    if not isinstance(key, str):
+                    key, response = _line_fields(line)
+                    if key is None:
                         self.dropped += 1
                     elif key not in index:
                         try:
-                            index[key] = ModelResponse.from_dict(entry.get("response"))
-                        except (SchemaError, MalformedProviderOutput) as exc:  # a field, or validate()
+                            if isinstance(response, bytes):
+                                response = json.loads(response)
+                            index[key] = ModelResponse.from_dict(response)
+                        except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, a field, validate()
                             index[key] = f"corrupt cassette entry {key}: {exc}"
         return index
 
@@ -285,12 +344,15 @@ class CassetteStore:
         return response
 
     def put(self, key: str, fingerprint: dict, response: ModelResponse) -> None:
+        if "\t" in key or "\n" in key or key.startswith("{"):  # its line would read back wrong
+            raise ValueError(f"a cassette key holds no tab or newline and does not start with {{, got {key!r}")
         entries = self._entries()
         with self._lock:
             if key in entries:
                 return
-            record = {"key": key, "request": fingerprint, "response": response.to_dict()}
-            line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+            fields = (json.dumps(value, sort_keys=True, separators=(",", ":"))
+                      for value in (response.to_dict(), fingerprint))
+            line = "\t".join((key, *fields)).encode("utf-8") + b"\n"
             while self._segment is None:  # the first put creates this store's own segment
                 self.root.mkdir(parents=True, exist_ok=True)
                 path = self.root / f"segment-{self._next:06d}.jsonl"
@@ -371,8 +433,8 @@ class ProviderHub:
     # -- core send ---------------------------------------------------------
 
     def send(self, request: ModelRequest) -> ModelResponse:
-        fingerprint = request_fingerprint(request)
-        key = _fingerprint_key(fingerprint)
+        hashes = _media_hashes(request)  # each media file is read once per send
+        key = _key(_fingerprint_json(request, *hashes))
         if self.mode == "replay":
             response = self.store.get(key)
             if response is None:
@@ -382,7 +444,7 @@ class ProviderHub:
                 )
             return response
         response = self._call_live(request)
-        self.store.put(key, fingerprint, response)
+        self.store.put(key, _fingerprint(request, *hashes), response)
         return response
 
     def _call_live(self, request: ModelRequest) -> ModelResponse:

@@ -346,6 +346,35 @@ def test_run_benchmark_records_sorted(demo_dir):
     assert all(not r.condition.with_transcript for r in records[:10])
 
 
+@pytest.mark.parametrize("mode", ["replay", "live"])
+def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_path, monkeypatch, mode, request):
+    import videval.benchmark
+
+    plan, _ = demo_plan_and_hub(demo_dir)
+    # four conditions over the two transcript sides, listed so that neither side comes first throughout
+    tags = [replace(plan.conditions[0].tag, model_name=name, with_transcript=side)
+            for name, side in (("m1", True), ("m1", False), ("m2", False), ("m2", True))]
+    plan = replace(plan, conditions=[RunCondition(tag, "local-qwen") for tag in tags], items=plan.items[::-1])
+    rendered = []
+    real_build = videval.benchmark.build_question_prompt
+    monkeypatch.setattr(
+        videval.benchmark, "build_question_prompt", lambda *args: rendered.append(args[0]) or real_build(*args)
+    )
+    if mode == "replay":
+        hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
+    else:
+        provider = request.getfixturevalue("loopback_provider")
+        settings = {"local-qwen": replace(load_config(demo_dir / "config.json").providers["local-qwen"],
+                                          endpoint=provider.endpoint)}
+        hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live", max_in_flight=3)
+    records = run_benchmark(plan, hub).records
+    assert len(rendered) == 2 * len(plan.items)
+    question_ids = sorted(item.question_id for item in plan.items)
+    assert [(r.condition, r.item_ref) for r in records] == [(tag, qid) for tag in tags for qid in question_ids]
+    if mode == "live":
+        assert len(provider.seen) == 4 * len(plan.items) and not any(r.error for r in records)
+
+
 def test_outcomes_rederivable_from_raw_responses(demo_dir):
     # outcome must be a pure function of (status, parsed-from-raw, answer)
     from videval.errors import NoAnswerFound

@@ -441,15 +441,29 @@ def test_report_on_mistyped_manifest_field_is_invalid_input(demo_dir, tmp_path, 
     assert "invalid input" in err and "manifest line 2 " in err and field.split(".")[-1] in err
 
 
+def _damage_response(edit):
+    """Replace the response field of a key-first cassette line by edit(decoded response), a text."""
+    return lambda fields: [fields[0], edit(json.loads(fields[1])), fields[2]]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
-        pytest.param(lambda entry: {k: v for k, v in entry.items() if k != "response"}, id="no-response"),
-        pytest.param(lambda entry: [entry], id="json-list"),
-        pytest.param(lambda entry: _set_field(entry, "response.raw_text", 5), id="raw_text-number"),
-        pytest.param(lambda entry: _set_field(entry, "response.latency_ms", "12"), id="latency-string"),
-        pytest.param(lambda entry: _set_field(entry, "response.status", "weird"), id="status-unknown"),
-        pytest.param(None, id="not-json"),
+        pytest.param(_damage_response(lambda response: ""), id="no-response"),
+        pytest.param(_damage_response(lambda response: json.dumps([response])), id="json-list"),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "raw_text", 5))), id="raw_text-number"
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "latency_ms", "12"))),
+            id="latency-string",
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "status", "weird"))),
+            id="status-unknown",
+        ),
+        pytest.param(_damage_response(lambda response: "{not json"), id="not-json"),
+        pytest.param(lambda fields: fields[:1], id="key-only"),
     ],
 )
 def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, capsys, damage):
@@ -457,9 +471,11 @@ def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, capsys, dam
     shutil.copytree(demo_dir / "cassettes", cassettes)
     (segment,) = cassettes.glob("segment-*.jsonl")
     lines = segment.read_text(encoding="utf-8").splitlines()
-    key = json.loads(lines[0])["key"]
-    entry = None if damage is None else damage(json.loads(lines[0]))
-    lines[0] = "{not json" if entry is None else json.dumps(entry)
+    fields = lines[0].split("\t")
+    key = fields[0]
+    assert len(fields) == 3 and len(key) == 64
+    damaged_fields = damage(fields)
+    lines[0] = "\t".join(damaged_fields)
     segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     _, manifest = _evaluate_demo(demo_dir, tmp_path, cassette_dir=str(cassettes))
@@ -468,7 +484,7 @@ def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, capsys, dam
     assert len(damaged) == 1 and len(records) == 20
     assert damaged[0]["outcome"] == "invalid_output"
     err = capsys.readouterr().err
-    if isinstance(entry, dict):
+    if len(damaged_fields) == 3:
         # the line still names its key: the damage is that key's error
         assert damaged[0]["error"].startswith(f"MalformedProviderOutput: corrupt cassette entry {key}")
         assert "dropped" not in err

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -16,7 +18,9 @@ from videval.providers import (
     ProviderHub,
     ProviderSettings,
     TranscriptSegment,
+    _fingerprint_json,
     parse_transcript_payload,
+    request_fingerprint,
     request_key,
 )
 
@@ -112,6 +116,70 @@ def test_cassette_key_tracks_condition(store):
     assert request_key(req_without) != request_key(req_with)
 
 
+# characters json.dumps escapes (quotes, backslashes, controls, non-ASCII and an astral one) and plain ones
+KEY_ALPHABET = ["a", "Z", "0", " ", '"', "\\", "\t", "\n", "\r", "\x00", "\x1f", "\x7f", "é", "日", "\u2028", "😀", "{", ":"]
+
+
+def _text(rng: random.Random, longest: int) -> str:
+    return "".join(rng.choice(KEY_ALPHABET) for _ in range(rng.randint(0, longest)))
+
+
+class KeyRecorder:
+    """Stands in for a cassette store: keeps the key of every get and put."""
+
+    def __init__(self):
+        self.gets, self.puts = [], []
+
+    def get(self, key):
+        self.gets.append(key)
+        return ModelResponse("held", 1, "ok")
+
+    def put(self, key, fingerprint, response):
+        self.puts.append((key, fingerprint))
+
+
+def test_hand_built_key_text_equals_json_dumps(tmp_path):
+    rng = random.Random(11)
+    media = []
+    for i in range(4):
+        path = tmp_path / f"media{i}.bin"
+        path.write_bytes(rng.randbytes(rng.randint(0, 300)))
+        media.append(str(path))
+    fps_values = [0.1, 1e-05, 30.0, 1.0, 2.5e-07, 1e16]
+
+    def transport(url, body, headers, timeout_s):
+        return 200, json.dumps({"text": "live answer"})
+
+    for _ in range(300):
+        asr = rng.random() < 0.25  # an ASR request: audio and no condition
+        condition = None if asr else ConditionTag(
+            model_name=_text(rng, 12),
+            fps=rng.choice([*fps_values, rng.uniform(0.01, 60)]),
+            with_transcript=rng.random() < 0.5,
+            attention=rng.choice(ConditionTag.ATTENTION_VALUES),
+            gpu=_text(rng, 6),
+        )
+        request = ModelRequest(
+            provider_id=_text(rng, 10),
+            modality="asr" if asr else "vlm",
+            prompt=_text(rng, 80),
+            frame_refs=[] if asr else rng.sample(media, rng.randint(0, 3)),
+            audio_ref=rng.choice(media) if asr or rng.random() < 0.3 else None,
+            condition=condition,
+        )
+        fingerprint = request_fingerprint(request)
+        oracle = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+        assert _fingerprint_json(request, fingerprint["frame_hashes"], fingerprint["audio_hash"]) == oracle
+        key = request_key(request)
+        assert key == hashlib.sha256(oracle.encode("utf-8")).hexdigest()
+        # the key send looks up in replay, and the key and fingerprint it records live
+        recorder = KeyRecorder()
+        ProviderHub({}, recorder, mode="replay").send(request)
+        settings = {request.provider_id: ProviderSettings(endpoint="http://test/any")}
+        ProviderHub(settings, recorder, mode="live", transport=transport).send(request)
+        assert recorder.gets == [key] and recorder.puts == [(key, fingerprint)]
+
+
 def test_cassette_store_append_only(store):
     response = ModelResponse("first", 10, "ok")
     store.put("k1", {"prompt": "p"}, response)
@@ -190,6 +258,76 @@ def test_cassette_directory_without_segments_replays_as_misses(store, providers)
     with pytest.raises(ReplayMiss, match=f"key {key}"):
         hub.send(request)
     assert store.dropped == 0
+
+
+def _legacy_line(key, response: ModelResponse) -> str:
+    """One line of the {"key", "request", "response"} layout earlier versions wrote."""
+    entry = {"key": key, "request": {"prompt": "p"}, "response": response.to_dict()}
+    return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_cassette_line_is_key_response_request(store):
+    store.put("k1", {"prompt": "a\tb"}, ModelResponse("tab\there", 10, "ok"))
+    (segment,) = store.root.iterdir()
+    assert segment.read_bytes() == (
+        b'k1\t{"latency_ms":10,"raw_text":"tab\\there","status":"ok"}\t{"prompt":"a\\tb"}\n'
+    )
+
+
+def test_legacy_cassette_segment_replays(store, providers):
+    request = ModelRequest("vlm", "vlm", prompt="p", condition=make_condition())
+    store.root.mkdir(parents=True)
+    (store.root / "segment-000001.jsonl").write_text(
+        _legacy_line(request_key(request), ModelResponse("old layout", 5, "ok")), encoding="utf-8"
+    )
+    assert ProviderHub(providers, store, mode="replay").send(request).raw_text == "old layout"
+    assert store.dropped == 0
+
+
+@pytest.mark.parametrize("legacy_first", [True, False], ids=["legacy-then-new", "new-then-legacy"])
+def test_first_recorded_wins_across_legacy_and_new_segments(store, legacy_first):
+    store.root.mkdir(parents=True)
+    writer = CassetteStore(store.root)
+    assert "k1" not in writer  # read the directory before the hand-written segment exists
+    legacy = ModelResponse("legacy", 5, "ok")
+    if legacy_first:
+        (store.root / "segment-000001.jsonl").write_text(_legacy_line("k1", legacy), encoding="utf-8")
+    writer.put("k1", {"prompt": "p"}, ModelResponse("new", 6, "ok"))  # the next free segment
+    if not legacy_first:
+        (store.root / "segment-000002.jsonl").write_text(_legacy_line("k1", legacy), encoding="utf-8")
+    assert CassetteStore(store.root).get("k1").raw_text == ("legacy" if legacy_first else "new")
+
+
+def test_cassette_lines_without_a_readable_key_are_dropped(store):
+    good = 'k1\t{"latency_ms":1,"raw_text":"kept","status":"ok"}\t{}\n'
+    store.root.mkdir(parents=True)
+    (store.root / "segment-000001.jsonl").write_text(
+        good
+        + 'k2\t{"latency_ms":1,"raw_text":"two fields","status":"ok"}\n'
+        + "k3\n"
+        + "\n"
+        + 'k4\t{"latency_ms":1,"raw_text":"no newline","status":"ok"}\t{}',
+        encoding="utf-8",
+    )
+    assert store.get("k1").raw_text == "kept"
+    assert [store.get(k) for k in ("k2", "k3", "k4")] == [None, None, None]
+    assert store.dropped == 4
+
+
+@pytest.mark.parametrize("response", [b"{not json", b"", b'{"raw_text":"x\xff","status":"ok"}', b"[1]"])
+def test_undecodable_response_field_is_the_keys_error(store, response):
+    store.root.mkdir(parents=True)
+    (store.root / "segment-000001.jsonl").write_bytes(b"k1\t" + response + b"\t{}\n")
+    with pytest.raises(MalformedProviderOutput, match="corrupt cassette entry k1: "):
+        store.get("k1")
+    assert "k1" in store and store.dropped == 0
+
+
+@pytest.mark.parametrize("key", ["a\tb", "a\nb", "k\n", "{k"])
+def test_cassette_put_rejects_a_key_that_breaks_the_line(store, key):
+    with pytest.raises(ValueError, match="cassette key"):
+        store.put(key, {}, ModelResponse("x", 1, "ok"))
+    assert not store.root.exists()
 
 
 # --- status classification ------------------------------------------------------
