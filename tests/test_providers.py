@@ -299,19 +299,18 @@ def test_first_recorded_wins_across_legacy_and_new_segments(store, legacy_first)
 
 
 def test_cassette_lines_without_a_readable_key_are_dropped(store):
-    good = 'k1\t{"latency_ms":1,"raw_text":"kept","status":"ok"}\t{}\n'
     store.root.mkdir(parents=True)
-    (store.root / "segment-000001.jsonl").write_text(
-        good
-        + 'k2\t{"latency_ms":1,"raw_text":"two fields","status":"ok"}\n'
-        + "k3\n"
-        + "\n"
-        + 'k4\t{"latency_ms":1,"raw_text":"no newline","status":"ok"}\t{}',
-        encoding="utf-8",
+    (store.root / "segment-000001.jsonl").write_bytes(
+        b'k1\t{"latency_ms":1,"raw_text":"kept","status":"ok"}\t{}\n'
+        b'k2\t{"latency_ms":1,"raw_text":"two fields","status":"ok"}\n'
+        b"k3\n"
+        b"\n"
+        b'k\xff\t{"latency_ms":1,"raw_text":"key not UTF-8","status":"ok"}\t{}\n'
+        b'k4\t{"latency_ms":1,"raw_text":"no newline","status":"ok"}\t{}'
     )
     assert store.get("k1").raw_text == "kept"
     assert [store.get(k) for k in ("k2", "k3", "k4")] == [None, None, None]
-    assert store.dropped == 4
+    assert store.dropped == 5
 
 
 @pytest.mark.parametrize("response", [b"{not json", b"", b'{"raw_text":"x\xff","status":"ok"}', b"[1]"])
