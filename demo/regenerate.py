@@ -59,11 +59,11 @@ def main() -> None:
 
     written = 0
     for item in items:
-        for cond_idx, (tag, provider) in enumerate(config.conditions):
-            transcript = transcripts.get(item.video_id) if tag.with_transcript else None
+        for cond_idx, condition in enumerate(config.conditions):
+            transcript = transcripts.get(item.video_id) if condition.tag.with_transcript else None
             prompt = build_question_prompt(item, transcript, config.mcq_template)
             request = ModelRequest(
-                provider_id=provider, modality="vlm", prompt=prompt, condition=tag
+                provider_id=condition.provider, modality="vlm", prompt=prompt, condition=condition.tag
             )
             raw_text, status, latency_ms = SCRIPTED[(item.question_id, cond_idx)]
             response = ModelResponse(raw_text, latency_ms, status).validate()

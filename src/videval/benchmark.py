@@ -3,9 +3,10 @@
 A run produces one record per (condition x item) cell. Partial failures,
 including replay misses and out-of-memory responses, become records rather than
 aborting the run, so completeness can be accounted afterwards. Records come out
-in (condition, question id) order. Replay is serial and deterministic, and its
-wall-clock defers to the recorded latency; live runs the cells concurrently, up
-to the hub's in-flight limit.
+in (condition, question id) order. Replay is serial and deterministic; live
+runs the cells concurrently, up to the hub's in-flight limit. A record's
+`wall_ms` is its answer's recorded latency in both modes (in a live run, that
+of the last attempt), so a replay of a live run's cassettes reads the same times.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def classify_outcome(
     return "unanswered"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunCondition:
     tag: ConditionTag
     provider: str
@@ -323,13 +324,11 @@ def _run_one(
         condition=condition.tag,
     )
     error = None
-    start = time.perf_counter()
     try:
         response = hub.send(request)
     except HarnessError as exc:
         response = ModelResponse("", 0, "invalid")
         error = f"{type(exc).__name__}: {exc}"
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
 
     parsed: McqAnswer | ParsedVideoOutput | None = None
     if response.status == "ok":
@@ -342,7 +341,6 @@ def _run_one(
             parsed = parse_video_output(response.raw_text)
 
     outcome = classify_outcome(response, parsed, item.answer)
-    wall_ms = response.latency_ms if hub.mode == "replay" else elapsed_ms
     return RunRecord(
         item_ref=item.question_id,
         condition=condition.tag,
@@ -350,7 +348,7 @@ def _run_one(
         response=response,
         parsed=parsed,
         outcome=outcome,
-        wall_ms=wall_ms,
+        wall_ms=response.latency_ms,
         error=error,
     )
 

@@ -193,20 +193,20 @@ def cmd_transcribe(args) -> int:
 # --- evaluate / report -------------------------------------------------------
 
 
-def _filter_conditions(config: HarnessConfig, expr: str | None):
-    pairs = config.conditions
+def _filter_conditions(config: HarnessConfig, expr: str | None) -> list[bench.RunCondition]:
+    conditions = config.conditions
     if not expr:
-        return pairs
+        return conditions
     selected = []
     tokens = [token.strip() for token in expr.split(",") if token.strip()]
     for token in tokens:
         if token.isdigit():
             idx = int(token)
-            if idx >= len(pairs):
+            if idx >= len(conditions):
                 raise ConfigError(f"condition index {idx} out of range")
-            selected.append(pairs[idx])
+            selected.append(conditions[idx])
         else:
-            matches = [p for p in pairs if token.lower() in p[0].label().lower()]
+            matches = [c for c in conditions if token.lower() in c.tag.label().lower()]
             if not matches:
                 raise ConfigError(f"no condition matches {token!r}")
             selected.extend(matches)
@@ -289,7 +289,7 @@ def cmd_evaluate(args) -> int:
     plan = bench.RunPlan(
         dataset_path=str(config.dataset),
         items=items,
-        conditions=[bench.RunCondition(tag, provider) for tag, provider in conditions],
+        conditions=conditions,
         request_kind=config.request_kind,
         mcq_template=config.mcq_template,
         summary_template=config.summary_template,

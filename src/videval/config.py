@@ -11,7 +11,7 @@ from dataclasses import MISSING, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .benchmark import REQUEST_KINDS
+from .benchmark import REQUEST_KINDS, RunCondition
 from .errors import ConfigError, MalformedProviderOutput, SchemaError, TemplateError
 from .knowledge_graph import LayoutParams
 from .providers import (
@@ -32,7 +32,7 @@ class HarnessConfig:
     cassette_dir: Path
     out_dir: Path
     providers: dict[str, ProviderSettings]
-    conditions: list[tuple[ConditionTag, str]]  # (tag, provider id)
+    conditions: list[RunCondition]
     mode: str = "replay"
     request_kind: str = "mcq"
     mcq_template: str = DEFAULT_MCQ_TEMPLATE
@@ -75,7 +75,7 @@ def _providers(value, what: str) -> dict[str, ProviderSettings]:
     }
 
 
-def _conditions(value, what: str) -> list[tuple[ConditionTag, str]]:
+def _conditions(value, what: str) -> list[RunCondition]:
     if not value or not isinstance(value, list):
         raise SchemaError(f"{what} must be a non-empty list, got {value!r}")
     conditions = []
@@ -84,9 +84,9 @@ def _conditions(value, what: str) -> list[tuple[ConditionTag, str]]:
         if not entry.get("provider"):
             raise SchemaError(f"condition {i} is missing 'provider'")
         # records carry the tag, not the provider, so equal tags cannot be told apart
-        if any(tag == seen for seen, _ in conditions):
+        if any(tag == seen.tag for seen in conditions):
             raise SchemaError(f"condition {i} repeats the tag of an earlier condition")
-        conditions.append((tag, entry["provider"]))
+        conditions.append(RunCondition(tag, entry["provider"]))
     return conditions
 
 
@@ -141,8 +141,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
         data.update({f"{key}_template": templates.get(key, MISSING) for key in ("mcq", "summary")})
         config = _fill(HarnessConfig, data, "config", readers)
-        for i, (_, provider) in enumerate(config.conditions):
-            _choice(*config.providers)(provider, f"condition {i}.provider")
+        for i, condition in enumerate(config.conditions):
+            _choice(*config.providers)(condition.provider, f"condition {i}.provider")
         _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc

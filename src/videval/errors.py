@@ -67,10 +67,6 @@ class EmptyVector(HarnessError):
     """Match vector has no entries; the mean is undefined."""
 
 
-class NoRecords(HarnessError):
-    """Accuracy requested over an empty record set."""
-
-
 # --- knowledge graph -----------------------------------------------------
 
 class NoValidOutputs(HarnessError):

@@ -15,7 +15,8 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidOverlap, NotAVideo, ProbeFailure, UnsupportedFormat
+from .errors import InvalidOverlap, NotAVideo, ProbeFailure, SchemaError, UnsupportedFormat
+from .schema import _list_of, _number, _object, _string
 
 VIDEO_CONTAINERS = ("mp4", "m4v", "quicktime", "wmv", "webm", "msvideo", "mpg", "3gpp")
 AUDIO_CONTAINERS = ("mp3", "wav", "m4a", "flac")
@@ -205,19 +206,29 @@ def probe(path: str | Path, tool: MediaToolRunner | None = None) -> MediaAsset:
     tool = tool or MediaToolRunner()
     info = tool.probe(p)
 
-    fmt = info.get("format") or {}
-    streams = info.get("streams") or []
-    video_streams = [
-        s
-        for s in streams
-        if s.get("codec_type") == "video"
-        and not (s.get("disposition") or {}).get("attached_pic")
-    ]
+    # the probe tool's JSON is outside input: a document of another shape is a failed probe
+    try:
+        info = _object(info, "document")
+        fmt = _object(info.get("format") or {}, "format")
+        streams = _list_of(_object)(info.get("streams") or [], "streams")
+        video_streams = [
+            s
+            for s in streams
+            if s.get("codec_type") == "video"
+            and not _object(s.get("disposition") or {}, "disposition").get("attached_pic")
+        ]
+        format_name = _string(fmt.get("format_name") or "", "format_name")
+        width = height = None
+        if video_streams:
+            width = _number(video_streams[0].get("width") or 0, "width") or None
+            height = _number(video_streams[0].get("height") or 0, "height") or None
+    except SchemaError as exc:
+        raise ProbeFailure(f"probe output for {path} does not fit: {exc}") from exc
     audio_streams = [s for s in streams if s.get("codec_type") == "audio"]
 
     duration = 0.0
     for source in (fmt, *video_streams, *audio_streams):
-        raw = source.get("duration")
+        raw = source.get("duration")  # ffprobe writes it as a string
         if raw is not None:
             try:
                 duration = max(duration, float(raw))
@@ -225,16 +236,11 @@ def probe(path: str | Path, tool: MediaToolRunner | None = None) -> MediaAsset:
                 pass
 
     kind = "video" if video_streams else "audio"
-    container = classify_container(p, fmt.get("format_name"))
+    container = classify_container(p, format_name)
     if kind == "audio" and container in _ISOBMFF_FAMILY:
         container = "m4a"  # audio-only ISO media is what .m4a denotes
-
-    width = height = None
-    if kind == "video":
-        width = int(video_streams[0].get("width") or 0) or None
-        height = int(video_streams[0].get("height") or 0) or None
-        if width is None or height is None:
-            raise ProbeFailure(f"video stream missing dimensions: {path}")
+    if kind == "video" and (width is None or height is None):
+        raise ProbeFailure(f"video stream missing dimensions: {path}")
 
     return MediaAsset(
         path=str(p),

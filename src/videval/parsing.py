@@ -84,18 +84,7 @@ def parse_timestamp(text: str) -> int:
     return total
 
 
-def format_timestamp(seconds: int) -> str:
-    """Render seconds back to the canonical MM:SS / HH:MM:SS form."""
-    if seconds < 0:
-        raise ValueError("seconds must be non-negative")
-    hours, rem = divmod(seconds, 3600)
-    minutes, secs = divmod(rem, 60)
-    if hours:
-        return f"{hours}:{minutes:02d}:{secs:02d}"
-    return f"{minutes:02d}:{secs:02d}"
-
-
-def _keyframe_line(line: str, max_caption_len: int = MAX_CAPTION_LEN) -> KeyframeEntry | None:
+def _keyframe_line(line: str) -> KeyframeEntry | None:
     """The entry a stripped line holds in the first shape it matches, or None."""
     for pattern in _KEYFRAME_RES:
         m = pattern.match(line)
@@ -104,19 +93,9 @@ def _keyframe_line(line: str, max_caption_len: int = MAX_CAPTION_LEN) -> Keyfram
                 ts = parse_timestamp(m.group(1))
             except BadTimestamp:
                 return None
-            caption = m.group(2).strip()[:max_caption_len].strip()
+            caption = m.group(2).strip()[:MAX_CAPTION_LEN].strip()
             return KeyframeEntry(ts, caption) if caption else None
     return None
-
-
-def parse_keyframes(raw_text: str, max_caption_len: int = MAX_CAPTION_LEN) -> list[KeyframeEntry]:
-    """Extract keyframe entries from every parseable line, in order.
-
-    Unparseable lines are skipped; identical (timestamp, caption) pairs are
-    deduplicated keeping the first occurrence.
-    """
-    entries = (_keyframe_line(line.strip(), max_caption_len) for line in raw_text.splitlines())
-    return list(dict.fromkeys(filter(None, entries)))
 
 
 def parse_mcq(raw_text: str) -> McqAnswer:

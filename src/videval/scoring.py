@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .benchmark import DURATION_CLASSES
-from .errors import EmptyVector, NoRecords
+from .errors import EmptyVector
 from .parsing import KeyframeEntry
 from .schema import _keyframes
 
@@ -140,18 +140,6 @@ def build_match_vector(
         else:
             raise ValueError(f"bad scenario: {scenario}")
     return MatchVector(scenario=scenario, matches=matches)
-
-
-def mcq_accuracy(records: Iterable) -> tuple[float, float]:
-    """(answered/total, correct/answered) over MCQ run records.
-
-    The correctness denominator is the answered records, matching how a run
-    can answer 37% of items yet be right on 58.73% of those it answered.
-    """
-    row = completeness_counts(records)
-    if row.total == 0:
-        raise NoRecords("no records supplied")
-    return row.answered_pct, row.correct_pct
 
 
 def completeness_counts(records: Iterable) -> CompletenessRow:

@@ -10,7 +10,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_DIR = REPO_ROOT / "demo"
 
 # ffprobe-compatible stub: emits JSON keyed off the file extension and an
-# optional "_d<seconds>" stem suffix; special stems simulate tool failures.
+# optional "_d<seconds>" stem suffix; special stems simulate tool failures and
+# documents of another shape.
 _FAKE_PROBE_SCRIPT = r'''
 import json, sys
 from pathlib import Path
@@ -60,6 +61,10 @@ else:
     sys.exit(1)
 if "silent" in stem:
     doc["streams"] = [s for s in doc["streams"] if s["codec_type"] != "audio"]
+if "textwidth" in stem:
+    doc["streams"][0]["width"] = "wide"
+if "listdoc" in stem:
+    doc = [doc]
 json.dump(doc, sys.stdout)
 '''
 

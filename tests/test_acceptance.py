@@ -38,8 +38,6 @@ from videval.knowledge_graph import (
 from videval.parsing import (
     KeyframeEntry,
     ParsedVideoOutput,
-    format_timestamp,
-    parse_keyframes,
     parse_video_output,
 )
 from videval.providers import ConditionTag
@@ -49,8 +47,8 @@ from videval.scoring import (
     RowTriple,
     aggregate,
     claim_mismatch_warnings,
+    completeness_counts,
     matching_node_score,
-    mcq_accuracy,
     stated_average_warnings,
 )
 
@@ -396,7 +394,8 @@ def test_criterion_6_completeness_round_trip():
         yield from (_Slim("answered_wrong") for _ in range(answered - correct))
         yield from (_Slim("oom") for _ in range(total - answered))
 
-    answered_pct, correct_pct = mcq_accuracy(records())
+    row = completeness_counts(records())
+    answered_pct, correct_pct = row.answered_pct, row.correct_pct
     ok = answered_pct == 0.37 and correct_pct == 0.5873
     note("6", ok, f"({answered_pct}, {correct_pct})")
     assert answered_pct == 0.37
@@ -419,9 +418,10 @@ def test_criterion_7_parser_corpus(snow_white_outputs):
         entries.append(KeyframeEntry(*key))
     lines = []
     for i, entry in enumerate(entries):
-        ts = format_timestamp(entry.timestamp_s)
+        hours, rest = divmod(entry.timestamp_s, 3600)  # MM:SS, or H:MM:SS from an hour on
+        ts = f"{hours}:{rest // 60:02d}:{rest % 60:02d}" if hours else f"{rest // 60:02d}:{rest % 60:02d}"
         lines.append(f"({ts}, {entry.caption})" if i % 2 == 0 else f"{ts} - {entry.caption}")
-    parsed = parse_keyframes("\n".join(lines))
+    parsed = parse_video_output("\n".join(lines)).keyframes
     recovered = parsed == entries
 
     gemini = parse_video_output(snow_white_outputs["Gemini-2-Flash"])

@@ -214,7 +214,7 @@ def demo_plan_and_hub(demo_dir):
     plan = RunPlan(
         dataset_path=str(config.dataset),
         items=items,
-        conditions=[RunCondition(tag, provider) for tag, provider in config.conditions],
+        conditions=config.conditions,
         mcq_template=config.mcq_template,
         transcripts=transcripts,
     )
@@ -267,13 +267,12 @@ def live_hub(demo_dir, cassette_dir, max_in_flight, transport=None):
 
 
 def record_dicts(manifest, drop_latency=False):
-    """Record dicts without wall_ms, and without the hub-measured latency if asked."""
+    """Record dicts, without the latency the hub measured, and the wall_ms that repeats it, if asked."""
     out = []
     for record in manifest.records:
         data = record.to_dict()
-        del data["wall_ms"]
         if drop_latency:
-            del data["response"]["latency_ms"]
+            del data["wall_ms"], data["response"]["latency_ms"]
         out.append(data)
     return out
 

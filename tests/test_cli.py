@@ -64,6 +64,22 @@ def test_ingest_walks_tree(media_tree, probe_config, tmp_path, capsys):
     assert "4 usable assets" in capsys.readouterr().out
 
 
+def test_ingest_skips_probe_documents_of_another_shape(media_tree, probe_config, tmp_path, capsys):
+    # the fake probe gives a stream "width": "wide" and wraps a document in a list
+    bad = [media_tree / "e_textwidth.mp4", media_tree / "f_listdoc.flac"]
+    for path in bad:
+        path.write_bytes(b"x")
+    out = tmp_path / "inventory.json"
+    assert run_cli("ingest", str(media_tree), "--config", str(probe_config), "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    for path in bad:
+        assert f"skipping {path}: probe output for {path} does not fit" in err
+    inventory = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(asset["path"] for asset in inventory["assets"]) == sorted(
+        str(p) for p in media_tree.rglob("*") if p.suffix in (".mp4", ".flac", ".webm", ".wmv") and p not in bad
+    )
+
+
 def test_ingest_zero_usable_exits_3(tmp_path, probe_config, capsys):
     empty = tmp_path / "docs"
     empty.mkdir()
@@ -326,7 +342,7 @@ def test_integer_fps_loads_like_float(demo_dir, tmp_path):
     for fps in (1, 1.0):
         condition = {"provider": "local-qwen", "model_name": "m", "fps": fps}
         path = _demo_config_variant(demo_dir, tmp_path, conditions=[condition])
-        tags.append(load_config(path).conditions[0][0])
+        tags.append(load_config(path).conditions[0].tag)
     assert json.dumps(tags[0].to_dict()) == json.dumps(tags[1].to_dict())
     keys = [request_key(ModelRequest("local-qwen", "vlm", prompt="p", condition=t)) for t in tags]
     assert keys[0] == keys[1]
@@ -603,6 +619,19 @@ def test_transcribe_reports_dropped_cassette_lines(tmp_path, capsys, fake_probe_
     assert "1 cassette lines dropped" in err and f"(key {key})" in err
 
 
+def test_transcribe_skips_probe_documents_of_another_shape(tmp_path, capsys, fake_probe_cmd):
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    bad = [tmp_path / "e_textwidth.mp4", tmp_path / "f_listdoc.wav"]
+    for path in bad:
+        path.write_bytes(b"x")
+    out = tmp_path / "transcripts.json"
+    capsys.readouterr()
+    assert run_cli("transcribe", str(audio), *map(str, bad), "--config", str(config_path), "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert all(f"skipping {path}: probe output for {path} does not fit" in err for path in bad)
+    assert list(json.loads(out.read_text(encoding="utf-8"))) == ["talk"]
+
+
 # --- the cassette directory ----------------------------------------------------------------------
 
 
@@ -622,6 +651,29 @@ def test_live_flag_records_into_a_new_cassette_directory(demo_dir, tmp_path, loo
     path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(cassettes), providers=raw["providers"])
     assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 0
     assert len((cassettes / "segment-000001.jsonl").read_bytes().splitlines()) == 20
+
+
+def test_live_run_replays_to_the_same_records_and_tables(demo_dir, tmp_path, loopback_provider):
+    # the first call is refused and retried; each reply takes 0.1 s, so a record
+    # timed across its attempts would read more than the latency its cassette keeps
+    loopback_provider.script = [(503, "busy", 0.1), (200, json.dumps({"text": "Answer: A"}), 0.1)]
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    cassettes = str(tmp_path / "cassettes")
+    path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=cassettes, providers=raw["providers"])
+    live, replay = tmp_path / "live", tmp_path / "replay"
+    assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(live)) == 0
+    assert run_cli("evaluate", "--replay", "--config", str(path), "--out-dir", str(replay)) == 0
+    assert len(loopback_provider.seen) == 21
+
+    def outputs(out_dir):
+        """Each file's bytes; the manifest without its header, whose started_at tells the modes apart."""
+        files = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        files["manifest.jsonl"] = files["manifest.jsonl"].split(b"\n", 1)[1]
+        return files
+
+    assert "completeness.md" in outputs(live)
+    assert outputs(live) == outputs(replay)
 
 
 def test_replay_flag_needs_the_cassette_directory(demo_dir, tmp_path, capsys):

@@ -77,6 +77,41 @@ def test_probe_bad_json(tmp_path, fake_probe_cmd):
         probe(path, MediaToolRunner(probe_cmd=fake_probe_cmd))
 
 
+class DocumentTool:
+    """A probe tool that returns the given document for every file."""
+
+    def __init__(self, document):
+        self.document = document
+
+    def probe(self, path):
+        return self.document
+
+
+VIDEO_STREAM = {"codec_type": "video", "width": 640, "height": 360}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [],
+        {"format": "mp4"},
+        {"format": {"format_name": ["mp4"]}},
+        {"streams": {"codec_type": "video"}},
+        {"streams": ["video"]},
+        {"streams": [dict(VIDEO_STREAM, disposition=["attached_pic"])]},
+        {"streams": [dict(VIDEO_STREAM, width="wide")]},
+        {"streams": [dict(VIDEO_STREAM, height=360.5)]},
+        {"streams": [dict(VIDEO_STREAM, width=True)]},
+        {"streams": [dict(VIDEO_STREAM, width=-640)]},
+    ],
+)
+def test_probe_document_of_another_shape_is_a_probe_failure(tmp_path, document):
+    path = tmp_path / "clip.mp4"
+    path.write_bytes(b"x")
+    with pytest.raises(ProbeFailure, match=f"probe output for {path} does not fit"):
+        probe(path, DocumentTool(document))
+
+
 def test_classification_total_over_supported_lists():
     ext_for = {
         "mp4": ".mp4", "m4v": ".m4v", "quicktime": ".mov", "wmv": ".wmv",

@@ -4,9 +4,8 @@ import pytest
 
 from videval.errors import BadTimestamp, NoAnswerFound
 from videval.parsing import (
+    MAX_CAPTION_LEN,
     KeyframeEntry,
-    format_timestamp,
-    parse_keyframes,
     parse_mcq,
     parse_timestamp,
     parse_video_output,
@@ -28,6 +27,13 @@ def brute_force_seconds(text: str) -> int:
     while len(values) < 3:
         values.insert(0, 0)
     return values[0] * 3600 + values[1] * 60 + values[2]
+
+
+def render_timestamp(seconds: int) -> str:
+    """MM:SS under an hour, H:MM:SS from an hour on: the forms models write."""
+    hours, rest = divmod(seconds, 3600)
+    text = f"{rest // 60:02d}:{rest % 60:02d}"
+    return f"{hours}:{text}" if hours else text
 
 
 # --- parse_timestamp -----------------------------------------------------------
@@ -57,26 +63,26 @@ def test_timestamp_round_trip_random():
     rng = random.Random(99)
     for _ in range(300):
         seconds = rng.randrange(0, 359999)
-        text = format_timestamp(seconds)
+        text = render_timestamp(seconds)
         assert parse_timestamp(text) == seconds == brute_force_seconds(text)
 
 
-# --- parse_keyframes ------------------------------------------------------------
+# --- keyframes of parse_video_output ----------------------------------------------
 
 
 def test_parse_keyframes_snow_white_fixture(snow_white_outputs):
-    gemini = parse_keyframes(snow_white_outputs["Gemini-2-Flash"])
+    gemini = parse_video_output(snow_white_outputs["Gemini-2-Flash"]).keyframes
     assert len(gemini) == 16
     assert gemini[0] == KeyframeEntry(8, "Magic Mirror reveals an angry face")
     assert gemini[-1] == KeyframeEntry(545, "Snow White lies in a glass coffin as prince kneels")
 
-    qwen = parse_keyframes(snow_white_outputs["Qwen-7B"])
+    qwen = parse_video_output(snow_white_outputs["Qwen-7B"]).keyframes
     assert len(qwen) == 6
     assert qwen[0] == KeyframeEntry(0, "Introduction of characters and setting")
 
 
 def test_parse_keyframes_no_timestamps():
-    assert parse_keyframes("Just a plain paragraph about a video.\nNothing timed here.") == []
+    assert parse_video_output("Just a plain paragraph about a video.\nNothing timed here.").keyframes == []
 
 
 def test_parse_keyframes_dedup_and_order():
@@ -89,7 +95,7 @@ def test_parse_keyframes_dedup_and_order():
             "00:07 gamma",
         ]
     )
-    entries = parse_keyframes(text)
+    entries = parse_video_output(text).keyframes
     assert entries == [
         KeyframeEntry(5, "alpha"),
         KeyframeEntry(9, "beta"),
@@ -120,7 +126,7 @@ def test_parse_keyframes_generated_round_trip():
             entries.append(KeyframeEntry(*key))
         lines = []
         for i, entry in enumerate(entries):
-            ts = format_timestamp(entry.timestamp_s)
+            ts = render_timestamp(entry.timestamp_s)
             style = i % 3
             if style == 0:
                 lines.append(f"({ts}, {entry.caption})")
@@ -130,7 +136,7 @@ def test_parse_keyframes_generated_round_trip():
                 lines.append(f"{ts} {entry.caption}")
             if rng.random() < 0.5:
                 lines.append(rng.choice(["", "and then the scene changes", "no timing info here"]))
-        parsed = parse_keyframes("\n".join(lines))
+        parsed = parse_video_output("\n".join(lines)).keyframes
         assert parsed == entries
 
 
@@ -139,14 +145,14 @@ def test_keyframe_format_parse_round_trip():
     for _ in range(200):
         entry = KeyframeEntry(rng.randrange(0, 359999), random_caption(rng))
         # the canonical "(MM:SS, caption)" line the summary prompt asks for
-        [parsed] = parse_keyframes(f"({format_timestamp(entry.timestamp_s)}, {entry.caption})")
+        [parsed] = parse_video_output(f"({render_timestamp(entry.timestamp_s)}, {entry.caption})").keyframes
         assert parsed == entry
 
 
 def test_keyframe_caption_truncated():
     long_caption = "x" * 2000
-    [entry] = parse_keyframes(f"(00:10, {long_caption})", max_caption_len=500)
-    assert len(entry.caption) <= 500
+    [entry] = parse_video_output(f"(00:10, {long_caption})").keyframes
+    assert entry.caption == "x" * MAX_CAPTION_LEN
 
 
 def test_keyframe_entry_invariants():

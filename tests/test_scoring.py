@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from videval.errors import EmptyVector, NoRecords
+from videval.errors import EmptyVector
 from videval.parsing import KeyframeEntry, ParsedVideoOutput
 from videval.providers import ConditionTag
 from videval.scoring import (
@@ -12,10 +12,10 @@ from videval.scoring import (
     aggregate,
     build_match_vector,
     claim_mismatch_warnings,
+    completeness_counts,
     keyframe_match,
     match_keyframe_lists,
     matching_node_score,
-    mcq_accuracy,
     stated_average_warnings,
 )
 
@@ -129,25 +129,26 @@ def test_build_match_vector_scenarios():
     assert summary.matches == [True, False]
 
 
-# --- mcq_accuracy ----------------------------------------------------------------------
+# --- MCQ accuracy: completeness_counts ---------------------------------------------------
 
 
 def test_mcq_accuracy_fixture():
     outcomes = ["answered_correct"] * 37 + ["answered_wrong"] * 0 + ["oom"] * 63
     records = make_records([str(i) for i in range(100)], False, outcomes)
-    answered_pct, correct_pct = mcq_accuracy(records)
-    assert answered_pct == 0.37
-    assert correct_pct == 1.0
+    row = completeness_counts(records)
+    assert row.answered_pct == 0.37
+    assert row.correct_pct == 1.0
 
 
 def test_mcq_accuracy_all_correct():
     records = make_records(["1", "2"], False, ["answered_correct"] * 2)
-    assert mcq_accuracy(records) == (1.0, 1.0)
+    row = completeness_counts(records)
+    assert (row.answered_pct, row.correct_pct) == (1.0, 1.0)
 
 
 def test_mcq_accuracy_empty():
-    with pytest.raises(NoRecords):
-        mcq_accuracy([])
+    row = completeness_counts([])
+    assert (row.total, row.answered_pct, row.correct_pct) == (0, 0.0, 0.0)
 
 
 def test_mcq_accuracy_counting_oracle():
@@ -159,9 +160,9 @@ def test_mcq_accuracy_counting_oracle():
         # brute-force tally
         answered = sum(o in ("answered_correct", "answered_wrong") for o in outcomes)
         correct = sum(o == "answered_correct" for o in outcomes)
-        got = mcq_accuracy(records)
-        assert got[0] == answered / len(outcomes)
-        assert got[1] == (correct / answered if answered else 0.0)
+        row = completeness_counts(records)
+        assert row.answered_pct == answered / len(outcomes)
+        assert row.correct_pct == (correct / answered if answered else 0.0)
 
 
 # --- aggregate ---------------------------------------------------------------------------
