@@ -27,6 +27,7 @@ from .errors import (
     EmptyVector,
     HarnessError,
     IoError,
+    MalformedProviderOutput,
     NoValidOutputs,
     ProbeFailure,
     ProviderUnavailable,
@@ -172,7 +173,11 @@ def cmd_transcribe(args) -> int:
             if asset.kind != "audio" and not asset.has_audio_stream:
                 print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
                 continue
-            transcript = hub.transcribe(asset, config.asr_provider)
+            try:
+                transcript = hub.transcribe(asset, config.asr_provider)
+            except MalformedProviderOutput as exc:  # an answer that is not a transcript
+                print(f"skipping {asset.path}: {exc}", file=sys.stderr)
+                continue
             transcripts[Path(asset.path).stem] = {
                 "segments": [_plain(segment) for segment in transcript.segments],
                 "text": transcript.full_text,

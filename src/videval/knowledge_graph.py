@@ -4,13 +4,17 @@ Construction fans each model's keyframe captions out from a shared "KeyFrames"
 core node and its summary out from a shared "VideoSummary" core node, giving a
 closed-form size of 2 + 2M + K nodes for M models and K total keyframes.
 Layout is a deterministic force-directed placement (attraction d^2/k along
-edges, repulsion k^2/d between all pairs, temperature-capped displacement).
+edges, repulsion k^2/d between all pairs, temperature-capped displacement)
+that stops once it has cooled below 1e-6 * k. It starts from a
+`random.Random(seed)` draw and then does only IEEE-exact arithmetic, so the
+graph bytes do not depend on the numpy version.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 import re
 from dataclasses import dataclass, field
 
@@ -45,6 +49,13 @@ COLOR_FAMILIES = (
 )
 
 MAX_LABEL_LEN = 500
+
+# The layout stops before the first round whose temperature, the most any node
+# may move, is below this fraction of the optimal distance k.
+COOLED_FRACTION = 1e-6
+
+# Decimals of the layout coordinates in both exports.
+COORD_DECIMALS = 6
 
 
 @dataclass
@@ -85,7 +96,7 @@ class LayoutParams:
 
     spacing: float = 1.0
     area: float = 1.0
-    iterations: int | None = None  # None -> 50 * ceil(sqrt(n))
+    iterations: int | None = None  # upper bound on rounds; None -> 50 * ceil(sqrt(n))
     seed: int = 42
     initial_temperature: float | None = None  # None -> 0.1 * sqrt(area)
     cooling: float = 0.95
@@ -166,12 +177,17 @@ def build_comparison_graph(outputs: dict[str, ParsedVideoOutput]) -> EvalGraph:
 def fr_layout(
     graph: EvalGraph, params: LayoutParams | None = None
 ) -> dict[str, NodePosition]:
-    """Deterministic force-directed layout.
+    """Deterministic force-directed layout (Fruchterman & Reingold, 1991).
 
-    Every round applies pairwise repulsion and per-edge attraction (direction
-    ignored), caps each node's displacement at the current temperature, then
-    cools. Initial positions come from a seeded uniform draw over the layout
-    square, so identical inputs give bit-identical positions.
+    Every round applies pairwise repulsion k^2/d and per-edge attraction d^2/k
+    (direction ignored), caps each node's displacement at the current
+    temperature, then cools. The loop stops before the first round whose
+    temperature is below 1e-6 * k, when no node can move visibly any more, or
+    after `params.iterations` rounds if that comes first. Initial positions
+    are drawn from `random.Random(seed)`, x then y, node by node, whose stream
+    Python keeps across versions; numpy then does only IEEE-exact add,
+    multiply, divide and sqrt in a fixed order, so identical inputs give
+    bit-identical positions whatever the numpy version.
     """
     import numpy as np  # only the graph command pays for loading numpy
 
@@ -201,35 +217,35 @@ def fr_layout(
     eu = np.array([u for u, _ in undirected], dtype=int)
     ev = np.array([v for _, v in undirected], dtype=int)
 
-    rng = np.random.default_rng(p.seed)
-    pos = rng.random((n, 2)) * side
+    draw = random.Random(p.seed).random
+    pos = np.array([[draw() * side, draw() * side] for _ in range(n)])
 
     # Repulsion works on (n, n) planes, reused every round. They are stored
     # transposed, dx[j, i] = x[i] - x[j], so that summing over axis 0 adds the
     # pair terms of node i in j order, one row at a time: the same sequence of
     # additions a sum over j of an (n, n, 2) array does, so positions are
-    # bit-identical to it.
-    dx, dy, dist, force = (np.empty((n, n)) for _ in range(4))
+    # bit-identical to it. The pair term is (dx, dy) * k^2 / d^2, the unit
+    # vector times k^2 / d without a square root.
+    dx, dy, d2, force = (np.empty((n, n)) for _ in range(4))
     disp = np.empty((n, 2))
     for _ in range(iterations):
+        if temperature < COOLED_FRACTION * k:
+            break
         np.subtract(pos[None, :, 0], pos[:, None, 0], out=dx)
         np.subtract(pos[None, :, 1], pos[:, None, 1], out=dy)
-        np.multiply(dx, dx, out=dist)
+        np.multiply(dx, dx, out=d2)
         np.multiply(dy, dy, out=force)
-        np.add(dist, force, out=dist)
-        np.sqrt(dist, out=dist)
-        np.fill_diagonal(dist, 1.0)  # self-term contributes zero via dx = dy = 0
-        np.maximum(dist, 1e-9, out=dist)
-        np.divide(k * k, dist, out=force)
+        np.add(d2, force, out=d2)
+        np.fill_diagonal(d2, 1.0)  # self-term contributes zero via dx = dy = 0
+        np.maximum(d2, 1e-18, out=d2)
+        np.divide(k * k, d2, out=force)
         for c, plane in enumerate((dx, dy)):
-            np.divide(plane, dist, out=plane)
             np.multiply(plane, force, out=plane)
             plane.sum(axis=0, out=disp[:, c])
 
         if len(eu):
             d = pos[eu] - pos[ev]
-            ln = np.maximum(np.sqrt((d**2).sum(axis=1)), 1e-9)
-            pull = d / ln[:, None] * (ln**2 / k)[:, None]
+            pull = d * (np.sqrt((d**2).sum(axis=1)) / k)[:, None]
             np.subtract.at(disp, eu, pull)
             np.add.at(disp, ev, pull)
 
@@ -313,7 +329,9 @@ def graph_metrics(
         coords = np.array([[positions[i].x, positions[i].y] for i in ids])
         delta = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((delta**2).sum(axis=2))
-        mean_distance = float(dist[np.triu_indices(n, k=1)].mean())
+        # fsum: a correctly rounded sum, whatever blocking numpy's reductions use
+        pairs = dist[np.triu_indices(n, k=1)]
+        mean_distance = math.fsum(pairs.tolist()) / len(pairs)
 
     hops = dijkstra(_undirected_view(graph), center)
     unreachable = {nid for nid in graph.nodes if nid not in hops}
@@ -341,7 +359,7 @@ def export_dot(graph: EvalGraph, positions: dict[str, NodePosition] | None = Non
         ]
         if positions and node.id in positions:
             p = positions[node.id]
-            attrs.append(f'pos="{p.x:.6f},{p.y:.6f}!"')
+            attrs.append(f'pos="{p.x:.{COORD_DECIMALS}f},{p.y:.{COORD_DECIMALS}f}!"')
         lines.append(f'  "{_dot_escape(node.id)}" [{", ".join(attrs)}];')
     for s, t in graph.edges:
         lines.append(f'  "{_dot_escape(s)}" -> "{_dot_escape(t)}";')
@@ -350,13 +368,13 @@ def export_dot(graph: EvalGraph, positions: dict[str, NodePosition] | None = Non
 
 
 def export_json(graph: EvalGraph, positions: dict[str, NodePosition] | None = None) -> str:
-    """Render the graph as the JSON schema {nodes: [...], edges: [...]}."""
+    """Render the graph as {nodes: [...], edges: [...]}, positions rounded as DOT writes them."""
     nodes = []
     for node in graph.nodes.values():
         entry = _plain(node)
         if positions and node.id in positions:
-            entry["x"] = positions[node.id].x
-            entry["y"] = positions[node.id].y
+            entry["x"] = round(positions[node.id].x, COORD_DECIMALS)
+            entry["y"] = round(positions[node.id].y, COORD_DECIMALS)
         nodes.append(entry)
     edges = [{"source": s, "target": t} for s, t in graph.edges]
     return _pretty_json({"nodes": nodes, "edges": edges})

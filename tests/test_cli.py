@@ -138,6 +138,11 @@ DEMO_GOLDEN_SHA256 = {
     "scores.json": "3edd270bf6908f103007063e5ff769d30a09f019727eebbaabea25d976e1a3d1",
     # from parsing and the annotations only: graph layout does not reach it
     "matching_scores.json": "7643c21e78c1098b425768496f3e8cc0a1cbdb03da7473970a5853c07b105cfc",
+    # the layout starts from random.Random(seed) and then does only IEEE-exact
+    # arithmetic, so these hold under any numpy version
+    "graphs/P69idA8JO98.dot": "3c2fc288e622a6704a0a6e3c36c9c3e5339be20bdf807ef0cd939d70dcd66ea6",
+    "graphs/P69idA8JO98.json": "1cba91d1ad24498422ad415a8d89f1f3ead08ec595e4592e67bff5e0debb1a69",
+    "graph_metrics.json": "96676ee4cfe23b99970656959d15fdbafd8cd5482cce5b3395760c62be0c8711",
 }
 
 
@@ -630,6 +635,29 @@ def test_transcribe_skips_probe_documents_of_another_shape(tmp_path, capsys, fak
     err = capsys.readouterr().err
     assert all(f"skipping {path}: probe output for {path} does not fit" in err for path in bad)
     assert list(json.loads(out.read_text(encoding="utf-8"))) == ["talk"]
+
+
+def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, fake_probe_cmd, loopback_provider):
+    asr = {"segments": [{"id": 0, "start": 0.0, "end": 1.5, "text": "hello"}], "text": "hello", "language": "en"}
+    loopback_provider.script = [(200, json.dumps({"text": "not json"})), (200, json.dumps({"text": json.dumps(asr)}))]
+    bad, good = tmp_path / "a_bad.wav", tmp_path / "b_good.wav"
+    for path in (bad, good):
+        path.write_bytes(path.name.encode())
+    _, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    raw["providers"]["whisper"]["endpoint"] = loopback_provider.endpoint
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+
+    outputs = {}
+    for mode in ("--live", "--replay"):
+        out = tmp_path / f"transcripts{mode}.json"
+        capsys.readouterr()
+        assert run_cli("transcribe", mode, str(bad), str(good), "--config", str(config_path), "--out", str(out)) == 0
+        assert f"skipping {bad}: ASR payload is not JSON" in capsys.readouterr().err
+        outputs[mode] = out.read_bytes()
+    assert len(loopback_provider.seen) == 2  # the replay asked nothing live
+    assert json.loads(outputs["--live"]) == {"b_good": {"segments": asr["segments"], "text": "hello", "language": "en"}}
+    assert outputs["--replay"] == outputs["--live"]
 
 
 # --- the cassette directory ----------------------------------------------------------------------

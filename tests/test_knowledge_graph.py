@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -168,11 +170,16 @@ def test_layout_direction_ignored_for_forces():
 
 
 
-def _reference_fr_layout(graph: EvalGraph, params: LayoutParams) -> dict[str, tuple[float, float]]:
-    """The layout loop as first written, over dense (n, n, 2) temporaries.
+def _reference_fr_layout(
+    graph: EvalGraph, params: LayoutParams, every_round: bool = False
+) -> dict[str, tuple[float, float]]:
+    """The layout loop written plainly, over dense (n, n, 2) temporaries.
 
     Kept as an oracle: `fr_layout` must reproduce its positions bit for bit,
-    so every graph export stays byte-identical.
+    so every graph export stays byte-identical. It draws the start from
+    `random.Random(seed)`, x then y, node by node, and stops before the first
+    round whose temperature is below 1e-6 * k; `every_round` runs all
+    `iterations` rounds instead, to measure what the stop leaves out.
     """
     import numpy as np
 
@@ -197,20 +204,26 @@ def _reference_fr_layout(graph: EvalGraph, params: LayoutParams) -> dict[str, tu
     eu = np.array([u for u, _ in undirected], dtype=int)
     ev = np.array([v for _, v in undirected], dtype=int)
 
-    rng = np.random.default_rng(p.seed)
-    pos = rng.random((n, 2)) * side
+    rng = random.Random(p.seed)
+    start = []
+    for _ in range(n):
+        x = rng.random() * side
+        y = rng.random() * side
+        start.append([x, y])
+    pos = np.array(start)
 
     for _ in range(iterations):
+        if temperature < 1e-6 * k and not every_round:
+            break
         delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=2))
-        np.fill_diagonal(dist, 1.0)  # self-term contributes zero via delta=0
-        dist = np.maximum(dist, 1e-9)
-        disp = (delta / dist[..., None] * (k * k / dist)[..., None]).sum(axis=1)
+        dist2 = (delta**2).sum(axis=2)
+        np.fill_diagonal(dist2, 1.0)  # self-term contributes zero via delta=0
+        dist2 = np.maximum(dist2, 1e-18)
+        disp = (delta * (k * k / dist2)[..., None]).sum(axis=1)
 
         if len(eu):
             d = pos[eu] - pos[ev]
-            ln = np.maximum(np.sqrt((d**2).sum(axis=1)), 1e-9)
-            pull = d / ln[:, None] * (ln**2 / k)[:, None]
+            pull = d * (np.sqrt((d**2).sum(axis=1)) / k)[:, None]
             np.subtract.at(disp, eu, pull)
             np.add.at(disp, ev, pull)
 
@@ -250,7 +263,10 @@ ORACLE_CASES = {
         LayoutParams(spacing=1.7, area=3.5, iterations=120, seed=7, initial_temperature=0.4, cooling=0.9),
     ),
     "no_rounds": (awkward_graph, LayoutParams(iterations=0)),
+    # the bound, 50 * ceil(sqrt(2)) = 100 rounds, ends the loop ~130 rounds before it cools
     "pair": (lambda: simple_graph([("A", "B")]), LayoutParams()),
+    # starts below 1e-6 * k, so the stop ends the loop before its first round
+    "cold_start": (awkward_graph, LayoutParams(initial_temperature=1e-9)),
 }
 
 
@@ -264,6 +280,45 @@ def test_layout_matches_reference_bit_for_bit(case):
     for node_id, (x, y) in expected.items():
         assert got[node_id].x == x, (node_id, got[node_id].x.hex(), x.hex())
         assert got[node_id].y == y, (node_id, got[node_id].y.hex(), y.hex())
+
+
+def _xy(positions: dict[str, NodePosition]) -> dict[str, tuple[float, float]]:
+    return {node_id: (q.x, q.y) for node_id, q in positions.items()}
+
+
+def test_layout_ends_at_the_bound_or_when_cooled():
+    pair = simple_graph([("A", "B")])
+    params = LayoutParams()
+    k = params.optimal_distance(2)
+    temperature, cooled = 0.1, 0  # the default start, 0.1 * sqrt(area)
+    while temperature >= 1e-6 * k:
+        temperature *= params.cooling
+        cooled += 1
+    assert 50 * math.ceil(math.sqrt(2)) == 100 < cooled == 232
+    # the default bound ends the loop first; with a huge bound, the cooling stop does
+    expected = _reference_fr_layout(pair, replace(params, iterations=100), every_round=True)
+    assert _xy(fr_layout(pair, params)) == expected
+    expected = _reference_fr_layout(pair, replace(params, iterations=cooled), every_round=True)
+    assert _xy(fr_layout(pair, replace(params, iterations=10**6))) == expected
+
+
+@pytest.mark.parametrize("case", ["n32", "n70", "n110"])
+def test_cooling_stop_moves_no_node_visibly(case):
+    make_graph, params = ORACLE_CASES[case]
+    graph = make_graph()
+    k = params.optimal_distance(len(graph.nodes))
+    stopped = fr_layout(graph, params)
+    full = _reference_fr_layout(graph, params, every_round=True)
+    shift = max(math.dist((stopped[i].x, stopped[i].y), xy) for i, xy in full.items())
+    assert shift <= 2e-5 * k
+
+
+@pytest.mark.parametrize("case", ["n32", "n70", "n110"])
+def test_huge_iteration_bound_changes_nothing(case):
+    make_graph, params = ORACLE_CASES[case]
+    graph = make_graph()
+    default = fr_layout(graph, params)
+    assert _xy(fr_layout(graph, replace(params, iterations=10**6))) == _xy(default)
 
 # --- dijkstra ----------------------------------------------------------------------
 
@@ -449,10 +504,11 @@ def test_export_json_round_trip(snow_white_outputs):
         (n.id, n.label, n.color, n.size) for n in graph.nodes.values()
     ]
     assert [(e["source"], e["target"]) for e in doc["edges"]] == graph.edges
-    # floats survive the JSON text exactly
+    # both exports carry each position rounded to the same six decimals
+    pos_in_dot = re.findall(r'^  "([^"]+)" \[.*pos="([^,]+),([^!]+)!"', export_dot(graph, positions), re.M)
     assert {n["id"]: (n["x"], n["y"]) for n in doc["nodes"]} == {
-        node_id: (p.x, p.y) for node_id, p in positions.items()
-    }
+        node_id: (float(x), float(y)) for node_id, x, y in pos_in_dot
+    } == {node_id: (round(p.x, 6), round(p.y, 6)) for node_id, p in positions.items()}
 
 
 def test_exports_byte_stable():
