@@ -168,17 +168,24 @@ def cmd_transcribe(args) -> int:
     hub = _hub(config, args)
 
     transcripts: dict[str, dict] = {}
+    holders: dict[str, str] = {}  # transcript id (a file stem) -> the file it was made from
     try:
         for asset in _probed_assets(args.paths, tool):
             if asset.kind != "audio" and not asset.has_audio_stream:
                 print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
+                continue
+            stem = Path(asset.path).stem
+            if stem in holders:  # checked before the call, which a live run pays for
+                holder = holders[stem]
+                print(f"skipping {asset.path}: {holder} already has the transcript id {stem!r}", file=sys.stderr)
                 continue
             try:
                 transcript = hub.transcribe(asset, config.asr_provider)
             except MalformedProviderOutput as exc:  # an answer that is not a transcript
                 print(f"skipping {asset.path}: {exc}", file=sys.stderr)
                 continue
-            transcripts[Path(asset.path).stem] = {
+            holders[stem] = asset.path
+            transcripts[stem] = {
                 "segments": [_plain(segment) for segment in transcript.segments],
                 "text": transcript.full_text,
                 "language": transcript.language,

@@ -16,6 +16,7 @@ from .errors import ConfigError, MalformedProviderOutput, SchemaError, TemplateE
 from .knowledge_graph import LayoutParams
 from .providers import (
     ConditionTag,
+    ModelResponse,
     ProviderSettings,
     Transcript,
     transcript_from_payload,
@@ -48,9 +49,16 @@ class HarnessConfig:
     asr_provider: str | None = None
 
 
+# the statuses an error reply can be classified as: every answer status but ok
+_error_status = _choice(*(status for status in ModelResponse.STATUSES if status != "ok"))
+
+
 def _error_patterns(value, what: str) -> dict[str, list[str]]:
     given = _object(value or {}, what)
-    return {status: _strings(texts, f"{what}.{status}") for status, texts in given.items()}
+    return {
+        _error_status(status, f"{what} key"): _strings(texts, f"{what}.{status}")
+        for status, texts in given.items()
+    }
 
 
 PROVIDER_READERS = {

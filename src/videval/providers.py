@@ -1,11 +1,12 @@
 """Uniform request/response layer over ASR and VLM backends.
 
 Every live response is appended to the cassette store before it is returned,
-so any live run can be replayed later byte-for-byte. A request's key is the
-SHA-256 of its fingerprint's canonical JSON, which `_fingerprint_json` writes
-by hand. Replay mode never touches the network: it reads the store's segments
-once into memory and answers each request with a dict lookup. A segment line
-is `key<TAB>response<TAB>request`, so replay decodes only the response; a
+so any live run can be replayed later byte-for-byte. `request_fingerprint`
+writes a request's canonical JSON text, the one place that text is made: its
+SHA-256 is the request's key, and a recorded line keeps the text. Replay mode
+never touches the network: it reads the store's segments once into memory and
+answers each request with a dict lookup. A segment line is
+`key<TAB>response<TAB>request`, so replay decodes only the response; a
 one-object `{...}` line of earlier versions is still read, and a line whose key
 cannot be read is dropped and counted (`CassetteStore` gives the details and
 which of two answers to one key wins). Out-of-memory and timeout results are
@@ -16,7 +17,9 @@ Live calls are one JSON POST each through the standard library's
 `urllib.request`: proxies come from the `*_proxy` environment variables, HTTPS
 is verified against the system trust store (or `SSL_CERT_FILE`), every socket
 operation uses the provider's `timeout_s`, and a 307/308 reply to the POST is
-returned as an answer rather than followed.
+returned as an answer rather than followed. The hub keeps no in-flight limit of
+its own: a live run sends from `run_benchmark`'s pool, `max_in_flight` threads
+wide, and `transcribe` sends one request at a time.
 """
 
 from __future__ import annotations
@@ -117,25 +120,11 @@ class TranscriptSegment:
             raise ValueError("segment start must not exceed end")
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
 @dataclass
 class Transcript:
     segments: list[TranscriptSegment] = field(default_factory=list)
     full_text: str = ""
     language: str | None = None
-
-    def validate(self) -> None:
-        ids = [s.id for s in self.segments]
-        if len(set(ids)) != len(ids):
-            raise MalformedProviderOutput("duplicate segment ids")
-        if any(a.start > b.start for a, b in zip(self.segments, self.segments[1:])):
-            raise MalformedProviderOutput("segments out of order")
-        joined = _normalize_ws("".join(s.text for s in self.segments))
-        if self.segments and _normalize_ws(self.full_text) != joined:
-            raise MalformedProviderOutput("full_text does not match its segments")
 
 
 @dataclass
@@ -210,51 +199,32 @@ def _hash_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _media_hashes(request: ModelRequest) -> tuple[list[str], str | None]:
-    """The SHA-256 of each frame and of the audio: file contents, not paths, identify media."""
-    audio_hash = _hash_file(request.audio_ref) if request.audio_ref else None
-    return [_hash_file(ref) for ref in request.frame_refs], audio_hash
+def request_fingerprint(request: ModelRequest) -> str:
+    """The canonical JSON text of a request, which its key hashes and its cassette line records.
 
-
-def _fingerprint(request: ModelRequest, frame_hashes: list[str], audio_hash: str | None) -> dict:
-    return {
-        "provider_id": request.provider_id,
-        "modality": request.modality,
-        "prompt": request.prompt,
-        "frame_hashes": frame_hashes,
-        "audio_hash": audio_hash,
-        "condition": request.condition.to_dict() if request.condition else None,
-    }
-
-
-def request_fingerprint(request: ModelRequest) -> dict:
-    """Stable request description, as a cassette line records it."""
-    return _fingerprint(request, *_media_hashes(request))
-
-
-def _fingerprint_json(request: ModelRequest, frame_hashes: list[str], audio_hash: str | None) -> str:
-    """The text a request key hashes, written by hand for speed.
-
-    It is json.dumps(fingerprint, sort_keys=True, separators=(",", ":")) byte for
-    byte: the keys in sorted order, every string escaped as that call escapes it,
-    and the condition's JSON encoded once per tag.
+    Media are identified by the SHA-256 of each file's contents, not by its
+    path, and each file is read once. The text is written by hand for speed:
+    it is json.dumps(fingerprint, sort_keys=True, separators=(",", ":")) byte
+    for byte, for the object {"audio_hash", "condition", "frame_hashes",
+    "modality", "prompt", "provider_id"}, with every string escaped as that
+    call escapes it and the condition's JSON encoded once per tag.
     """
-    audio = "null" if audio_hash is None else _quote(audio_hash)
+    audio = "null" if not request.audio_ref else _quote(_hash_file(request.audio_ref))
     condition = "null" if request.condition is None else request.condition.canonical_json
+    frames = ",".join(_quote(_hash_file(ref)) for ref in request.frame_refs)
     return (
-        f'{{"audio_hash":{audio},"condition":{condition},'
-        f'"frame_hashes":[{",".join(map(_quote, frame_hashes))}],'
+        f'{{"audio_hash":{audio},"condition":{condition},"frame_hashes":[{frames}],'
         f'"modality":{_quote(request.modality)},"prompt":{_quote(request.prompt)},'
         f'"provider_id":{_quote(request.provider_id)}}}'
     )
 
 
-def _key(fingerprint_json: str) -> str:
-    return hashlib.sha256(fingerprint_json.encode("ascii")).hexdigest()
+def _key(fingerprint: str) -> str:
+    return hashlib.sha256(fingerprint.encode("ascii")).hexdigest()
 
 
 def request_key(request: ModelRequest) -> str:
-    return _key(_fingerprint_json(request, *_media_hashes(request)))
+    return _key(request_fingerprint(request))
 
 
 def _line_fields(line: bytes) -> tuple[str | None, bytes | dict | None]:
@@ -278,12 +248,13 @@ def _line_fields(line: bytes) -> tuple[str | None, bytes | dict | None]:
 class CassetteStore:
     """Append-only directory of recorded answers, one line each.
 
-    A line is `key<TAB>response<TAB>request<LF>`: the request key, then the
-    answer and the request fingerprint it hashes, each as compact JSON, which
-    holds no raw tab or newline. Replay splits off the key and decodes only the
-    response. A line that starts with `{` is one compact JSON object
-    {"key", "request", "response"}, as earlier versions wrote, and is still read.
-    So `put` refuses a key that holds a tab or newline or starts with `{`.
+    A line is `key<TAB>response<TAB>request<LF>`: the request key, the answer
+    as compact JSON, which holds no raw tab or newline, and the request
+    fingerprint text the key hashes, written as `put` is given it. Replay splits
+    off the key and decodes only the response. A line that starts with `{` is
+    one compact JSON object {"key", "request", "response"}, as earlier versions
+    wrote, and is still read. So `put` refuses a key that holds a tab or newline
+    or starts with `{`, and a fingerprint that holds a tab or newline.
 
     Every store writes the lines of its own `segment-<n>.jsonl`, which it
     creates on its first `put` under the next free sequence number, and each
@@ -343,16 +314,17 @@ class CassetteStore:
             raise MalformedProviderOutput(response)
         return response
 
-    def put(self, key: str, fingerprint: dict, response: ModelResponse) -> None:
+    def put(self, key: str, fingerprint: str, response: ModelResponse) -> None:
         if "\t" in key or "\n" in key or key.startswith("{"):  # its line would read back wrong
             raise ValueError(f"a cassette key holds no tab or newline and does not start with {{, got {key!r}")
+        if "\t" in fingerprint or "\n" in fingerprint:
+            raise ValueError(f"a cassette request fingerprint holds no tab or newline, got {fingerprint!r}")
         entries = self._entries()
         with self._lock:
             if key in entries:
                 return
-            fields = (json.dumps(value, sort_keys=True, separators=(",", ":"))
-                      for value in (response.to_dict(), fingerprint))
-            line = "\t".join((key, *fields)).encode("utf-8") + b"\n"
+            answer = json.dumps(response.to_dict(), sort_keys=True, separators=(",", ":"))
+            line = f"{key}\t{answer}\t{fingerprint}\n".encode("utf-8")
             while self._segment is None:  # the first put creates this store's own segment
                 self.root.mkdir(parents=True, exist_ok=True)
                 path = self.root / f"segment-{self._next:06d}.jsonl"
@@ -409,8 +381,9 @@ class ProviderHub:
     """Routes each request to its provider in live or replay mode.
 
     Live mode records every response before returning it; replay mode answers
-    exclusively from the cassette store. A global in-flight limit bounds
-    concurrent live calls.
+    exclusively from the cassette store. The hub sends from the thread that
+    calls it: `run_benchmark`'s pool, `max_in_flight` threads wide, is what
+    bounds concurrent live calls.
     """
 
     def __init__(
@@ -428,13 +401,12 @@ class ProviderHub:
         self.mode = mode
         self.transport = transport or _default_transport
         self.max_in_flight = max_in_flight
-        self._in_flight = threading.Semaphore(max_in_flight)
 
     # -- core send ---------------------------------------------------------
 
     def send(self, request: ModelRequest) -> ModelResponse:
-        hashes = _media_hashes(request)  # each media file is read once per send
-        key = _key(_fingerprint_json(request, *hashes))
+        fingerprint = request_fingerprint(request)  # each media file is read once per send
+        key = _key(fingerprint)
         if self.mode == "replay":
             response = self.store.get(key)
             if response is None:
@@ -444,7 +416,7 @@ class ProviderHub:
                 )
             return response
         response = self._call_live(request)
-        self.store.put(key, _fingerprint(request, *hashes), response)
+        self.store.put(key, fingerprint, response)
         return response
 
     def _call_live(self, request: ModelRequest) -> ModelResponse:
@@ -484,10 +456,9 @@ class ProviderHub:
         for _ in range(attempts):
             start = time.perf_counter()
             try:
-                with self._in_flight:
-                    status_code, text = self.transport(
-                        settings.endpoint, body, headers, settings.timeout_s
-                    )
+                status_code, text = self.transport(
+                    settings.endpoint, body, headers, settings.timeout_s
+                )
             except Exception as exc:  # transport-level failure: no reply, only its message
                 status_code, text = None, str(exc)
             elapsed = int((time.perf_counter() - start) * 1000)
@@ -527,9 +498,10 @@ class ProviderHub:
     # -- pipeline operations -------------------------------------------------
 
     def transcribe(self, asset: MediaAsset, provider_id: str) -> Transcript:
-        """Run ASR over the asset's audio and return ordered timed segments."""
-        if asset.kind != "audio" and not asset.has_audio_stream:
-            raise ValueError(f"asset has no audio stream: {asset.path}")
+        """Run ASR over the asset's audio and return ordered timed segments.
+
+        The caller checks that the asset has an audio stream.
+        """
         request = ModelRequest(
             provider_id=provider_id, modality="asr", audio_ref=asset.path
         )
@@ -559,14 +531,16 @@ def transcript_from_payload(payload) -> Transcript:
         segments = _segments(payload.get("segments") or [], "transcript.segments")
         segments.sort(key=lambda s: (s.start, s.id))
         text, language = payload.get("text"), payload.get("language")
-        if text is None:
-            text = "".join(s.text for s in segments)
+        joined = "".join(s.text for s in segments)
         transcript = Transcript(
             segments=segments,
-            full_text=_string(text, "transcript.text"),
+            full_text=joined if text is None else _string(text, "transcript.text"),
             language=None if language is None else _string(language, "transcript.language"),
         )
     except SchemaError as exc:
         raise MalformedProviderOutput(str(exc)) from exc
-    transcript.validate()
+    if len({s.id for s in segments}) != len(segments):
+        raise MalformedProviderOutput("duplicate segment ids")
+    if segments and transcript.full_text.split() != joined.split():  # equal up to whitespace
+        raise MalformedProviderOutput("full_text does not match its segments")
     return transcript

@@ -288,6 +288,11 @@ BAD_CONFIG_VALUES = [
     ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, "timeout_s"),
     ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, "provider 'local-qwen'"),
     ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, "error_patterns"),
+    # keys that are not an error status: a live reply that matched one would raise before it was recorded
+    (
+        {"providers": {"local-qwen": {"error_patterns": {"ok": ["Bad"], "banana": ["overloaded"]}}}},
+        "error_patterns key",
+    ),
     ({"conditions": ["local-qwen"]}, "condition 0"),
     (
         {"conditions": [{"provider": "local-qwen", "model_name": "m", "with_transcript": "false"}]},
@@ -599,7 +604,7 @@ def _recorded_transcribe(tmp_path, fake_probe_cmd):
         {"segments": [{"id": 0, "start": 0.0, "end": 2.0, "text": "hello world"}], "text": "hello world"}
     )
     key = request_key(ModelRequest("whisper", "asr", audio_ref=str(audio)))
-    CassetteStore(cassettes).put(key, {}, ModelResponse(payload, 150, "ok"))
+    CassetteStore(cassettes).put(key, "{}", ModelResponse(payload, 150, "ok"))
     return audio, config_path, key
 
 
@@ -635,6 +640,29 @@ def test_transcribe_skips_probe_documents_of_another_shape(tmp_path, capsys, fak
     err = capsys.readouterr().err
     assert all(f"skipping {path}: probe output for {path} does not fit" in err for path in bad)
     assert list(json.loads(out.read_text(encoding="utf-8"))) == ["talk"]
+
+
+def test_transcribe_skips_a_video_without_audio(tmp_path, capsys, fake_probe_cmd):
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    silent = tmp_path / "a_silent.mp4"  # the fake probe lists no audio stream for a "silent" stem
+    silent.write_bytes(b"video bytes")
+    out = tmp_path / "transcripts.json"
+    capsys.readouterr()
+    assert run_cli("transcribe", str(silent), str(audio), "--config", str(config_path), "--out", str(out)) == 0
+    assert f"skipping {silent}: no audio stream" in capsys.readouterr().err
+    assert list(json.loads(out.read_text(encoding="utf-8"))) == ["talk"]
+
+
+def test_transcribe_skips_a_file_whose_stem_another_file_holds(tmp_path, capsys, fake_probe_cmd):
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    other = tmp_path / "b" / "talk.mp3"  # the same id, other bytes: no cassette entry, so a call would miss
+    other.parent.mkdir()
+    other.write_bytes(b"mp3 bytes")
+    out = tmp_path / "transcripts.json"
+    capsys.readouterr()
+    assert run_cli("transcribe", str(audio), str(other), "--config", str(config_path), "--out", str(out)) == 0
+    assert f"skipping {other}: {audio} already has the transcript id 'talk'" in capsys.readouterr().err
+    assert json.loads(out.read_text(encoding="utf-8"))["talk"]["text"] == "hello world"
 
 
 def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, fake_probe_cmd, loopback_provider):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -18,7 +19,6 @@ from videval.providers import (
     ProviderHub,
     ProviderSettings,
     TranscriptSegment,
-    _fingerprint_json,
     parse_transcript_payload,
     request_fingerprint,
     request_key,
@@ -125,7 +125,7 @@ def _text(rng: random.Random, longest: int) -> str:
 
 
 class KeyRecorder:
-    """Stands in for a cassette store: keeps the key of every get and put."""
+    """Stands in for a cassette store: keeps the key of every get, and the key and fingerprint of every put."""
 
     def __init__(self):
         self.gets, self.puts = [], []
@@ -140,11 +140,12 @@ class KeyRecorder:
 
 def test_hand_built_key_text_equals_json_dumps(tmp_path):
     rng = random.Random(11)
-    media = []
+    media, sha256 = [], {}
     for i in range(4):
-        path = tmp_path / f"media{i}.bin"
-        path.write_bytes(rng.randbytes(rng.randint(0, 300)))
+        path, data = tmp_path / f"media{i}.bin", rng.randbytes(rng.randint(0, 300))
+        path.write_bytes(data)
         media.append(str(path))
+        sha256[str(path)] = hashlib.sha256(data).hexdigest()
     fps_values = [0.1, 1e-05, 30.0, 1.0, 2.5e-07, 1e16]
 
     def transport(url, body, headers, timeout_s):
@@ -167,23 +168,30 @@ def test_hand_built_key_text_equals_json_dumps(tmp_path):
             audio_ref=rng.choice(media) if asr or rng.random() < 0.3 else None,
             condition=condition,
         )
-        fingerprint = request_fingerprint(request)
-        oracle = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-        assert _fingerprint_json(request, fingerprint["frame_hashes"], fingerprint["audio_hash"]) == oracle
+        fields = {
+            "provider_id": request.provider_id,
+            "modality": request.modality,
+            "prompt": request.prompt,
+            "frame_hashes": [sha256[ref] for ref in request.frame_refs],
+            "audio_hash": sha256[request.audio_ref] if request.audio_ref else None,
+            "condition": dataclasses.asdict(condition) if condition else None,
+        }
+        oracle = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        assert request_fingerprint(request) == oracle
         key = request_key(request)
         assert key == hashlib.sha256(oracle.encode("utf-8")).hexdigest()
-        # the key send looks up in replay, and the key and fingerprint it records live
+        # the key send looks up in replay, and the key and the text it hashes that send records live
         recorder = KeyRecorder()
         ProviderHub({}, recorder, mode="replay").send(request)
         settings = {request.provider_id: ProviderSettings(endpoint="http://test/any")}
         ProviderHub(settings, recorder, mode="live", transport=transport).send(request)
-        assert recorder.gets == [key] and recorder.puts == [(key, fingerprint)]
+        assert recorder.gets == [key] and recorder.puts == [(key, oracle)]
 
 
 def test_cassette_store_append_only(store):
     response = ModelResponse("first", 10, "ok")
-    store.put("k1", {"prompt": "p"}, response)
-    store.put("k1", {"prompt": "p"}, ModelResponse("second", 20, "ok"))
+    store.put("k1", '{"prompt":"p"}', response)
+    store.put("k1", '{"prompt":"p"}', ModelResponse("second", 20, "ok"))
     assert store.get("k1").raw_text == "first"
     assert CassetteStore(store.root).get("k1").raw_text == "first"
     (segment,) = store.root.iterdir()
@@ -197,7 +205,7 @@ def test_send_hashes_each_media_file_once(tmp_path, store, providers, monkeypatc
     for i, frame in enumerate(frames):
         frame.write_bytes(b"pixels-%d" % i)
     request = ModelRequest("vlm", "vlm", prompt="p", frame_refs=[str(f) for f in frames], condition=make_condition())
-    store.put(request_key(request), {}, ModelResponse("summary", 10, "ok"))
+    store.put(request_key(request), "{}", ModelResponse("summary", 10, "ok"))
     hashed = []
     real_hash = videval.providers._hash_file
     monkeypatch.setattr(videval.providers, "_hash_file", lambda ref: hashed.append(ref) or real_hash(ref))
@@ -206,10 +214,10 @@ def test_send_hashes_each_media_file_once(tmp_path, store, providers, monkeypatc
 
 
 def test_cassette_put_is_on_disk_when_it_returns(store):
-    store.put("k1", {"prompt": "p"}, ModelResponse("first", 10, "ok"))
+    store.put("k1", '{"prompt":"p"}', ModelResponse("first", 10, "ok"))
     # a store opened after put returns, as a child process would be, reads the answer
     assert CassetteStore(store.root).get("k1") == ModelResponse("first", 10, "ok")
-    store.put("k2", {"prompt": "p"}, ModelResponse("", 30, "oom"))
+    store.put("k2", '{"prompt":"p"}', ModelResponse("", 30, "oom"))
     assert CassetteStore(store.root).get("k2") == ModelResponse("", 30, "oom")
 
 
@@ -217,9 +225,9 @@ def test_cassette_writers_have_their_own_segments_and_the_earlier_wins(store):
     first, second = store, CassetteStore(store.root)
     # both read the (empty) directory before either writes, so both record k1
     assert "k1" not in first and "k1" not in second
-    first.put("k1", {"prompt": "p"}, ModelResponse("first", 10, "ok"))
-    second.put("k1", {"prompt": "p"}, ModelResponse("second", 20, "ok"))
-    second.put("k2", {"prompt": "q"}, ModelResponse("only", 30, "ok"))
+    first.put("k1", '{"prompt":"p"}', ModelResponse("first", 10, "ok"))
+    second.put("k1", '{"prompt":"p"}', ModelResponse("second", 20, "ok"))
+    second.put("k2", '{"prompt":"q"}', ModelResponse("only", 30, "ok"))
     assert sorted(p.name for p in store.root.iterdir()) == ["segment-000001.jsonl", "segment-000002.jsonl"]
     reader = CassetteStore(store.root)
     assert reader.get("k1").raw_text == "first"
@@ -228,8 +236,8 @@ def test_cassette_writers_have_their_own_segments_and_the_earlier_wins(store):
 
 
 def test_cassette_segment_cut_mid_record(store):
-    store.put("k1", {"prompt": "p"}, ModelResponse("kept", 10, "ok"))
-    store.put("k2", {"prompt": "p"}, ModelResponse("cut off", 20, "ok"))
+    store.put("k1", '{"prompt":"p"}', ModelResponse("kept", 10, "ok"))
+    store.put("k2", '{"prompt":"p"}', ModelResponse("cut off", 20, "ok"))
     (segment,) = store.root.iterdir()
     data = segment.read_bytes()
     segment.write_bytes(data[: len(data) - 25])  # as a crash in the middle of the second line leaves it
@@ -238,7 +246,7 @@ def test_cassette_segment_cut_mid_record(store):
     assert reader.get("k2") is None
     assert reader.dropped == 1
     # the next writer opens a segment of its own instead of appending to the cut one
-    reader.put("k3", {"prompt": "p"}, ModelResponse("after", 30, "ok"))
+    reader.put("k3", '{"prompt":"p"}', ModelResponse("after", 30, "ok"))
     assert segment.read_bytes() == data[: len(data) - 25]
     again = CassetteStore(store.root)
     assert again.get("k3").raw_text == "after"
@@ -267,7 +275,7 @@ def _legacy_line(key, response: ModelResponse) -> str:
 
 
 def test_cassette_line_is_key_response_request(store):
-    store.put("k1", {"prompt": "a\tb"}, ModelResponse("tab\there", 10, "ok"))
+    store.put("k1", '{"prompt":"a\\tb"}', ModelResponse("tab\there", 10, "ok"))
     (segment,) = store.root.iterdir()
     assert segment.read_bytes() == (
         b'k1\t{"latency_ms":10,"raw_text":"tab\\there","status":"ok"}\t{"prompt":"a\\tb"}\n'
@@ -292,7 +300,7 @@ def test_first_recorded_wins_across_legacy_and_new_segments(store, legacy_first)
     legacy = ModelResponse("legacy", 5, "ok")
     if legacy_first:
         (store.root / "segment-000001.jsonl").write_text(_legacy_line("k1", legacy), encoding="utf-8")
-    writer.put("k1", {"prompt": "p"}, ModelResponse("new", 6, "ok"))  # the next free segment
+    writer.put("k1", '{"prompt":"p"}', ModelResponse("new", 6, "ok"))  # the next free segment
     if not legacy_first:
         (store.root / "segment-000002.jsonl").write_text(_legacy_line("k1", legacy), encoding="utf-8")
     assert CassetteStore(store.root).get("k1").raw_text == ("legacy" if legacy_first else "new")
@@ -322,10 +330,16 @@ def test_undecodable_response_field_is_the_keys_error(store, response):
     assert "k1" in store and store.dropped == 0
 
 
-@pytest.mark.parametrize("key", ["a\tb", "a\nb", "k\n", "{k"])
-def test_cassette_put_rejects_a_key_that_breaks_the_line(store, key):
-    with pytest.raises(ValueError, match="cassette key"):
-        store.put(key, {}, ModelResponse("x", 1, "ok"))
+@pytest.mark.parametrize(
+    "key, fingerprint",
+    [
+        *(pytest.param(key, "{}", id=key) for key in ["a\tb", "a\nb", "k\n", "{k"]),
+        *(pytest.param("k", f'{{"prompt":"a{c}b"}}', id=f"fingerprint {c}") for c in "\t\n"),
+    ],
+)
+def test_cassette_put_rejects_a_key_that_breaks_the_line(store, key, fingerprint):
+    with pytest.raises(ValueError, match="a cassette (key|request fingerprint) holds no tab or newline"):
+        store.put(key, fingerprint, ModelResponse("x", 1, "ok"))
     assert not store.root.exists()
 
 
@@ -478,7 +492,7 @@ def test_response_status_text_invariant():
 
 def test_oom_cassette_passthrough(store, providers):
     request = ModelRequest("vlm", "vlm", prompt="p", condition=make_condition())
-    store.put(request_key(request), {}, ModelResponse("", 540, "oom"))
+    store.put(request_key(request), "{}", ModelResponse("", 540, "oom"))
     hub = ProviderHub(providers, store, mode="replay")
     response = hub.send(request)
     assert response.status == "oom" and response.raw_text == ""
@@ -503,7 +517,7 @@ def test_transcribe_segments(tmp_path, store, providers):
     audio = tmp_path / "lecture.wav"
     audio.write_bytes(b"fake wav")
     request = ModelRequest("asr", "asr", audio_ref=str(audio))
-    store.put(request_key(request), {}, ModelResponse(whisper_payload(), 900, "ok"))
+    store.put(request_key(request), "{}", ModelResponse(whisper_payload(), 900, "ok"))
 
     hub = ProviderHub(providers, store, mode="replay")
     transcript = hub.transcribe(audio_asset(audio), "asr")
@@ -516,7 +530,7 @@ def test_transcribe_silent_clip(tmp_path, store, providers):
     audio.write_bytes(b"fake wav")
     request = ModelRequest("asr", "asr", audio_ref=str(audio))
     payload = json.dumps({"segments": [], "text": "", "language": None})
-    store.put(request_key(request), {}, ModelResponse(payload, 120, "ok"))
+    store.put(request_key(request), "{}", ModelResponse(payload, 120, "ok"))
 
     hub = ProviderHub(providers, store, mode="replay")
     transcript = hub.transcribe(audio_asset(audio), "asr")
@@ -539,22 +553,12 @@ def test_transcribe_concatenation_oracle(tmp_path, store, providers):
         }
     )
     request = ModelRequest("asr", "asr", audio_ref=str(audio))
-    store.put(request_key(request), {}, ModelResponse(payload, 300, "ok"))
+    store.put(request_key(request), "{}", ModelResponse(payload, 300, "ok"))
 
     hub = ProviderHub(providers, store, mode="replay")
     transcript = hub.transcribe(audio_asset(audio), "asr")
     expected = " ".join((seg0 + seg1).split())
     assert " ".join(transcript.full_text.split()) == expected
-
-
-def test_transcribe_requires_audio(store, providers):
-    video_no_audio = MediaAsset(
-        path="mute.mp4", kind="video", container="mp4",
-        duration_s=10.0, has_audio_stream=False, width_px=10, height_px=10,
-    )
-    hub = ProviderHub(providers, store, mode="replay")
-    with pytest.raises(ValueError):
-        hub.transcribe(video_no_audio, "asr")
 
 
 def test_malformed_transcript_payload():

@@ -33,7 +33,6 @@ SRC = Path(videval.__file__).resolve().parent
 
 ALLOWED = {
     "providers.request_key": "bench/workloads.py and demo/regenerate.py key the cassettes they build with it",
-    "providers.request_fingerprint": "bench/workloads.py and demo/regenerate.py write each cassette line's request with it",
     "providers.CassetteStore.__contains__": "bench/tracing.py's put hook evaluates `args[1] in args[0]`",
     "media.plan_frames": "ROADMAP item 6, frames through the loop, samples the frames with it",
     "media.MediaToolRunner.extract_frame": "ROADMAP item 6, frames through the loop, extracts the frames with it",
