@@ -4,9 +4,9 @@ A run produces one record per (condition x item) cell. Partial failures,
 including replay misses and out-of-memory responses, become records rather than
 aborting the run, so completeness can be accounted afterwards. Records come out
 in (condition, question id) order. Replay is serial and deterministic; live
-runs the cells concurrently, up to the hub's in-flight limit. A record's
-`wall_ms` is its answer's recorded latency in both modes (in a live run, that
-of the last attempt), so a replay of a live run's cassettes reads the same times.
+runs the cells concurrently, in a pool as wide as the plan's max_workers. A
+record's `wall_ms` is its answer's recorded latency in both modes (in a live run,
+that of the last attempt), so a replay of a live run's cassettes reads the same times.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
 
 from .errors import (
@@ -32,7 +33,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _boolean, _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _strings
+from .schema import _boolean, _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 OPTION_LETTERS = ("A", "B", "C", "D")
@@ -164,13 +165,33 @@ def build_question_prompt(
 
 # the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
 PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes, "valid": _boolean}
+_ANSWERS: dict[str, McqAnswer] = {}  # _parsed's answers, keyed by the repr of their dict
+_ANSWER_JSON: dict[McqAnswer, str] = {}  # the JSON text of each answer a record has written
 
 
 def _parsed(value, what: str) -> McqAnswer | ParsedVideoOutput | None:
     if value is None:
         return None
-    cls = McqAnswer if "letter" in _object(value, what) else ParsedVideoOutput
-    return _fill(cls, value, what, PARSED_READERS)
+    if "letter" not in _object(value, what):
+        return _fill(ParsedVideoOutput, value, what, PARSED_READERS)
+    key = repr(value)  # a manifest repeats a few answers: read each once (repr tells true from 1)
+    if key not in _ANSWERS:
+        _ANSWERS[key] = _fill(McqAnswer, value, what, PARSED_READERS)
+    return _ANSWERS[key]
+
+
+def _parsed_json(parsed: McqAnswer | ParsedVideoOutput | None) -> str:
+    if parsed is None:
+        return "null"
+    if isinstance(parsed, McqAnswer):
+        if parsed not in _ANSWER_JSON:
+            _ANSWER_JSON[parsed] = (
+                f'{{"confidence_source":{_quote(parsed.confidence_source)},"letter":{_quote(parsed.letter)}}}'
+            )
+        return _ANSWER_JSON[parsed]
+    keyframes = ",".join(f"[{entry.timestamp_s!r},{_quote(entry.caption)}]" for entry in parsed.keyframes)
+    valid = "true" if parsed.valid else "false"
+    return f'{{"keyframes":[{keyframes}],"summary":{_quote(parsed.summary)},"valid":{valid}}}'
 
 
 @dataclass
@@ -184,30 +205,43 @@ class RunRecord:
     wall_ms: int = 0
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        parsed = None if self.parsed is None else _plain(self.parsed)
-        if isinstance(self.parsed, ParsedVideoOutput):
-            parsed["keyframes"] = [[e.timestamp_s, e.caption] for e in self.parsed.keyframes]
-        return {
-            **_plain(self),
-            "condition": self.condition.to_dict(),
-            "response": self.response.to_dict(),
-            "parsed": parsed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, what: str = "record") -> "RunRecord":
-        return _fill(cls, data, what, RECORD_READERS)
+    def to_json(self) -> str:
+        """The record's line: json.dumps(fields, sort_keys=True, separators=(",", ":")) byte for byte,
+        keyframes as [seconds, caption]. Written by hand for speed, each string escaped as json.dumps
+        escapes it; a tag's JSON is made once per tag, and an answer's once per answer."""
+        response, error = self.response, "null" if self.error is None else _quote(self.error)
+        return (
+            f'{{"condition":{self.condition.canonical_json},"error":{error},"item_ref":{_quote(self.item_ref)},'
+            f'"outcome":{_quote(self.outcome)},"parsed":{_parsed_json(self.parsed)},'
+            f'"request_kind":{_quote(self.request_kind)},"response":{{"latency_ms":{response.latency_ms!r},'
+            f'"raw_text":{_quote(response.raw_text)},"status":{_quote(response.status)}}},'
+            f'"wall_ms":{self.wall_ms!r}}}'
+        )
 
 
-RECORD_READERS = {
-    "condition": ConditionTag.from_dict,
-    "request_kind": _choice(*REQUEST_KINDS),
-    "response": ModelResponse.from_dict,
-    "parsed": _parsed,
-    "outcome": _choice(*OUTCOMES),
-    "wall_ms": _number,
-}
+_request_kind, _outcome = _choice(*REQUEST_KINDS), _choice(*OUTCOMES)
+
+
+def _record(data) -> RunRecord:
+    """One manifest record, each field through its reader, with _fill's rules and messages:
+    an absent wall_ms or error keeps its default, and so does a null error."""
+    data = _object(data, "record")
+    error = data.get("error")
+    try:
+        return RunRecord(  # positional, in field order: keywords would more than double the call's cost
+            _string(data["item_ref"], "item_ref"),
+            ConditionTag.from_dict(data["condition"], "condition"),
+            _request_kind(data["request_kind"], "request_kind"),
+            ModelResponse.from_dict(data["response"], "response"),
+            _parsed(data["parsed"], "parsed"),
+            _outcome(data["outcome"], "outcome"),
+            _number(data.get("wall_ms", 0), "wall_ms"),
+            None if error is None else _string(error, "error"),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"record is missing {exc.args[0]!r}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"record.{exc}") from exc
 
 
 def classify_outcome(
@@ -253,6 +287,7 @@ class RunPlan:
     mcq_template: str = DEFAULT_MCQ_TEMPLATE
     summary_template: str = ""
     transcripts: dict[str, Transcript] = field(default_factory=dict)
+    max_workers: int = 4  # the width of a live run's pool: its limit on calls in flight
 
 
 @dataclass
@@ -268,8 +303,7 @@ class RunManifest:
         header["conditions"] = [c.to_dict() for c in self.conditions]
         del header["records"]
         lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for record in self.records:
-            lines.append(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")))
+        lines += [record.to_json() for record in self.records]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -284,7 +318,7 @@ class RunManifest:
                 if manifest is None:
                     manifest = _fill(cls, data, "header", HEADER_READERS)
                 else:
-                    manifest.records.append(RunRecord.from_dict(data))
+                    manifest.records.append(_record(data))
             except (ValueError, SchemaError, MalformedProviderOutput) as exc:
                 raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
         if manifest is None:
@@ -359,7 +393,7 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
     Cells are taken item by item, in question id order, so each item's prompt
     is rendered once per transcript side; each record goes to its place in
     (condition, question id) order. Replay runs the cells one after another.
-    Live runs them through one pool as wide as the hub's in-flight limit.
+    Live runs them through one pool, plan.max_workers threads wide.
     """
     started_at = (
         REPLAY_EPOCH
@@ -373,7 +407,7 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
             records[slot] = _run_one(plan, hub, *cell)
     else:
         cells = list(_cells(plan, items))
-        with ThreadPoolExecutor(hub.max_in_flight) as pool:
+        with ThreadPoolExecutor(plan.max_workers) as pool:
             done = pool.map(lambda cell: _run_one(plan, hub, *cell[1:]), cells)
             for (slot, *_), record in zip(cells, done):
                 records[slot] = record

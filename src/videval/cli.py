@@ -157,7 +157,7 @@ def _hub(config: HarnessConfig, args) -> ProviderHub:
     if mode == "replay" and not config.cassette_dir.is_dir():
         raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
     store = CassetteStore(config.cassette_dir)
-    return ProviderHub(config.providers, store, mode=mode, max_in_flight=config.max_workers)
+    return ProviderHub(config.providers, store, mode=mode)
 
 
 def cmd_transcribe(args) -> int:
@@ -306,6 +306,7 @@ def cmd_evaluate(args) -> int:
         mcq_template=config.mcq_template,
         summary_template=config.summary_template,
         transcripts=transcripts,
+        max_workers=config.max_workers,
     )
     manifest = bench.run_benchmark(plan, hub)
     _report_dropped(hub.store)

@@ -18,8 +18,8 @@ Live calls are one JSON POST each through the standard library's
 is verified against the system trust store (or `SSL_CERT_FILE`), every socket
 operation uses the provider's `timeout_s`, and a 307/308 reply to the POST is
 returned as an answer rather than followed. The hub keeps no in-flight limit of
-its own: a live run sends from `run_benchmark`'s pool, `max_in_flight` threads
-wide, and `transcribe` sends one request at a time.
+its own: a live run sends from `run_benchmark`'s pool, as wide as the run
+plan's `max_workers`, and `transcribe` sends one request at a time.
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class ModelRequest:
     condition: ConditionTag | None = None
 
 
-RESPONSE_READERS = {"latency_ms": _number}
-
-
 @dataclass
 class ModelResponse:
     raw_text: str
@@ -164,7 +161,20 @@ class ModelResponse:
 
     @classmethod
     def from_dict(cls, data: dict, what: str = "response") -> "ModelResponse":
-        return _fill(cls, data, what, RESPONSE_READERS).validate()
+        """The validated response in data, each field through its reader, with _fill's rules and
+        messages: an absent latency_ms or status keeps its default, and null is an error."""
+        data = _object(data, what)
+        try:
+            response = cls(
+                _string(data["raw_text"], "raw_text"),
+                _number(data.get("latency_ms", 0), "latency_ms"),
+                _string(data.get("status", "ok"), "status"),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"{what} is missing {exc.args[0]!r}") from None
+        except SchemaError as exc:
+            raise SchemaError(f"{what}.{exc}") from exc
+        return response.validate()
 
 
 @dataclass
@@ -259,7 +269,9 @@ class CassetteStore:
     Every store writes the lines of its own `segment-<n>.jsonl`, which it
     creates on its first `put` under the next free sequence number, and each
     line is on disk before `put` returns. The first `get`, `put` or `in` reads
-    every segment once, in sequence order, into an index of decoded answers.
+    every segment once, in sequence order, into an index of decoded answers:
+    each response goes through `ModelResponse.from_dict`, the one reader of an
+    answer, which reads its three fields directly and validates it.
 
     The first recorded answer to a key wins, across segments and within one:
     a key already held is never written again, and a later line for it is
@@ -382,8 +394,8 @@ class ProviderHub:
 
     Live mode records every response before returning it; replay mode answers
     exclusively from the cassette store. The hub sends from the thread that
-    calls it: `run_benchmark`'s pool, `max_in_flight` threads wide, is what
-    bounds concurrent live calls.
+    calls it: `run_benchmark`'s pool, as wide as the plan's `max_workers`, is
+    what bounds concurrent live calls.
     """
 
     def __init__(
@@ -392,7 +404,6 @@ class ProviderHub:
         store: CassetteStore,
         mode: str = "replay",
         transport: Callable[[str, dict, dict, float], tuple[int, str]] | None = None,
-        max_in_flight: int = 4,
     ):
         if mode not in ("replay", "live"):
             raise ValueError(f"bad mode: {mode}")
@@ -400,7 +411,6 @@ class ProviderHub:
         self.store = store
         self.mode = mode
         self.transport = transport or _default_transport
-        self.max_in_flight = max_in_flight
 
     # -- core send ---------------------------------------------------------
 

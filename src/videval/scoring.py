@@ -142,52 +142,17 @@ def build_match_vector(
     return MatchVector(scenario=scenario, matches=matches)
 
 
-def completeness_counts(records: Iterable) -> CompletenessRow:
-    """Outcome counts and summed wall_ms (0 for records that carry none)."""
-    tally: dict[str, int] = {}
-    wall_ms = 0
-    for record in records:
-        tally[record.outcome] = tally.get(record.outcome, 0) + 1
-        wall_ms += getattr(record, "wall_ms", 0)
+def completeness_counts(outcomes: dict[str, int], wall_ms: int) -> CompletenessRow:
+    """The completeness row of a tally of outcomes (outcome -> record count) and their summed wall_ms."""
     return CompletenessRow(
-        total=sum(tally.values()),
-        answered=sum(tally.get(outcome, 0) for outcome in ANSWERED_OUTCOMES),
-        correct=tally.get("answered_correct", 0),
-        oom=tally.get("oom", 0),
-        unanswered=tally.get("unanswered", 0),
-        invalid_output=tally.get("invalid_output", 0),
+        total=sum(outcomes.values()),
+        answered=sum(outcomes.get(outcome, 0) for outcome in ANSWERED_OUTCOMES),
+        correct=outcomes.get("answered_correct", 0),
+        oom=outcomes.get("oom", 0),
+        unanswered=outcomes.get("unanswered", 0),
+        invalid_output=outcomes.get("invalid_output", 0),
         wall_ms=wall_ms,
     )
-
-
-def _group_by(records: Iterable, key_fn) -> dict:
-    """Records grouped by key, in first-seen key order, each group in record order."""
-    groups: dict = {}
-    for record in records:
-        groups.setdefault(key_fn(record), []).append(record)
-    return groups
-
-
-def completeness_by_condition(records: Iterable) -> dict[str, CompletenessRow]:
-    """One completeness row per distinct condition tag, keyed by its printed label.
-
-    `ConditionTag.label()` leaves out the model and the GPU, so the label is
-    prefixed with whichever of them varies across the records, model first.
-    """
-    by_tag = _group_by(records, lambda record: record.condition)
-    vary_model = len({tag.model_name for tag in by_tag}) > 1
-    vary_gpu = len({tag.gpu for tag in by_tag}) > 1
-    rows = {}
-    for tag, group in by_tag.items():
-        prefix = [tag.model_name] * vary_model + [tag.gpu] * vary_gpu
-        label = " / ".join([part for part in prefix if part] + [tag.label()])
-        rows[label] = completeness_counts(group)
-    return dict(sorted(rows.items()))
-
-
-def _accuracy(records: list) -> float | None:
-    row = completeness_counts(records)
-    return row.correct_pct if row.answered else None
 
 
 def _mean_triple(rows: dict[str, RowTriple]) -> RowTriple | None:
@@ -208,50 +173,79 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
     Items supply each record's task type and duration. Task and model rows are
     sorted by name, duration rows come in DURATION_CLASSES order. Records of
     one transcript side only give no rows, a warning and the overall accuracy.
+
+    One pass folds each record into integers: per condition tag, its outcome
+    counts, summed wall_ms and mcq (task type, duration, outcome) counts. Every
+    accuracy is correct / answered over them. A completeness row's label is the
+    tag's `label()`, prefixed with the model and the GPU where they vary, model first.
     """
-    records = list(records)
     meta = {item.question_id: item for item in items}
-    mcq = [r for r in records if r.request_kind == "mcq"]
+    tallies: dict = {}  # tag -> [outcome counts, summed wall_ms, count of each (task, duration, outcome)]
+    dropped = 0
+    for record in records:
+        tally = tallies.get(record.condition) or tallies.setdefault(record.condition, [{}, 0, {}])
+        outcomes, _, cells = tally
+        outcome = record.outcome
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        tally[1] += getattr(record, "wall_ms", 0)
+        if record.request_kind == "mcq":
+            item = meta.get(record.item_ref)
+            if item is None:
+                dropped += 1
+                continue
+            cell = (item.task_type, item.duration_class, outcome)
+            cells[cell] = cells.get(cell, 0) + 1
+
+    # [answered, correct] of each (transcript side, dimension, key); dimension 0 is
+    # the task type, 1 the duration and 2 the model, so dimension 0 counts every record
+    counts: dict[tuple, list[int]] = {}
+    for tag, (_, _, cells) in tallies.items():
+        for (task, duration, outcome), n in cells.items():
+            answered, correct = n * (outcome in ANSWERED_OUTCOMES), n * (outcome == "answered_correct")
+            for key in ((0, task), (1, duration), (2, tag.model_name)):
+                pair = counts.setdefault((bool(tag.with_transcript), *key), [0, 0])
+                pair[0] += answered
+                pair[1] += correct
 
     warnings: list[str] = []
-    known = [r for r in mcq if r.item_ref in meta]
-    dropped = len(mcq) - len(known)
     if dropped:
         warnings.append(f"{dropped} record(s) reference unknown items and were skipped")
-
-    with_side = [r for r in known if r.condition.with_transcript]
-    without_side = [r for r in known if not r.condition.with_transcript]
-    if not with_side or not without_side:
+    both_sides = {side for side, _, _ in counts} == {True, False}
+    if not both_sides:
         warnings.append("records cover a single transcript condition; delta tables skipped")
-        with_side = without_side = []
 
-    def rows_for(key_fn, sort_key=None) -> dict[str, RowTriple]:
-        with_groups = _group_by(with_side, key_fn)
-        without_groups = _group_by(without_side, key_fn)
+    def rows_for(dimension: int, sort_key=None) -> dict[str, RowTriple]:
+        keys = {key for _, d, key in counts if d == dimension} if both_sides else ()
         rows: dict[str, RowTriple] = {}
-        for key in sorted(with_groups.keys() | without_groups.keys(), key=sort_key):
-            a = _accuracy(with_groups.get(key, []))
-            b = _accuracy(without_groups.get(key, []))
-            if a is None or b is None:
+        for key in sorted(keys, key=sort_key):
+            (a, a_correct), (b, b_correct) = (counts.get((side, dimension, key), (0, 0)) for side in (True, False))
+            if not a or not b:
                 warnings.append(f"row {key!r} lacks answered records on one side; skipped")
                 continue
-            rows[key] = RowTriple(a, b)
+            rows[key] = RowTriple(a_correct / a, b_correct / b)
         return rows
 
-    by_task = rows_for(lambda r: meta[r.item_ref].task_type)
-    by_duration = rows_for(lambda r: meta[r.item_ref].duration_class, DURATION_CLASSES.index)
-    by_model = rows_for(lambda r: r.condition.model_name)
+    by_task = rows_for(0)
+    by_duration = rows_for(1, DURATION_CLASSES.index)
+    by_model = rows_for(2)
 
-    overall = _accuracy(known)
+    answered, correct = (sum(pair[i] for (_, d, _), pair in counts.items() if d == 0) for i in (0, 1))
+    vary_model = len({tag.model_name for tag in tallies}) > 1
+    vary_gpu = len({tag.gpu for tag in tallies}) > 1
+    completeness = {}
+    for tag, (outcomes, wall_ms, _) in tallies.items():
+        prefix = [tag.model_name] * vary_model + [tag.gpu] * vary_gpu
+        label = " / ".join([part for part in prefix if part] + [tag.label()])
+        completeness[label] = completeness_counts(outcomes, wall_ms)
     return ScoreReport(
-        overall_accuracy=overall if overall is not None else 0.0,
+        overall_accuracy=correct / answered if answered else 0.0,
         by_task_type=by_task,
         task_average=_mean_triple(by_task),
         by_duration=by_duration,
         duration_average=_mean_triple(by_duration),
         by_model=by_model,
         model_average=_mean_triple(by_model),
-        completeness=completeness_by_condition(records),
+        completeness=dict(sorted(completeness.items())),
         warnings=warnings,
     )
 

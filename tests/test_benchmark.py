@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import random
 import threading
 import time
 from dataclasses import replace
@@ -7,9 +9,13 @@ from dataclasses import replace
 import pytest
 
 from videval.benchmark import (
+    OPTION_LETTERS,
+    OUTCOMES,
+    REQUEST_KINDS,
     RunCondition,
     RunManifest,
     RunPlan,
+    RunRecord,
     build_question_prompt,
     classify_outcome,
     item_from_record,
@@ -18,9 +24,10 @@ from videval.benchmark import (
 )
 from videval.config import load_config, load_transcripts
 from videval.errors import SchemaError, TemplateError
-from videval.parsing import McqAnswer, ParsedVideoOutput, parse_video_output
+from videval.parsing import KeyframeEntry, McqAnswer, ParsedVideoOutput, parse_video_output
 from videval.providers import (
     CassetteStore,
+    ConditionTag,
     ModelResponse,
     ProviderHub,
     Transcript,
@@ -251,7 +258,7 @@ class ScriptedTransport:
                 self.active -= 1
 
 
-def live_hub(demo_dir, cassette_dir, max_in_flight, transport=None):
+def live_hub(demo_dir, cassette_dir, transport=None):
     config = load_config(demo_dir / "config.json")
     providers = {
         name: replace(settings, endpoint="http://scripted.invalid/v1")
@@ -262,15 +269,14 @@ def live_hub(demo_dir, cassette_dir, max_in_flight, transport=None):
         CassetteStore(cassette_dir),
         mode="live",
         transport=transport or ScriptedTransport(),
-        max_in_flight=max_in_flight,
     )
 
 
 def record_dicts(manifest, drop_latency=False):
     """Record dicts, without the latency the hub measured, and the wall_ms that repeats it, if asked."""
     out = []
-    for record in manifest.records:
-        data = record.to_dict()
+    for line in manifest.to_jsonl().splitlines()[1:]:
+        data = json.loads(line)
         if drop_latency:
             del data["wall_ms"], data["response"]["latency_ms"]
         out.append(data)
@@ -306,8 +312,8 @@ def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
     # live runs at in-flight limits 1 and 8 differ only in timings: the start
     # stamp, wall_ms and the latency the hub measured around each call
     plan, _ = demo_plan_and_hub(demo_dir)
-    serial = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c1", 1, ScriptedTransport(0.001)))
-    wide = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c8", 8, ScriptedTransport(0.001)))
+    serial = run_benchmark(replace(plan, max_workers=1), live_hub(demo_dir, tmp_path / "c1", ScriptedTransport(0.001)))
+    wide = run_benchmark(replace(plan, max_workers=8), live_hub(demo_dir, tmp_path / "c8", ScriptedTransport(0.001)))
     assert serial.dataset_path == wide.dataset_path
     assert serial.conditions == wide.conditions
     assert serial.providers == wide.providers
@@ -317,14 +323,14 @@ def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
 def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
     transport = ScriptedTransport()
-    manifest = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c", 3, transport))
+    manifest = run_benchmark(replace(plan, max_workers=3), live_hub(demo_dir, tmp_path / "c", transport))
     assert len(manifest.records) == 20
     assert transport.peak == 3
 
 
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
-    live = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c", 4))
+    live = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c"))
     assert {r.response.status for r in live.records} == {"ok", "oom", "timeout"}
     assert not any(r.error for r in live.records)
     order = [(r.condition.with_transcript, r.item_ref) for r in live.records]
@@ -353,7 +359,9 @@ def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_
     # four conditions over the two transcript sides, listed so that neither side comes first throughout
     tags = [replace(plan.conditions[0].tag, model_name=name, with_transcript=side)
             for name, side in (("m1", True), ("m1", False), ("m2", False), ("m2", True))]
-    plan = replace(plan, conditions=[RunCondition(tag, "local-qwen") for tag in tags], items=plan.items[::-1])
+    plan = replace(
+        plan, conditions=[RunCondition(tag, "local-qwen") for tag in tags], items=plan.items[::-1], max_workers=3
+    )
     rendered = []
     real_build = videval.benchmark.build_question_prompt
     monkeypatch.setattr(
@@ -365,7 +373,7 @@ def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_
         provider = request.getfixturevalue("loopback_provider")
         settings = {"local-qwen": replace(load_config(demo_dir / "config.json").providers["local-qwen"],
                                           endpoint=provider.endpoint)}
-        hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live", max_in_flight=3)
+        hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live")
     records = run_benchmark(plan, hub).records
     assert len(rendered) == 2 * len(plan.items)
     question_ids = sorted(item.question_id for item in plan.items)
@@ -417,6 +425,64 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     )
     assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
     text = summaries.to_jsonl()
+    assert RunManifest.from_jsonl(text).to_jsonl() == text
+
+
+# quotes, a backslash, control characters, U+2028, non-ASCII, an astral character and a lone surrogate
+RECORD_ALPHABET = ["a", "Z", "0", " ", '"', "\\", "\t", "\n", "\r", "\x00", "\x7f", "é", "日", "\u2028", "😀", "\ud800"]
+
+
+def _text(rng: random.Random, shortest: int, longest: int) -> str:
+    return "".join(rng.choice(RECORD_ALPHABET) for _ in range(rng.randint(shortest, longest)))
+
+
+def _oracle_line(record: RunRecord) -> str:
+    data = dataclasses.asdict(record)
+    if isinstance(record.parsed, ParsedVideoOutput):
+        data["parsed"]["keyframes"] = [[e.timestamp_s, e.caption] for e in record.parsed.keyframes]
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _adversarial_record(rng: random.Random) -> RunRecord:
+    status = rng.choice(ModelResponse.STATUSES)
+    latency_ms = rng.choice([0, 2**40, rng.randint(1, 10**6)])
+    parsed = rng.choice([
+        None,
+        McqAnswer(rng.choice(OPTION_LETTERS), rng.choice(["explicit", "extracted", _text(rng, 0, 6)])),
+        ParsedVideoOutput(
+            summary=_text(rng, 0, 20),
+            # a caption is trimmed and holds no newline
+            keyframes=[KeyframeEntry(rng.randint(0, 359998), "x" + _text(rng, 0, 6).replace("\n", "") + "y")
+                       for _ in range(rng.randint(0, 3))],
+            valid=rng.random() < 0.5,
+        ),
+    ])
+    return RunRecord(
+        item_ref=_text(rng, 0, 12),
+        condition=ConditionTag(_text(rng, 0, 8), rng.choice([0.1, 1.0, 2.5e-07, 1e16, rng.uniform(0.01, 60)]),
+                               rng.random() < 0.5, rng.choice(ConditionTag.ATTENTION_VALUES), _text(rng, 0, 4)),
+        request_kind=rng.choice(REQUEST_KINDS),
+        response=ModelResponse(_text(rng, 1, 40) if status == "ok" else "", latency_ms, status),
+        parsed=parsed,
+        outcome=rng.choice(OUTCOMES),
+        wall_ms=rng.choice([0, 2**40, latency_ms]),
+        error=rng.choice([None, _text(rng, 0, 30)]),
+    )
+
+
+def test_hand_built_record_line_equals_json_dumps():
+    rng = random.Random(16)
+    records = [_adversarial_record(rng) for _ in range(400)]
+    assert {r.outcome for r in records} == set(OUTCOMES)
+    assert {r.response.status for r in records} == set(ModelResponse.STATUSES)
+    assert {r.response.latency_ms for r in records} >= {0, 2**40}
+    assert {type(r.parsed) for r in records} == {type(None), McqAnswer, ParsedVideoOutput}
+    for record in records:
+        assert record.to_json() == _oracle_line(record)
+    conditions = [RunCondition(ConditionTag("m"), "p")]
+    manifest = RunManifest(_text(rng, 0, 12), conditions, ["p"], "1970-01-01T00:00:00Z", records)
+    text = manifest.to_jsonl()
+    assert text.splitlines()[1:] == [_oracle_line(record) for record in records]
     assert RunManifest.from_jsonl(text).to_jsonl() == text
 
 

@@ -428,17 +428,24 @@ def _evaluate_demo(demo_dir, tmp_path, **changes):
     return str(config), out_dir / "manifest.jsonl"
 
 
+DELETE = object()  # as _set_field's value: take the field out
+
+
 def _set_field(record: dict, dotted: str, value) -> dict:
-    """Set the field at a dotted path of record, in place; return record."""
+    """Set the field at a dotted path of record, or delete it for DELETE, in place; return record."""
     *parents, key = dotted.split(".")
     target = record
     for part in parents:
         target = target[part]
-    target[key] = value
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
     return record
 
 
-# (dotted field of the first record, value); report took each of these, some changing its tables
+# (dotted field of the first record, value); report took each of the first six, some changing its tables.
+# The rest pin each field reader's checks, null included: null keeps the default of error alone.
 MISTYPED_RECORD_FIELDS = [
     ("outcome", "bogus"),
     ("condition.with_transcript", "false"),
@@ -446,10 +453,28 @@ MISTYPED_RECORD_FIELDS = [
     ("parsed.letter", "Z"),
     ("response.raw_text", 5),
     ("request_kind", "essay"),
+    ("wall_ms", True),
+    ("wall_ms", -1),
+    ("wall_ms", 1.5),
+    ("response.latency_ms", 1.5),
+    ("response.latency_ms", True),
+    ("response.status", "bogus"),
+    ("response.status", None),
+    ("error", 5),
+    ("item_ref", None),
+    ("item_ref", 7),
+    ("parsed", "A"),
+    ("parsed.confidence_source", 3),
+    ("condition", None),
+    ("condition.fps", 0),
+    ("condition.with_transcript", 1),
+    ("response", None),
+    ("response.raw_text", None),
+    ("parsed", DELETE),
 ]
 
 
-@pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS)
+@pytest.mark.parametrize("field, value", MISTYPED_RECORD_FIELDS, ids=lambda v: "deleted" if v is DELETE else None)
 def test_report_on_mistyped_manifest_field_is_invalid_input(demo_dir, tmp_path, capsys, field, value):
     _, manifest = _evaluate_demo(demo_dir, tmp_path)
     header, first, *rest = manifest.read_text(encoding="utf-8").splitlines()
@@ -487,6 +512,18 @@ def _damage_response(edit):
         pytest.param(
             _damage_response(lambda response: json.dumps(_set_field(response, "status", "weird"))),
             id="status-unknown",
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "latency_ms", True))), id="latency-true"
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "latency_ms", -1))), id="latency-negative"
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "raw_text", DELETE))), id="no-raw_text"
+        ),
+        pytest.param(
+            _damage_response(lambda response: json.dumps(_set_field(response, "status", None))), id="status-null"
         ),
         pytest.param(_damage_response(lambda response: "{not json"), id="not-json"),
         pytest.param(lambda fields: fields[:1], id="key-only"),

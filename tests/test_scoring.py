@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -35,6 +36,10 @@ class FakeRecord:
     outcome: str
     request_kind: str = "mcq"
     wall_ms: int = 0
+
+
+def tally(records) -> Counter:
+    return Counter(record.outcome for record in records)
 
 
 def make_records(item_ids, with_transcript, outcomes, model="m1"):
@@ -135,19 +140,19 @@ def test_build_match_vector_scenarios():
 def test_mcq_accuracy_fixture():
     outcomes = ["answered_correct"] * 37 + ["answered_wrong"] * 0 + ["oom"] * 63
     records = make_records([str(i) for i in range(100)], False, outcomes)
-    row = completeness_counts(records)
+    row = completeness_counts(tally(records), 0)
     assert row.answered_pct == 0.37
     assert row.correct_pct == 1.0
 
 
 def test_mcq_accuracy_all_correct():
     records = make_records(["1", "2"], False, ["answered_correct"] * 2)
-    row = completeness_counts(records)
+    row = completeness_counts(tally(records), 0)
     assert (row.answered_pct, row.correct_pct) == (1.0, 1.0)
 
 
 def test_mcq_accuracy_empty():
-    row = completeness_counts([])
+    row = completeness_counts({}, 0)
     assert (row.total, row.answered_pct, row.correct_pct) == (0, 0.0, 0.0)
 
 
@@ -160,7 +165,7 @@ def test_mcq_accuracy_counting_oracle():
         # brute-force tally
         answered = sum(o in ("answered_correct", "answered_wrong") for o in outcomes)
         correct = sum(o == "answered_correct" for o in outcomes)
-        row = completeness_counts(records)
+        row = completeness_counts(tally(records), 0)
         assert row.answered_pct == answered / len(outcomes)
         assert row.correct_pct == (correct / answered if answered else 0.0)
 
