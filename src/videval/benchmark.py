@@ -209,12 +209,11 @@ class RunRecord:
         """The record's line: json.dumps(fields, sort_keys=True, separators=(",", ":")) byte for byte,
         keyframes as [seconds, caption]. Written by hand for speed, each string escaped as json.dumps
         escapes it; a tag's JSON is made once per tag, and an answer's once per answer."""
-        response, error = self.response, "null" if self.error is None else _quote(self.error)
+        error = "null" if self.error is None else _quote(self.error)
         return (
             f'{{"condition":{self.condition.canonical_json},"error":{error},"item_ref":{_quote(self.item_ref)},'
             f'"outcome":{_quote(self.outcome)},"parsed":{_parsed_json(self.parsed)},'
-            f'"request_kind":{_quote(self.request_kind)},"response":{{"latency_ms":{response.latency_ms!r},'
-            f'"raw_text":{_quote(response.raw_text)},"status":{_quote(response.status)}}},'
+            f'"request_kind":{_quote(self.request_kind)},"response":{self.response.to_json()},'
             f'"wall_ms":{self.wall_ms!r}}}'
         )
 

@@ -77,14 +77,6 @@ class DuplicateModelName(HarnessError):
     """Two model outputs map to the same node identifier."""
 
 
-class NegativeWeight(HarnessError):
-    """Shortest paths require non-negative edge weights."""
-
-
-class UnknownSource(HarnessError):
-    """Shortest-path source node is not in the graph."""
-
-
 class UnknownCenter(HarnessError):
     """Metrics center node is not in the graph."""
 

@@ -12,19 +12,12 @@ graph bytes do not depend on the numpy version.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    DuplicateModelName,
-    NegativeWeight,
-    NoValidOutputs,
-    UnknownCenter,
-    UnknownSource,
-)
+from .errors import DuplicateModelName, NoValidOutputs, UnknownCenter
 from .parsing import ParsedVideoOutput
 from .schema import _plain, _pretty_json
 
@@ -72,7 +65,6 @@ class EvalGraph:
 
     nodes: dict[str, GraphNode] = field(default_factory=dict)
     edges: list[tuple[str, str]] = field(default_factory=list)
-    _edge_set: set[tuple[str, str]] = field(default_factory=set, repr=False)
 
     def add_node(self, node_id: str, label: str, color: str, size: int) -> GraphNode:
         if node_id in self.nodes:
@@ -84,10 +76,7 @@ class EvalGraph:
     def add_edge(self, source: str, target: str) -> None:
         if source not in self.nodes or target not in self.nodes:
             raise ValueError(f"edge endpoints must exist: ({source}, {target})")
-        key = (source, target)
-        if key not in self._edge_set:
-            self._edge_set.add(key)
-            self.edges.append(key)
+        self.edges.append((source, target))
 
 
 @dataclass
@@ -259,51 +248,6 @@ def fr_layout(
     }
 
 
-def dijkstra(
-    graph: EvalGraph,
-    source: str,
-    weights: dict[tuple[str, str], float] | None = None,
-) -> dict[str, float]:
-    """Directed shortest-path distances from source; unreachable nodes absent.
-
-    Edges missing from the weights map default to weight 1.
-    """
-    if source not in graph.nodes:
-        raise UnknownSource(f"unknown source node: {source}")
-    weights = weights or {}
-    for edge, w in weights.items():
-        if w < 0:
-            raise NegativeWeight(f"negative weight on {edge}: {w}")
-
-    adjacency: dict[str, list[tuple[str, float]]] = {nid: [] for nid in graph.nodes}
-    for s, t in graph.edges:
-        adjacency[s].append((t, weights.get((s, t), 1.0)))
-
-    dist: dict[str, float] = {source: 0.0}
-    done: set[str] = set()
-    queue: list[tuple[float, str]] = [(0.0, source)]
-    while queue:
-        d, u = heapq.heappop(queue)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adjacency[u]:
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(queue, (nd, v))
-    return dist
-
-
-def _undirected_view(graph: EvalGraph) -> EvalGraph:
-    view = EvalGraph()
-    view.nodes = dict(graph.nodes)
-    for s, t in graph.edges:
-        view.add_edge(s, t)
-        view.add_edge(t, s)
-    return view
-
-
 def graph_metrics(
     graph: EvalGraph,
     positions: dict[str, NodePosition],
@@ -311,8 +255,8 @@ def graph_metrics(
 ) -> GraphMetrics:
     """Node count, layout-space spread, and hop distances from the center.
 
-    Center distances use unit weights on the undirected view of the graph;
-    the directed, weighted shortest paths stay available through dijkstra().
+    Hops are counted by a breadth-first search that takes each edge both
+    ways; they are the floats 0.0, 1.0, ... and unreachable nodes have none.
     """
     import numpy as np
 
@@ -333,7 +277,17 @@ def graph_metrics(
         pairs = dist[np.triu_indices(n, k=1)]
         mean_distance = math.fsum(pairs.tolist()) / len(pairs)
 
-    hops = dijkstra(_undirected_view(graph), center)
+    neighbours: dict[str, list[str]] = {nid: [] for nid in graph.nodes}
+    for s, t in graph.edges:
+        neighbours[s].append(t)
+        neighbours[t].append(s)
+    hops = {center: 0.0}
+    frontier = [center]
+    for node in frontier:  # the list grows as it is walked: a FIFO queue
+        for nxt in neighbours[node]:
+            if nxt not in hops:
+                hops[nxt] = hops[node] + 1.0
+                frontier.append(nxt)
     unreachable = {nid for nid in graph.nodes if nid not in hops}
     return GraphMetrics(
         node_count=n,

@@ -156,8 +156,10 @@ class ModelResponse:
             raise MalformedProviderOutput("negative latency")
         return self
 
-    def to_dict(self) -> dict:
-        return _plain(self)
+    def to_json(self) -> str:
+        """json.dumps of the three fields, sort_keys=True, separators=(",", ":"), byte for byte:
+        the form a cassette line and a manifest record keep."""
+        return f'{{"latency_ms":{self.latency_ms!r},"raw_text":{_quote(self.raw_text)},"status":{_quote(self.status)}}}'
 
     @classmethod
     def from_dict(cls, data: dict, what: str = "response") -> "ModelResponse":
@@ -259,7 +261,7 @@ class CassetteStore:
     """Append-only directory of recorded answers, one line each.
 
     A line is `key<TAB>response<TAB>request<LF>`: the request key, the answer
-    as compact JSON, which holds no raw tab or newline, and the request
+    as `ModelResponse.to_json` writes it (no raw tab or newline), and the request
     fingerprint text the key hashes, written as `put` is given it. Replay splits
     off the key and decodes only the response. A line that starts with `{` is
     one compact JSON object {"key", "request", "response"}, as earlier versions
@@ -335,8 +337,7 @@ class CassetteStore:
         with self._lock:
             if key in entries:
                 return
-            answer = json.dumps(response.to_dict(), sort_keys=True, separators=(",", ":"))
-            line = f"{key}\t{answer}\t{fingerprint}\n".encode("utf-8")
+            line = f"{key}\t{response.to_json()}\t{fingerprint}\n".encode("utf-8")
             while self._segment is None:  # the first put creates this store's own segment
                 self.root.mkdir(parents=True, exist_ok=True)
                 path = self.root / f"segment-{self._next:06d}.jsonl"

@@ -249,42 +249,3 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
         warnings=warnings,
     )
 
-
-def _differences(a: RowTriple, b: RowTriple, tolerance: float) -> list[tuple[str, float, float]]:
-    """(column, a's value, b's value) of each column that differs by more than tolerance."""
-    return [
-        (name, x, y)
-        for name, x, y in (
-            ("with", a.with_value, b.with_value),
-            ("without", a.without_value, b.without_value),
-            ("delta", a.delta, b.delta),
-        )
-        if abs(x - y) > tolerance
-    ]
-
-
-def stated_average_warnings(
-    label: str,
-    rows: dict[str, RowTriple],
-    stated: RowTriple,
-    tolerance: float,
-) -> list[str]:
-    """Warn when a stated average row disagrees with the mean of its rows."""
-    computed = _mean_triple(rows)
-    if computed is None:
-        return [f"{label}: no rows to average against the stated values"]
-    return [
-        f"{label}: stated average ({name}) {want:g} differs from the "
-        f"mean of its rows {got:.4f} by more than {tolerance:g}"
-        for name, got, want in _differences(computed, stated, tolerance)
-    ]
-
-
-def claim_mismatch_warnings(
-    label: str, claimed: RowTriple, reference: RowTriple, tolerance: float
-) -> list[str]:
-    """Warn when two stated claims about the same quantity disagree."""
-    return [
-        f"{label}: claimed {name} value {a:g} disagrees with {b:g} beyond {tolerance:g}"
-        for name, a, b in _differences(claimed, reference, tolerance)
-    ]

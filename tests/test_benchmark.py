@@ -479,6 +479,8 @@ def test_hand_built_record_line_equals_json_dumps():
     assert {type(r.parsed) for r in records} == {type(None), McqAnswer, ParsedVideoOutput}
     for record in records:
         assert record.to_json() == _oracle_line(record)
+        response = record.response
+        assert response.to_json() == json.dumps(dataclasses.asdict(response), sort_keys=True, separators=(",", ":"))
     conditions = [RunCondition(ConditionTag("m"), "p")]
     manifest = RunManifest(_text(rng, 0, 12), conditions, ["p"], "1970-01-01T00:00:00Z", records)
     text = manifest.to_jsonl()

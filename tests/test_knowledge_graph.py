@@ -6,13 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from videval.errors import (
-    DuplicateModelName,
-    NegativeWeight,
-    NoValidOutputs,
-    UnknownCenter,
-    UnknownSource,
-)
+from videval.errors import DuplicateModelName, NoValidOutputs, UnknownCenter
 from videval.knowledge_graph import (
     KEYFRAMES_NODE,
     SUMMARY_NODE,
@@ -20,7 +14,6 @@ from videval.knowledge_graph import (
     LayoutParams,
     NodePosition,
     build_comparison_graph,
-    dijkstra,
     export_dot,
     export_json,
     fr_layout,
@@ -320,87 +313,6 @@ def test_huge_iteration_bound_changes_nothing(case):
     default = fr_layout(graph, params)
     assert _xy(fr_layout(graph, replace(params, iterations=10**6))) == _xy(default)
 
-# --- dijkstra ----------------------------------------------------------------------
-
-
-def enumerate_shortest_paths(nodes, edges, weights, source):
-    """Exhaustive simple-path enumeration (independent oracle).
-
-    Prunes only branches strictly worse than a known distance, which cannot
-    change any minimum.
-    """
-    adjacency = {n: [] for n in nodes}
-    for s, t in edges:
-        adjacency[s].append((t, weights[(s, t)]))
-    best = {source: 0.0}
-
-    def walk(node, acc, visited):
-        for nxt, w in adjacency[node]:
-            if nxt in visited:
-                continue
-            total = acc + w
-            if nxt in best and total > best[nxt]:
-                continue
-            if nxt not in best or total < best[nxt]:
-                best[nxt] = total
-            walk(nxt, total, visited | {nxt})
-
-    walk(source, 0.0, {source})
-    return best
-
-
-def test_dijkstra_single_edge():
-    graph = simple_graph([("A", "B")])
-    assert dijkstra(graph, "A", {("A", "B"): 1.0}) == {"A": 0.0, "B": 1.0}
-
-
-def test_dijkstra_respects_direction():
-    graph = simple_graph([("B", "A")], nodes=["A", "B"])
-    assert dijkstra(graph, "A") == {"A": 0.0}
-
-
-def test_dijkstra_unknown_source():
-    with pytest.raises(UnknownSource):
-        dijkstra(simple_graph([("A", "B")]), "Z")
-
-
-def test_dijkstra_negative_weight():
-    graph = simple_graph([("A", "B")])
-    with pytest.raises(NegativeWeight):
-        dijkstra(graph, "A", {("A", "B"): -0.5})
-
-
-def test_dijkstra_random_graphs_match_enumeration():
-    rng = random.Random(41)
-    for _ in range(200):
-        n = rng.randint(1, 20)
-        nodes = [f"n{i}" for i in range(n)]
-        edges = set()
-        for _ in range(rng.randint(0, 2 * n)):
-            s, t = rng.choice(nodes), rng.choice(nodes)
-            if s != t:
-                edges.add((s, t))
-        weights = {e: float(rng.randint(0, 10)) for e in edges}
-        graph = simple_graph(sorted(edges), nodes=nodes)
-        source = rng.choice(nodes)
-        assert dijkstra(graph, source, weights) == enumerate_shortest_paths(
-            nodes, edges, weights, source
-        )
-
-
-def test_dijkstra_triangle_inequality():
-    rng = random.Random(43)
-    for _ in range(50):
-        nodes = [f"n{i}" for i in range(8)]
-        edges = {(s, t) for s in nodes for t in nodes if s != t and rng.random() < 0.4}
-        weights = {e: float(rng.randint(0, 10)) for e in edges}
-        graph = simple_graph(sorted(edges), nodes=nodes)
-        dist = dijkstra(graph, "n0", weights)
-        for (s, t), w in weights.items():
-            if s in dist and t in dist:
-                assert dist[t] <= dist[s] + w + 1e-12
-
-
 # --- metrics -----------------------------------------------------------------------
 
 
@@ -428,17 +340,18 @@ def test_metrics_bfs_oracle_on_random_graphs():
     from collections import deque
 
     rng = random.Random(59)
+    cases = []
     for _ in range(50):
         n = rng.randint(2, 15)
         nodes = [f"n{i}" for i in range(n)]
-        edges = sorted({
-            (rng.choice(nodes), rng.choice(nodes))
-            for _ in range(rng.randint(1, 2 * n))
-        })
-        edges = [(s, t) for s, t in edges if s != t]
+        edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(1, 2 * n))]
+        cases.append((nodes, edges, rng.choice(nodes)))
+    # a self-loop, a repeated edge and both directions of a pair, next to an unreachable node
+    cases.append((["a", "b", "c", "d"], [("a", "a"), ("a", "b"), ("a", "b"), ("c", "b"), ("b", "c")], "c"))
+
+    for nodes, edges, center in cases:
         graph = simple_graph(edges, nodes=nodes)
         positions = {nid: NodePosition(nid, rng.random(), rng.random()) for nid in nodes}
-        center = rng.choice(nodes)
         metrics = graph_metrics(graph, positions, center=center)
 
         # BFS over the undirected view

@@ -93,8 +93,8 @@ def test_replay_is_byte_deterministic(store, providers):
     live.send(request)
 
     replay = ProviderHub(providers, store, mode="replay")
-    first = json.dumps(replay.send(request).to_dict(), sort_keys=True)
-    second = json.dumps(replay.send(request).to_dict(), sort_keys=True)
+    first = replay.send(request).to_json()
+    second = replay.send(request).to_json()
     assert first.encode() == second.encode()
 
 
@@ -270,7 +270,7 @@ def test_cassette_directory_without_segments_replays_as_misses(store, providers)
 
 def _legacy_line(key, response: ModelResponse) -> str:
     """One line of the {"key", "request", "response"} layout earlier versions wrote."""
-    entry = {"key": key, "request": {"prompt": "p"}, "response": response.to_dict()}
+    entry = {"key": key, "request": {"prompt": "p"}, "response": dataclasses.asdict(response)}
     return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -37,9 +37,6 @@ ALLOWED = {
     "media.plan_frames": "ROADMAP item 6, frames through the loop, samples the frames with it",
     "media.MediaToolRunner.extract_frame": "ROADMAP item 6, frames through the loop, extracts the frames with it",
     "media.plan_split": "ROADMAP item 7, split on OOM, plans the segments with it",
-    "scoring.stated_average_warnings": "acceptance criteria 4 and 5 check the paper's printed average rows with it",
-    "scoring.claim_mismatch_warnings": "acceptance criterion 5 checks the paper's caption against its table with it",
-    "scoring._differences": "stated_average_warnings and claim_mismatch_warnings compare rows with it",
 }
 
 # Installs the hooks before the first import of videval; argv[1] holds the runs

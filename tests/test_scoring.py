@@ -12,12 +12,10 @@ from videval.scoring import (
     RowTriple,
     aggregate,
     build_match_vector,
-    claim_mismatch_warnings,
     completeness_counts,
     keyframe_match,
     match_keyframe_lists,
     matching_node_score,
-    stated_average_warnings,
 )
 
 
@@ -278,20 +276,3 @@ def test_aggregate_completeness_one_row_per_model_and_side():
     assert [(r.total, r.answered, r.oom) for r in rows] == [(2, 1, 1)] * 4
     assert [r.wall_ms for r in rows] == [2000, 2000, 500, 500]
 
-
-# --- warnings helpers ----------------------------------------------------------------------
-
-
-def test_stated_average_warning_fires_on_mismatch():
-    rows = {"a": RowTriple(0.6, 0.5), "b": RowTriple(0.8, 0.7)}
-    consistent = RowTriple(0.7, 0.6)
-    assert stated_average_warnings("tbl", rows, consistent, 0.0015) == []
-    inconsistent = RowTriple(0.75, 0.6)
-    warnings = stated_average_warnings("tbl", rows, inconsistent, 0.0015)
-    assert warnings and "tbl" in warnings[0]
-
-
-def test_claim_mismatch_warnings():
-    assert claim_mismatch_warnings("x", RowTriple(1.0, 0.5), RowTriple(1.0, 0.5), 0.01) == []
-    warnings = claim_mismatch_warnings("x", RowTriple(58.4, 54.5), RowTriple(72.3, 68.4), 0.05)
-    assert len(warnings) >= 2
