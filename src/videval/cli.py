@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import benchmark as bench
@@ -76,14 +79,23 @@ def _emit(out_dir: Path, bundle: ReportBundle, name: str, text: str) -> None:
 
 
 def _walk_media_files(paths: list[str]) -> list[Path]:
-    found: list[Path] = []
+    """Every file the paths name or hold, each directory's in sorted order.
+
+    A file reached twice (named twice, or inside two of the paths) is listed
+    once, where it is first reached and spelled as it was given there.
+    """
+    found: dict[Path, Path] = {}  # resolved path -> the path as first given
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found.extend(sorted(q for q in p.rglob("*") if q.is_file()))
+            files = sorted(q for q in p.rglob("*") if q.is_file())
         elif p.is_file():
-            found.append(p)
-    return found
+            files = [p]
+        else:
+            continue
+        for q in files:
+            found.setdefault(q.resolve(), q)
+    return list(found.values())
 
 
 def _duration_bucket(duration_s: float) -> str:
@@ -94,24 +106,46 @@ def _duration_bucket(duration_s: float) -> str:
     return "long"
 
 
-def _probed_assets(paths: list[str], tool: media.MediaToolRunner):
-    """Yield the probed asset of each supported file; report and skip those that fail."""
-    for path in _walk_media_files(paths):
-        if not media.is_supported(path):
-            continue
-        try:
-            asset = media.probe(path, tool)
-        except (ProbeFailure, UnsupportedFormat) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
-        yield asset
+# probes submitted to the pool, or finished, but not yet taken: per thread of the pool
+PROBES_AHEAD_PER_WORKER = 2
+
+
+def _probed_assets(paths: list[str], tool: media.MediaToolRunner, max_workers: int):
+    """Yield the probed asset of each supported file; report and skip those that fail.
+
+    Files are probed in a pool max_workers threads wide, at most
+    PROBES_AHEAD_PER_WORKER * max_workers ahead of the file last taken, and
+    taken in walk order, so the assets and the `skipping` lines come out as a
+    serial loop gives them. Closing the generator (the caller stopped early)
+    cancels the probes not yet started and waits for the running ones.
+    """
+    files = (path for path in _walk_media_files(paths) if media.is_supported(path))
+    pool = ThreadPoolExecutor(max_workers)
+    try:
+        # media.probe is looked up at each submit, so a wrapper set on the module sees every probe
+        ahead = deque((path, pool.submit(media.probe, path, tool))
+                      for path in islice(files, PROBES_AHEAD_PER_WORKER * max_workers))
+        while ahead:
+            path, probed = ahead.popleft()
+            following = next(files, None)
+            if following is not None:
+                ahead.append((following, pool.submit(media.probe, following, tool)))
+            try:
+                asset = probed.result()
+            except (ProbeFailure, UnsupportedFormat) as exc:
+                print(f"skipping {path}: {exc}", file=sys.stderr)
+                continue
+            yield asset
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_ingest(args) -> int:
-    probe_cmd = media.DEFAULT_PROBE_CMD
+    probe_cmd, max_workers = media.DEFAULT_PROBE_CMD, HarnessConfig.max_workers  # the config's defaults
     if args.config:
-        probe_cmd = load_config(args.config).probe_command or probe_cmd
-    assets = list(_probed_assets(args.paths, media.MediaToolRunner(probe_cmd=probe_cmd)))
+        config = load_config(args.config)
+        probe_cmd, max_workers = config.probe_command or probe_cmd, config.max_workers
+    assets = list(_probed_assets(args.paths, media.MediaToolRunner(probe_cmd=probe_cmd), max_workers))
 
     if not assets:
         print("0 usable assets", file=sys.stderr)
@@ -169,8 +203,9 @@ def cmd_transcribe(args) -> int:
 
     transcripts: dict[str, dict] = {}
     holders: dict[str, str] = {}  # transcript id (a file stem) -> the file it was made from
+    assets = _probed_assets(args.paths, tool, config.max_workers)
     try:
-        for asset in _probed_assets(args.paths, tool):
+        for asset in assets:
             if asset.kind != "audio" and not asset.has_audio_stream:
                 print(f"skipping {asset.path}: no audio stream", file=sys.stderr)
                 continue
@@ -191,6 +226,7 @@ def cmd_transcribe(args) -> int:
                 "language": transcript.language,
             }
     finally:  # a replay miss stops the command, and a dropped line may be why
+        assets.close()  # stops the probing too
         _report_dropped(hub.store)
 
     if not transcripts:

@@ -139,8 +139,10 @@ def is_supported(path: str | Path) -> bool:
 class MediaToolRunner:
     """Invokes the external media tool via command templates.
 
-    Placeholders: {input}, {timestamp}, {output}. Probes of distinct files may
-    run concurrently; access to any single file is serialized.
+    Placeholders: {input}, {timestamp}, {output}. One runner may serve many
+    threads: `ingest` and `transcribe` probe through one, from a pool as wide
+    as the config's `max_workers`. Probes of distinct files run concurrently;
+    access to any single file is serialized.
     """
 
     def __init__(

@@ -1,12 +1,15 @@
 import json
 import shutil
+import threading
+import time
 
 import pytest
 
-from videval.cli import main
+import videval.media
+from videval.cli import PROBES_AHEAD_PER_WORKER, main
 from videval.config import load_config
 from videval.errors import ConfigError
-from videval.providers import ModelRequest, request_key
+from videval.providers import ModelRequest, ProviderHub, request_key
 
 
 def run_cli(*argv) -> int:
@@ -87,6 +90,85 @@ def test_ingest_zero_usable_exits_3(tmp_path, probe_config, capsys):
     code = run_cli("ingest", str(empty), "--config", str(probe_config))
     assert code == 3
     assert "0 usable assets" in capsys.readouterr().err
+
+
+def test_ingest_lists_a_file_reached_twice_once(media_tree, probe_config, tmp_path, capsys):
+    first = media_tree / "nested" / "c_d700.webm"
+    again = media_tree / "nested" / ".." / "a_d60.mp4"  # another spelling of a file the walk reaches
+    out = tmp_path / "inventory.json"
+    argv = [str(first), str(media_tree), str(media_tree / "nested"), str(again), str(first)]
+    assert run_cli("ingest", *argv, "--config", str(probe_config), "--out", str(out)) == 0
+    inventory = json.loads(out.read_text(encoding="utf-8"))
+    # each file where the arguments first reach it, spelled as given there
+    assert [asset["path"] for asset in inventory["assets"]] == [
+        str(first), str(media_tree / "a_d60.mp4"), str(media_tree / "b.flac"), str(media_tree / "nested" / "d_d3000.wmv")
+    ]
+    assert inventory["histogram"]["containers"] == {"flac": 1, "mp4": 1, "webm": 1, "wmv": 1}
+    assert inventory["histogram"]["durations"] == {"short": 2, "medium": 1, "long": 1}
+    assert "4 usable assets" in capsys.readouterr().out
+
+
+def _with_max_workers(config_path, max_workers: int):
+    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    raw["max_workers"] = max_workers
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+
+
+def test_ingest_output_does_not_depend_on_the_pool_width(media_tree, probe_config, tmp_path, capsys, monkeypatch):
+    # the fake probe fails on an extension it does not know, on "broken", and on documents of another shape
+    failing = ["a1_unknown.qt", "b1_textwidth.mp4", "c1_listdoc.flac", "nested/c0_broken.avi", "nested/e_unknown.mpeg"]
+    for name in [*failing, "a2_d30.mp3", "c2_d1000.m4a", "nested/c3_d200.avi", "z_d10.wav"]:
+        (media_tree / name).write_bytes(name.encode())
+    walk = sorted(p for p in media_tree.rglob("*") if videval.media.is_supported(p))
+    # the earlier a file comes in the walk, the longer its probe takes, so a pool finishes them out of order
+    delays = {str(path): 0.004 * (len(walk) - i) for i, path in enumerate(walk)}
+    real_probe = videval.media.probe
+    monkeypatch.setattr(videval.media, "probe", lambda path, tool: time.sleep(delays[str(path)]) or real_probe(path, tool))
+
+    runs = {}
+    for max_workers in (1, 4):
+        _with_max_workers(probe_config, max_workers)
+        capsys.readouterr()
+        assert run_cli("ingest", str(media_tree), "--config", str(probe_config), "--out", str(tmp_path / "inv.json")) == 0
+        captured = capsys.readouterr()
+        runs[max_workers] = ((tmp_path / "inv.json").read_bytes(), captured.out, captured.err)
+    assert runs[4] == runs[1]
+    inventory_bytes, _, err = runs[4]
+    skipped = [line.split(": ", 1)[0].removeprefix("skipping ") for line in err.splitlines()]
+    assert skipped == [str(path) for path in walk if path.relative_to(media_tree).as_posix() in failing]
+    assert [asset["path"] for asset in json.loads(inventory_bytes)["assets"]] == [
+        str(path) for path in walk if str(path) not in skipped
+    ]
+
+
+def test_ingest_probes_at_most_max_workers_at_once(tmp_path, probe_config, monkeypatch):
+    media = tmp_path / "media"
+    media.mkdir()
+    for i in range(12):
+        (media / f"clip{i:02d}_d30.mp3").write_bytes(b"a")
+    log: list[str] = []  # "start" and "end" of each probe, in the order they happened
+    lock = threading.Lock()
+    real_probe = videval.media.probe
+
+    def slow_probe(path, tool):
+        with lock:
+            log.append("start")
+        try:
+            time.sleep(0.05)
+            return real_probe(path, tool)
+        finally:
+            with lock:
+                log.append("end")
+
+    monkeypatch.setattr(videval.media, "probe", slow_probe)
+    _with_max_workers(probe_config, 3)
+    assert run_cli("ingest", str(media), "--config", str(probe_config), "--out", str(tmp_path / "inv.json")) == 0
+    in_flight, peak = 0, 0
+    for event in log:
+        in_flight += 1 if event == "start" else -1
+        peak = max(peak, in_flight)
+    assert log.count("start") == log.count("end") == 12
+    assert peak == 3
 
 
 # --- evaluate ------------------------------------------------------------------------
@@ -723,6 +805,42 @@ def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, f
     assert len(loopback_provider.seen) == 2  # the replay asked nothing live
     assert json.loads(outputs["--live"]) == {"b_good": {"segments": asr["segments"], "text": "hello", "language": "en"}}
     assert outputs["--replay"] == outputs["--live"]
+
+
+def test_transcribe_takes_a_file_reached_twice_once(tmp_path, capsys, fake_probe_cmd):
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    out = tmp_path / "transcripts.json"
+    capsys.readouterr()
+    assert run_cli("transcribe", str(audio), str(tmp_path), "--config", str(config_path), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""  # no "already has the transcript id" line for the second sight of it
+    assert list(json.loads(out.read_text(encoding="utf-8"))) == ["talk"]
+
+
+def test_transcribe_stopped_by_a_replay_miss_stops_the_probing(tmp_path, capsys, fake_probe_cmd, monkeypatch):
+    _, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    _with_max_workers(config_path, 2)
+    clips = tmp_path / "clips"  # no cassette entry for any of them, so the first send misses
+    clips.mkdir()
+    for i in range(40):
+        (clips / f"clip{i:02d}.wav").write_bytes(b"wav %d" % i)
+    probed: list[str] = []
+    lock = threading.Lock()
+    real_probe = videval.media.probe
+
+    def logged_probe(path, tool):
+        with lock:
+            probed.append(path.name)
+        return real_probe(path, tool)
+
+    monkeypatch.setattr(videval.media, "probe", logged_probe)
+    real_transcribe = ProviderHub.transcribe  # slowed, so that a probing left running would go on meanwhile
+    monkeypatch.setattr(ProviderHub, "transcribe", lambda *args: time.sleep(0.3) or real_transcribe(*args))
+    capsys.readouterr()
+    code = run_cli("transcribe", str(clips), "--config", str(config_path), "--out", str(tmp_path / "t.json"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no cassette entry for asr request to whisper")
+    assert "clip00.wav" in probed
+    assert len(probed) <= 1 + PROBES_AHEAD_PER_WORKER * 2  # the one taken, and those ahead of it
 
 
 # --- the cassette directory ----------------------------------------------------------------------
