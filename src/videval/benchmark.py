@@ -194,7 +194,7 @@ def _parsed_json(parsed: McqAnswer | ParsedVideoOutput | None) -> str:
     return f'{{"keyframes":[{keyframes}],"summary":{_quote(parsed.summary)},"valid":{valid}}}'
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     item_ref: str
     condition: ConditionTag
@@ -297,19 +297,22 @@ class RunManifest:
     started_at: str
     records: list[RunRecord] = field(default_factory=list)
 
-    def to_jsonl(self) -> str:
+    def lines(self):
+        """The manifest's text a line at a time: the header, then each record, each ending in a newline."""
         header = {**_plain(self), "kind": "manifest"}
         header["conditions"] = [c.to_dict() for c in self.conditions]
         del header["records"]
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines += [record.to_json() for record in self.records]
-        return "\n".join(lines) + "\n"
+        yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in self.records:
+            yield record.to_json() + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str | bytes) -> "RunManifest":
-        """Read a manifest back (text or bytes); a SchemaError names a line that does not decode."""
+    def from_jsonl(cls, chunks) -> "RunManifest":
+        """Read a manifest back from chunks of text or bytes, each split into lines (a file opened
+        "rb" gives one chunk per line); a SchemaError names a line that does not decode."""
         manifest = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        lines = (line for chunk in chunks for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:

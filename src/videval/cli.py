@@ -60,18 +60,21 @@ class ReportBundle:
         return {**_plain(self), "score_report": score_report, "emitted": sorted(self.emitted)}
 
 
-def _write(path: Path, text: str) -> None:
-    """Write one output file as UTF-8, making its directory; an OSError is an IoError."""
+def _write(path: Path, chunks) -> None:
+    """Write one output file, the text chunks in order, as UTF-8, making its directory; an OSError
+    is an IoError. A caller with one text passes (text,): writelines on a str writes a character
+    at a time."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(out_dir: Path, bundle: ReportBundle, name: str, text: str) -> None:
-    """Write the artifact name (a path under out_dir) and list it in the bundle."""
-    _write(out_dir / name, text)
+def _emit(out_dir: Path, bundle: ReportBundle, name: str, chunks) -> None:
+    """Write the artifact name (a path under out_dir), the text chunks in order, and list it in the bundle."""
+    _write(out_dir / name, chunks)
     bundle.emitted.append(name)
 
 
@@ -163,7 +166,7 @@ def cmd_ingest(args) -> int:
         "histogram": {"containers": containers, "durations": durations},
     }
     out_path = Path(args.out or "inventory.json")
-    _write(out_path, _pretty_json(inventory))
+    _write(out_path, (_pretty_json(inventory),))
 
     print(f"{len(assets)} usable assets -> {out_path}")
     for tag in sorted(containers):
@@ -233,7 +236,7 @@ def cmd_transcribe(args) -> int:
         print("0 transcribable assets", file=sys.stderr)
         return EXIT_EMPTY
     out_path = Path(args.out or "transcripts.json")
-    _write(out_path, _pretty_json(transcripts))
+    _write(out_path, (_pretty_json(transcripts),))
     print(f"{len(transcripts)} transcripts -> {out_path}")
     return EXIT_OK
 
@@ -278,8 +281,8 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
         parsed_by_video[video_id] = valid
         graph = kg.build_comparison_graph(valid)
         positions = kg.fr_layout(graph, config.layout)
-        _emit(out_dir, bundle, f"graphs/{video_id}.dot", kg.export_dot(graph, positions))
-        _emit(out_dir, bundle, f"graphs/{video_id}.json", kg.export_json(graph, positions))
+        _emit(out_dir, bundle, f"graphs/{video_id}.dot", (kg.export_dot(graph, positions),))
+        _emit(out_dir, bundle, f"graphs/{video_id}.json", (kg.export_json(graph, positions),))
         metrics = _plain(kg.graph_metrics(graph, positions))
         metrics["unreachable"] = sorted(metrics["unreachable"])
         bundle.graph_metrics[video_id] = metrics
@@ -287,7 +290,7 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
     if not parsed_by_video:
         raise NoValidOutputs(f"no valid model outputs in {outputs_path}")
 
-    _emit(out_dir, bundle, "graph_metrics.json", _pretty_json(bundle.graph_metrics))
+    _emit(out_dir, bundle, "graph_metrics.json", (_pretty_json(bundle.graph_metrics),))
 
     if annotations:
         models = sorted({m for v in parsed_by_video.values() for m in v})
@@ -313,13 +316,13 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
                     score = None
                 entry[scenario] = {"score": score, "n": len(vector.matches)}
             bundle.matching_scores[model] = entry
-        _emit(out_dir, bundle, "matching_scores.json", _pretty_json(bundle.matching_scores))
+        _emit(out_dir, bundle, "matching_scores.json", (_pretty_json(bundle.matching_scores),))
 
 
 def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, bundle: ReportBundle) -> None:
     bundle.score_report = scoring.aggregate(items, manifest.records)
     for name, text in reports.report_files(bundle.score_report).items():
-        _emit(out_dir, bundle, name, text)
+        _emit(out_dir, bundle, name, (text,))
 
 
 def cmd_evaluate(args) -> int:
@@ -350,11 +353,11 @@ def cmd_evaluate(args) -> int:
     del hub  # the index of every recorded answer is not needed past the run
 
     bundle = ReportBundle(score_report=None, manifest="manifest.jsonl")
-    _emit(out_dir, bundle, bundle.manifest, manifest.to_jsonl())
+    _emit(out_dir, bundle, bundle.manifest, manifest.lines())
     _score_and_emit(items, manifest, out_dir, bundle)
     if config.outputs:
         _graph_outputs(config, config.outputs, out_dir, bundle)
-    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
+    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
 
     print(f"{len(manifest.records)} records -> {out_dir / bundle.manifest}")
     print(f"tables and exports -> {out_dir}")
@@ -387,7 +390,7 @@ def cmd_graph(args) -> int:
 
     bundle = ReportBundle(score_report=None)
     _graph_outputs(config, Path(outputs_path), out_dir, bundle)
-    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
+    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
     print(f"{len(bundle.graph_metrics)} graph(s) -> {out_dir / 'graphs'}")
     return EXIT_OK
 
@@ -397,14 +400,15 @@ def cmd_report(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    # as bytes, so that a byte that is not UTF-8 is reported with its line
-    manifest = bench.RunManifest.from_jsonl(manifest_path.read_bytes())
+    # as bytes, a line at a time, so that a byte that is not UTF-8 is reported with its line
+    with open(manifest_path, "rb") as fh:
+        manifest = bench.RunManifest.from_jsonl(fh)
     items = bench.load_dataset(config.dataset)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
     bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
     _score_and_emit(items, manifest, out_dir, bundle)
-    _write(out_dir / "bundle.json", _pretty_json(bundle.to_dict()))
+    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
     print(f"tables -> {out_dir}")
     return EXIT_OK
 

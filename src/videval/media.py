@@ -11,7 +11,6 @@ import json
 import math
 import shlex
 import subprocess
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,8 +140,9 @@ class MediaToolRunner:
 
     Placeholders: {input}, {timestamp}, {output}. One runner may serve many
     threads: `ingest` and `transcribe` probe through one, from a pool as wide
-    as the config's `max_workers`. Probes of distinct files run concurrently;
-    access to any single file is serialized.
+    as the config's `max_workers`. The runner takes no lock and keeps no
+    per-file state, so its calls may run at once. The walk of `ingest` and
+    `transcribe` lists a file reached twice once, so they probe no file twice.
     """
 
     def __init__(
@@ -154,12 +154,6 @@ class MediaToolRunner:
         self.probe_cmd = probe_cmd
         self.extract_cmd = extract_cmd
         self.timeout_s = timeout_s
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _file_lock(self, path: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(path, threading.Lock())
 
     def _run(self, template: str, subs: dict[str, str]) -> subprocess.CompletedProcess:
         argv = []
@@ -178,8 +172,7 @@ class MediaToolRunner:
 
     def probe(self, path: str | Path) -> dict:
         """Run the probe command and return its JSON document."""
-        with self._file_lock(str(path)):
-            proc = self._run(self.probe_cmd, {"input": str(path)})
+        proc = self._run(self.probe_cmd, {"input": str(path)})
         if proc.returncode != 0:
             raise ProbeFailure(f"probe failed for {path}: {proc.stderr.strip()[:200]}")
         try:
@@ -188,11 +181,10 @@ class MediaToolRunner:
             raise ProbeFailure(f"probe emitted invalid JSON for {path}") from exc
 
     def extract_frame(self, path: str | Path, timestamp_s: float, output: str | Path) -> Path:
-        with self._file_lock(str(path)):
-            proc = self._run(
-                self.extract_cmd,
-                {"input": str(path), "timestamp": f"{timestamp_s:g}", "output": str(output)},
-            )
+        proc = self._run(
+            self.extract_cmd,
+            {"input": str(path), "timestamp": f"{timestamp_s:g}", "output": str(output)},
+        )
         if proc.returncode != 0:
             raise ProbeFailure(f"frame extraction failed for {path}: {proc.stderr.strip()[:200]}")
         return Path(output)

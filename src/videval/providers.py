@@ -137,7 +137,7 @@ class ModelRequest:
     condition: ConditionTag | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelResponse:
     raw_text: str
     latency_ms: int = 0

@@ -1,15 +1,27 @@
+import gc
 import json
 import shutil
 import threading
 import time
+import tracemalloc
+import warnings
 
 import pytest
 
 import videval.media
-from videval.cli import PROBES_AHEAD_PER_WORKER, main
+from videval.benchmark import RunManifest, build_question_prompt, item_from_record
+from videval.cli import PROBES_AHEAD_PER_WORKER, _write, main
 from videval.config import load_config
-from videval.errors import ConfigError
-from videval.providers import ModelRequest, ProviderHub, request_key
+from videval.errors import ConfigError, SchemaError
+from videval.providers import (
+    CassetteStore,
+    ConditionTag,
+    ModelRequest,
+    ModelResponse,
+    ProviderHub,
+    request_fingerprint,
+    request_key,
+)
 
 
 def run_cli(*argv) -> int:
@@ -502,6 +514,69 @@ def test_report_on_damaged_manifest_is_invalid_input(demo_dir, tmp_path, capsys,
     assert "invalid input" in err and f"manifest line {line} " in err
 
 
+@pytest.fixture(scope="module")
+def demo_manifest(demo_dir, tmp_path_factory):
+    """The demo's config path, the bytes of the manifest evaluate wrote, and its tables' directory."""
+    tmp_path = tmp_path_factory.mktemp("demo_manifest")
+    config, manifest = _evaluate_demo(demo_dir, tmp_path)
+    return config, manifest.read_bytes(), manifest.parent
+
+
+def _replace_line_end(data: bytes, n: int, end: bytes) -> bytes:
+    """data with the newline that ends line n (from 1) replaced by end."""
+    lines = data.split(b"\n")
+    return b"\n".join(lines[: n - 1] + [lines[n - 1] + end + lines[n]] + lines[n + 1 :])
+
+
+def _spoil_line(data: bytes, n: int) -> bytes:
+    """data with a byte that is not UTF-8 in line n (from 1), in its item_ref."""
+    lines = data.split(b"\n")
+    lines[n - 1] = lines[n - 1].replace(b'"item_ref":"', b'"item_ref":"\xff', 1)
+    return b"\n".join(lines)
+
+
+# How report reads a manifest's bytes, each case as the manifest whole gives it to bytes.splitlines:
+# None reads as the undamaged manifest, a number is the line an error names.
+MANIFEST_LAYOUTS = [
+    pytest.param(lambda data: b"\xef\xbb\xbf" + data, None, id="bom-first-line"),
+    pytest.param(lambda data: data.replace(b"\n", b"\r\n"), None, id="crlf"),
+    pytest.param(lambda data: _replace_line_end(data, 2, b"\r"), None, id="lone-cr-between-records"),
+    pytest.param(lambda data: data.replace(b"\n", b"\n\n \t\n"), None, id="blank-lines"),
+    pytest.param(lambda data: _spoil_line(data, 3), 3, id="not-utf8-on-line-3"),
+    pytest.param(lambda data: _replace_line_end(_spoil_line(data, 3), 1, b"\r"), 3, id="not-utf8-after-a-lone-cr"),
+    pytest.param(lambda data: _spoil_line(data, 3).replace(b"\n", b"\r\n\n"), 5, id="not-utf8-after-blank-lines"),
+]
+
+
+@pytest.mark.parametrize("layout, line", MANIFEST_LAYOUTS)
+def test_report_reads_the_manifest_a_line_at_a_time_as_it_read_it_whole(demo_manifest, tmp_path, capsys, layout, line):
+    """report gives the result, or the error text, of one bytes.splitlines over the whole file, and
+    closes the file either way: a ResourceWarning from an unclosed one is caught here."""
+    config, original, eval_dir = demo_manifest
+    data = layout(original)
+    try:
+        whole = "".join(RunManifest.from_jsonl((data,)).lines())
+    except SchemaError as exc:
+        whole = f"invalid input: {exc}\n"
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(data)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = run_cli("report", "--config", config, "--manifest", str(manifest), "--out-dir", str(tmp_path / "rep"))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    if line is None:
+        assert code == 0 and whole == original.decode("utf-8")
+        with open(manifest, "rb") as fh:  # the round trip through the file, as report reads it
+            assert "".join(RunManifest.from_jsonl(fh).lines()) == whole
+        for name in ("task_accuracy.md", "model_accuracy.md", "completeness.md", "scores.json"):
+            assert (tmp_path / "rep" / name).read_bytes() == (eval_dir / name).read_bytes()
+    else:
+        assert code == 3 and capsys.readouterr().err == whole
+        assert whole.startswith(f"invalid input: manifest line {line} is malformed: UnicodeDecodeError(")
+
+
 def _evaluate_demo(demo_dir, tmp_path, **changes):
     """Run evaluate on the demo with the given config changes; return the config's and manifest's paths."""
     config = _demo_config_variant(demo_dir, tmp_path, **changes)
@@ -667,6 +742,12 @@ def test_undecodable_input_is_invalid_input(demo_dir, tmp_path, capsys, command,
 
 
 # --- output files ---------------------------------------------------------------------------
+
+
+def test_write_writes_its_chunks_in_order(tmp_path):
+    path = tmp_path / "made" / "out.txt"
+    _write(path, (chunk for chunk in ["first\n", "", "é 日 😀\n", "last"]))
+    assert path.read_bytes() == "first\né 日 😀\nlast".encode("utf-8")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report", "graph", "ingest", "transcribe"])
@@ -1019,3 +1100,83 @@ def test_evaluate_runs_from_any_cwd(demo_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out_dir = tmp_path / "out"
     assert run_cli("evaluate", "--config", str(demo_dir / "config.json"), "--out-dir", str(out_dir)) == 0
+
+
+# --- memory per record ------------------------------------------------------------------------
+
+
+MEMORY_CONDITIONS = 8
+
+
+def _synthetic_replay(root, n_items: int):
+    """n_items questions x MEMORY_CONDITIONS conditions, every answer in the cassettes; return the config's path."""
+    root.mkdir()
+    items = [
+        {
+            "video_id": f"v{i // 3:04d}",
+            "duration": "short",
+            "domain": "Knowledge",
+            "sub_category": "History",
+            "url": f"https://example.invalid/{i}",
+            "question_id": f"q{i:05d}",
+            "task_type": "Counting Problem",
+            "question": f"How many objects are in scene {i}?",
+            "options": {letter: f"option {letter} of {i}" for letter in "ABCD"},
+            "answer": "ABCD"[i % 4],
+        }
+        for i in range(n_items)
+    ]
+    conditions = [{"provider": "p", "model_name": f"m{c}"} for c in range(MEMORY_CONDITIONS)]
+    (root / "dataset.json").write_text(json.dumps(items), encoding="utf-8")
+    config = root / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "dataset": "dataset.json",
+                "cassette_dir": "cassettes",
+                "providers": {"p": {"endpoint": ""}},
+                "conditions": conditions,
+            }
+        ),
+        encoding="utf-8",
+    )
+    store = CassetteStore(root / "cassettes")
+    for condition in conditions:
+        tag = ConditionTag.from_dict(condition)
+        for i, raw in enumerate(items):
+            prompt = build_question_prompt(item_from_record(raw), None)
+            request = ModelRequest("p", "vlm", prompt, condition=tag)
+            answer = ModelResponse(f"The answer is {'ABCD'[i * 7 % 4]}.", 1000 + i, "ok")
+            store.put(request_key(request), request_fingerprint(request), answer)
+    return config
+
+
+def _peak_traced_bytes(*argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_per_record_of_evaluate_and_report(tmp_path):
+    """The peak traced memory of evaluate --replay and of report grows by under 1,000 B per added record.
+
+    Holding the manifest's text whole grew it by about 1,720 B (evaluate) and 1,280 B (report);
+    writing and reading it a line at a time, with slotted records, by about 750 B each.
+    """
+    peaks = {}
+    for n_items in (50, 400):
+        root = tmp_path / str(n_items)
+        config = str(_synthetic_replay(root, n_items))
+        peaks[n_items * MEMORY_CONDITIONS] = (
+            _peak_traced_bytes("evaluate", "--config", config, "--replay", "--out-dir", str(root / "eval")),
+            _peak_traced_bytes(
+                "report", "--config", config, "--manifest", str(root / "eval" / "manifest.jsonl"),
+                "--out-dir", str(root / "rep"),
+            ),
+        )
+    (small, small_peaks), (large, large_peaks) = peaks.items()
+    slopes = [(b - a) / (large - small) for a, b in zip(small_peaks, large_peaks)]
+    assert all(slope < 1000 for slope in slopes), f"bytes per added record (evaluate, report): {slopes}"
