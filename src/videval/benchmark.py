@@ -44,7 +44,7 @@ REQUEST_KINDS = ("mcq", "summary_keyframes")
 REPLAY_EPOCH = "1970-01-01T00:00:00Z"
 
 
-@dataclass
+@dataclass(slots=True)
 class BenchmarkItem:
     video_id: str
     duration_class: str
@@ -87,7 +87,7 @@ def _normalize_options(raw) -> dict[str, str]:
 def _normalize_duration(raw) -> str:
     value = str(raw).strip().lower()
     if value in DURATION_CLASSES:
-        return value
+        return DURATION_CLASSES[DURATION_CLASSES.index(value)]  # one object per class, not one per row
     raise SchemaError(f"bad duration value: {raw!r}")
 
 

@@ -66,6 +66,12 @@ class McqAnswer:
     confidence_source: str  # explicit | extracted | none
 
 
+# every answer parse_mcq can give, made once: the records of a run share these few objects
+_MCQ_ANSWERS = {
+    (letter, source): McqAnswer(letter, source) for letter in "ABCD" for source in ("explicit", "extracted")
+}
+
+
 def parse_timestamp(text: str) -> int:
     """Convert "MM:SS" or "HH:MM:SS" to whole seconds, below MAX_TIMESTAMP_S."""
     m = _TS_RE.match(text.strip())
@@ -102,10 +108,10 @@ def parse_mcq(raw_text: str) -> McqAnswer:
     """Pull the first standalone option letter out of a response."""
     m = _MCQ_EXPLICIT_RE.search(raw_text)
     if m:
-        return McqAnswer(m.group(1).upper(), "explicit")
+        return _MCQ_ANSWERS[m.group(1).upper(), "explicit"]
     m = _MCQ_BARE_RE.search(raw_text)
     if m:
-        return McqAnswer(m.group(1), "extracted")
+        return _MCQ_ANSWERS[m.group(1), "extracted"]
     raise NoAnswerFound(f"no option letter in: {raw_text[:80]!r}")
 
 

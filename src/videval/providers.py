@@ -24,7 +24,6 @@ plan's `max_workers`, and `transcribe` sends one request at a time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -104,7 +103,7 @@ class ConditionTag:
         return _TAGS[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptSegment:
     """One timed span of an ASR payload, its fields named as the payload's keys."""
 
@@ -170,13 +169,22 @@ class ModelResponse:
             response = cls(
                 _string(data["raw_text"], "raw_text"),
                 _number(data.get("latency_ms", 0), "latency_ms"),
-                _string(data.get("status", "ok"), "status"),
+                _status(data.get("status", "ok")),
             )
         except KeyError as exc:
             raise SchemaError(f"{what} is missing {exc.args[0]!r}") from None
         except SchemaError as exc:
             raise SchemaError(f"{what}.{exc}") from exc
         return response.validate()
+
+
+_STATUSES = dict(zip(ModelResponse.STATUSES, ModelResponse.STATUSES))
+
+
+def _status(value) -> str:
+    """A known status as its STATUSES object, so every entry shares it; validate() refuses any other."""
+    value = _string(value, "status")
+    return _STATUSES.get(value, value)
 
 
 @dataclass
@@ -204,6 +212,8 @@ class ProviderSettings:
 
 
 def _hash_file(path: str) -> str:
+    import hashlib  # only a command that hashes pays for loading OpenSSL
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -232,6 +242,8 @@ def request_fingerprint(request: ModelRequest) -> str:
 
 
 def _key(fingerprint: str) -> str:
+    import hashlib
+
     return hashlib.sha256(fingerprint.encode("ascii")).hexdigest()
 
 
@@ -248,11 +260,12 @@ def _line_fields(line: bytes) -> tuple[str | None, bytes | dict | None]:
         except (ValueError, KeyError):  # cut off, not JSON, no key
             return None, None
         return (key, entry.get("response")) if isinstance(key, str) else (None, None)
-    fields = line.split(b"\t", 2)
-    if len(fields) < 3 or not line.endswith(b"\n"):  # cut off, or not a line of this layout
+    key_end = line.find(b"\t")  # the request after the second tab is never copied
+    response_end = line.find(b"\t", key_end + 1)
+    if key_end < 0 or response_end < 0 or not line.endswith(b"\n"):  # cut off, or not a line of this layout
         return None, None
     try:
-        return fields[0].decode("utf-8"), fields[1]
+        return line[:key_end].decode("utf-8"), line[key_end + 1:response_end]
     except UnicodeDecodeError:
         return None, None
 

@@ -47,10 +47,13 @@ _float = partial(_number, kind=float)
 
 
 def _choice(*allowed):
+    """A reader of one of allowed. It returns the allowed object itself, not the value it was
+    given: a manifest repeats a few values many times, and then holds one object for each."""
+
     def read(value, what: str):
         if value not in allowed:
             raise SchemaError(f"{what} must be one of {', '.join(map(repr, allowed))}, got {value!r}")
-        return value
+        return allowed[allowed.index(value)]
 
     return read
 

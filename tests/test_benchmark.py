@@ -33,6 +33,7 @@ from videval.providers import (
     Transcript,
     TranscriptSegment,
 )
+from videval.schema import _choice
 from videval.templates import transcript_block
 
 GENRE_RECORD = {
@@ -426,6 +427,42 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
     text = "".join(summaries.lines())
     assert "".join(RunManifest.from_jsonl((text,)).lines()) == text
+
+
+def test_choice_returns_the_allowed_object():
+    value = "".join(["answered", "_correct"])  # equal to OUTCOMES[0], but another object
+    assert value == OUTCOMES[0] and value is not OUTCOMES[0]
+    assert _choice(*OUTCOMES)(value, "outcome") is OUTCOMES[0]
+    with pytest.raises(SchemaError, match="outcome must be one of 'answered_correct', .*, got 'right'"):
+        _choice(*OUTCOMES)("right", "outcome")
+
+
+def _manifest_text(*responses: str) -> str:
+    """A one-condition manifest with a record answered by each response, given as its JSON text."""
+    header = (
+        '{"conditions":[{"provider":"p","tag":{"model_name":"m"}}],"dataset_path":"d.json",'
+        '"kind":"manifest","providers":["p"],"started_at":"1970-01-01T00:00:00Z"}\n'
+    )
+    record = (
+        '{{"condition":{{"model_name":"m"}},"error":null,"item_ref":"q{0}","outcome":"unanswered",'
+        '"parsed":null,"request_kind":"mcq","response":{1},"wall_ms":0}}\n'
+    )
+    return header + "".join(record.format(i, response) for i, response in enumerate(responses))
+
+
+def test_manifest_records_read_back_share_their_repeated_values():
+    response = '{"latency_ms":7,"raw_text":"","status":"timeout"}'
+    first, second = RunManifest.from_jsonl((_manifest_text(response, response),)).records
+    assert first.outcome is second.outcome is OUTCOMES[3]
+    assert first.request_kind is second.request_kind is REQUEST_KINDS[0]
+    assert first.response.status is second.response.status is ModelResponse.STATUSES[2]
+
+
+def test_unknown_status_in_a_manifest_line_is_malformed():
+    text = _manifest_text('{"latency_ms":7,"raw_text":"","status":"weird"}')
+    with pytest.raises(SchemaError) as caught:
+        RunManifest.from_jsonl((text,))
+    assert str(caught.value) == "manifest line 2 is malformed: MalformedProviderOutput('bad status: weird')"
 
 
 # quotes, a backslash, control characters, U+2028, non-ASCII, an astral character and a lone surrogate

@@ -70,6 +70,17 @@ def test_probe_tool_failure(tmp_path, fake_probe_cmd):
         probe(path, MediaToolRunner(probe_cmd=fake_probe_cmd))
 
 
+def test_probe_runs_the_template_the_runner_holds_now(tmp_path, fake_probe_cmd):
+    path = tmp_path / "talk.flac"
+    path.write_bytes(b"fake audio bytes")
+    tool = MediaToolRunner(probe_cmd=f"{tmp_path / 'no-such-tool'} -q {{input}}")
+    for _ in range(2):  # the second call takes the template's cached split
+        with pytest.raises(ProbeFailure, match=f"media tool not found: {tmp_path / 'no-such-tool'}$"):
+            probe(path, tool)
+    tool.probe_cmd = fake_probe_cmd
+    assert probe(path, tool).container == "flac"
+
+
 def test_probe_bad_json(tmp_path, fake_probe_cmd):
     path = tmp_path / "badjson.mp4"
     path.write_bytes(b"x")

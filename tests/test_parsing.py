@@ -199,6 +199,12 @@ def test_parse_mcq_variants(text, letter, source):
     assert (answer.letter, answer.confidence_source) == (letter, source)
 
 
+def test_parse_mcq_shares_one_answer_per_letter_and_source():
+    assert parse_mcq("The answer is B.") is parse_mcq("answer: (b)")
+    assert parse_mcq("B") is parse_mcq("I would pick B here.")
+    assert parse_mcq("B") is not parse_mcq("Answer: B")
+
+
 def test_parse_mcq_letter_always_in_range():
     rng = random.Random(77)
     alphabet = "ABCD"

@@ -321,6 +321,24 @@ def test_cassette_lines_without_a_readable_key_are_dropped(store):
     assert store.dropped == 5
 
 
+def test_cassette_line_whose_request_holds_a_tab_is_read(store):
+    # only the first two tabs end fields: the request is the rest of the line, tabs and all
+    store.root.mkdir(parents=True)
+    (store.root / "segment-000001.jsonl").write_bytes(
+        b'k1\t{"latency_ms":1,"raw_text":"kept","status":"ok"}\t{"prompt":"a\tb"}\t\n'
+    )
+    assert store.get("k1") == ModelResponse("kept", 1, "ok")
+    assert store.dropped == 0
+
+
+def test_unknown_status_in_a_cassette_line_is_the_keys_error(store):
+    store.root.mkdir(parents=True)
+    (store.root / "segment-000001.jsonl").write_bytes(b'k1\t{"latency_ms":1,"raw_text":"","status":"weird"}\t{}\n')
+    with pytest.raises(MalformedProviderOutput) as caught:
+        store.get("k1")
+    assert str(caught.value) == "corrupt cassette entry k1: bad status: weird"
+
+
 @pytest.mark.parametrize("response", [b"{not json", b"", b'{"raw_text":"x\xff","status":"ok"}', b"[1]"])
 def test_undecodable_response_field_is_the_keys_error(store, response):
     store.root.mkdir(parents=True)
