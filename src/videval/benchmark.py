@@ -113,7 +113,7 @@ def item_from_record(record: dict) -> BenchmarkItem:
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Load a JSON array or JSON-lines file of benchmark items."""
     text = Path(path).read_bytes()  # json.loads decodes it: a byte that is not UTF-8 is bad JSON
-    stripped = text.lstrip()
+    stripped = text.removeprefix(b"\xef\xbb\xbf").lstrip()  # a UTF-8 BOM, which json.loads takes
     if not stripped:
         raise SchemaError(f"dataset file is empty: {path}")
     if stripped.startswith(b"["):

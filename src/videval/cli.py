@@ -11,7 +11,7 @@ import argparse
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -47,19 +47,6 @@ EXIT_EMPTY = 3
 EXIT_PROVIDER = 4
 
 
-@dataclass
-class ReportBundle:
-    score_report: scoring.ScoreReport | None
-    graph_metrics: dict[str, dict] = field(default_factory=dict)
-    matching_scores: dict[str, dict] = field(default_factory=dict)
-    manifest: str | None = None  # the manifest's file name
-    emitted: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        score_report = reports.report_to_json(self.score_report) if self.score_report else None
-        return {**_plain(self), "score_report": score_report, "emitted": sorted(self.emitted)}
-
-
 def _write(path: Path, chunks) -> None:
     """Write one output file, the text chunks in order, as UTF-8, making its directory; an OSError
     is an IoError. A caller with one text passes (text,): writelines on a str writes a character
@@ -72,10 +59,15 @@ def _write(path: Path, chunks) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(out_dir: Path, bundle: ReportBundle, name: str, chunks) -> None:
-    """Write the artifact name (a path under out_dir), the text chunks in order, and list it in the bundle."""
+def _emit(out_dir: Path, emitted: list[str], name: str, chunks) -> None:
+    """Write the artifact name (a path under out_dir), the text chunks in order, and add name to emitted."""
     _write(out_dir / name, chunks)
-    bundle.emitted.append(name)
+    emitted.append(name)
+
+
+def _write_bundle(out_dir: Path, emitted: list[str], manifest: str | None) -> None:
+    """Write bundle.json, the index of a command's output: the names it emitted, and its manifest's file name."""
+    _write(out_dir / "bundle.json", (_pretty_json({"emitted": sorted(emitted), "manifest": manifest}),))
 
 
 # --- ingest ----------------------------------------------------------------
@@ -264,11 +256,13 @@ def _filter_conditions(config: HarnessConfig, expr: str | None) -> list[bench.Ru
     return list(dict.fromkeys(selected))
 
 
-def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bundle: ReportBundle):
+def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emitted: list[str]) -> int:
+    """Emit each video's graph, the graph metrics and any matching scores; return the number of graphs."""
     raw_outputs = load_outputs(outputs_path)
     annotations = load_annotations(config.annotations) if config.annotations else {}
 
     parsed_by_video: dict[str, dict] = {}
+    graph_metrics: dict[str, dict] = {}
     for video_id in sorted(raw_outputs):
         parsed = {
             model: parse_video_output(text)
@@ -281,19 +275,20 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
         parsed_by_video[video_id] = valid
         graph = kg.build_comparison_graph(valid)
         positions = kg.fr_layout(graph, config.layout)
-        _emit(out_dir, bundle, f"graphs/{video_id}.dot", (kg.export_dot(graph, positions),))
-        _emit(out_dir, bundle, f"graphs/{video_id}.json", (kg.export_json(graph, positions),))
+        _emit(out_dir, emitted, f"graphs/{video_id}.dot", (kg.export_dot(graph, positions),))
+        _emit(out_dir, emitted, f"graphs/{video_id}.json", (kg.export_json(graph, positions),))
         metrics = _plain(kg.graph_metrics(graph, positions))
         metrics["unreachable"] = sorted(metrics["unreachable"])
-        bundle.graph_metrics[video_id] = metrics
+        graph_metrics[video_id] = metrics
 
     if not parsed_by_video:
         raise NoValidOutputs(f"no valid model outputs in {outputs_path}")
 
-    _emit(out_dir, bundle, "graph_metrics.json", (_pretty_json(bundle.graph_metrics),))
+    _emit(out_dir, emitted, "graph_metrics.json", (_pretty_json(graph_metrics),))
 
     if annotations:
         models = sorted({m for v in parsed_by_video.values() for m in v})
+        matching_scores: dict[str, dict] = {}
         for model in models:
             outputs_for_model = {
                 vid: parsed[model]
@@ -315,14 +310,14 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, bun
                 except EmptyVector:
                     score = None
                 entry[scenario] = {"score": score, "n": len(vector.matches)}
-            bundle.matching_scores[model] = entry
-        _emit(out_dir, bundle, "matching_scores.json", (_pretty_json(bundle.matching_scores),))
+            matching_scores[model] = entry
+        _emit(out_dir, emitted, "matching_scores.json", (_pretty_json(matching_scores),))
+    return len(graph_metrics)
 
 
-def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, bundle: ReportBundle) -> None:
-    bundle.score_report = scoring.aggregate(items, manifest.records)
-    for name, text in reports.report_files(bundle.score_report).items():
-        _emit(out_dir, bundle, name, (text,))
+def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, emitted: list[str]) -> None:
+    for name, text in reports.report_files(scoring.aggregate(items, manifest.records)).items():
+        _emit(out_dir, emitted, name, (text,))
 
 
 def cmd_evaluate(args) -> int:
@@ -352,14 +347,14 @@ def cmd_evaluate(args) -> int:
     mode = hub.mode
     del hub  # the index of every recorded answer is not needed past the run
 
-    bundle = ReportBundle(score_report=None, manifest="manifest.jsonl")
-    _emit(out_dir, bundle, bundle.manifest, manifest.lines())
-    _score_and_emit(items, manifest, out_dir, bundle)
+    emitted: list[str] = []
+    _emit(out_dir, emitted, "manifest.jsonl", manifest.lines())
+    _score_and_emit(items, manifest, out_dir, emitted)
     if config.outputs:
-        _graph_outputs(config, config.outputs, out_dir, bundle)
-    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
+        _graph_outputs(config, config.outputs, out_dir, emitted)
+    _write_bundle(out_dir, emitted, "manifest.jsonl")
 
-    print(f"{len(manifest.records)} records -> {out_dir / bundle.manifest}")
+    print(f"{len(manifest.records)} records -> {out_dir / 'manifest.jsonl'}")
     print(f"tables and exports -> {out_dir}")
 
     if (
@@ -388,10 +383,10 @@ def cmd_graph(args) -> int:
         raise ConfigError("graph command needs an outputs file (--outputs or config)")
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
-    bundle = ReportBundle(score_report=None)
-    _graph_outputs(config, Path(outputs_path), out_dir, bundle)
-    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
-    print(f"{len(bundle.graph_metrics)} graph(s) -> {out_dir / 'graphs'}")
+    emitted: list[str] = []
+    graphs = _graph_outputs(config, Path(outputs_path), out_dir, emitted)
+    _write_bundle(out_dir, emitted, None)
+    print(f"{graphs} graph(s) -> {out_dir / 'graphs'}")
     return EXIT_OK
 
 
@@ -406,9 +401,9 @@ def cmd_report(args) -> int:
     items = bench.load_dataset(config.dataset)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
-    bundle = ReportBundle(score_report=None, manifest=manifest_path.name)
-    _score_and_emit(items, manifest, out_dir, bundle)
-    _write(out_dir / "bundle.json", (_pretty_json(bundle.to_dict()),))
+    emitted: list[str] = []
+    _score_and_emit(items, manifest, out_dir, emitted)
+    _write_bundle(out_dir, emitted, manifest_path.name)
     print(f"tables -> {out_dir}")
     return EXIT_OK
 

@@ -101,7 +101,7 @@ def _conditions(value, what: str) -> list[RunCondition]:
 def _read_json_object(path: str | Path, what: str) -> dict:
     """Decode a JSON file whose top level must be an object; any failure is a ConfigError."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_bytes())  # json.loads decodes it: a UTF-8 BOM is taken
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} file {path} is not readable JSON: {exc}") from exc
     if not isinstance(data, dict):

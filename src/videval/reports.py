@@ -126,10 +126,6 @@ def _json_value(value):
     return value
 
 
-def report_to_json(report: ScoreReport) -> dict:
-    return {name: _json_value(value) for name, value in _plain(report).items()}
-
-
 def report_files(report: ScoreReport) -> dict[str, str]:
     """The three tables (md + csv) and scores.json: each file name mapped to its text."""
     tables = {
@@ -143,5 +139,5 @@ def report_files(report: ScoreReport) -> dict[str, str]:
     for name, (headers, rows) in tables.items():
         files[f"{name}.md"] = _markdown_table(headers, rows)
         files[f"{name}.csv"] = _csv_table(headers, rows)
-    files["scores.json"] = _pretty_json(report_to_json(report))
+    files["scores.json"] = _pretty_json({name: _json_value(value) for name, value in _plain(report).items()})
     return files

@@ -109,14 +109,18 @@ def test_item_rejects_missing_field():
 
 def test_load_dataset_array_and_jsonl(tmp_path):
     second = dict(GENRE_RECORD, question_id="001-3", question="Who narrates the video?")
-    array_path = tmp_path / "items.json"
-    array_path.write_text(json.dumps([GENRE_RECORD, second]), encoding="utf-8")
-    jsonl_path = tmp_path / "items.jsonl"
-    jsonl_path.write_text(
-        json.dumps(GENRE_RECORD) + "\n" + json.dumps(second) + "\n", encoding="utf-8"
-    )
-    assert [i.question_id for i in load_dataset(array_path)] == ["001-2", "001-3"]
-    assert [i.question_id for i in load_dataset(jsonl_path)] == ["001-2", "001-3"]
+    bom = b"\xef\xbb\xbf"
+    layouts = {
+        "array": json.dumps([GENRE_RECORD, second]).encode(),
+        "jsonl": (json.dumps(GENRE_RECORD) + "\n" + json.dumps(second) + "\n").encode(),
+        "bom-array": bom + json.dumps([GENRE_RECORD, second]).encode(),
+        "bom-pretty-array": bom + json.dumps([GENRE_RECORD, second], indent=2).encode(),
+        "bom-jsonl": bom + (json.dumps(GENRE_RECORD) + "\n" + json.dumps(second) + "\n").encode(),
+    }
+    for name, data in layouts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert [i.question_id for i in load_dataset(path)] == ["001-2", "001-3"], name
 
 
 def test_load_dataset_rejects_duplicate_question_ids(tmp_path):

@@ -237,21 +237,44 @@ DEMO_GOLDEN_SHA256 = {
     "graphs/P69idA8JO98.dot": "3c2fc288e622a6704a0a6e3c36c9c3e5339be20bdf807ef0cd939d70dcd66ea6",
     "graphs/P69idA8JO98.json": "1cba91d1ad24498422ad415a8d89f1f3ead08ec595e4592e67bff5e0debb1a69",
     "graph_metrics.json": "96676ee4cfe23b99970656959d15fdbafd8cd5482cce5b3395760c62be0c8711",
+    # the names of the files above, and the manifest's
+    "bundle.json": "988aff4cd84fa16a3e46d568e6ca79d3dc74694752224871240edf911a23da76",
 }
 
 
-def test_evaluate_demo_golden_digests(demo_dir, tmp_path, monkeypatch):
+def _demo_digests(monkeypatch, root, out_dir) -> dict[str, str]:
+    """The SHA-256 of each DEMO_GOLDEN_SHA256 file that evaluate on root/demo/config.json writes to out_dir."""
     import hashlib
 
-    # the manifest header holds the dataset path as given, so run from the root
-    monkeypatch.chdir(demo_dir.parent)
-    out_dir = tmp_path / "out"
+    monkeypatch.chdir(root)  # the manifest header holds the dataset path as given
     assert run_cli("evaluate", "--config", "demo/config.json", "--out-dir", str(out_dir)) == 0
-    digests = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in DEMO_GOLDEN_SHA256
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in DEMO_GOLDEN_SHA256}
+
+
+def test_evaluate_demo_golden_digests(demo_dir, tmp_path, monkeypatch):
+    assert _demo_digests(monkeypatch, demo_dir.parent, tmp_path / "out") == DEMO_GOLDEN_SHA256
+
+
+def test_evaluate_takes_json_files_that_start_with_a_bom(demo_dir, tmp_path, monkeypatch):
+    demo = shutil.copytree(demo_dir, tmp_path / "demo")
+    for name in ("config.json", "dataset.json", "transcripts.json", "outputs.json", "annotations.json"):
+        (demo / name).write_bytes(b"\xef\xbb\xbf" + (demo_dir / name).read_bytes())
+    assert _demo_digests(monkeypatch, tmp_path, tmp_path / "out") == DEMO_GOLDEN_SHA256
+
+
+def test_bundle_lists_what_each_command_wrote(demo_dir, tmp_path):
+    runs = {  # evaluate first: report reads its manifest
+        "evaluate": ([], "manifest.jsonl"),
+        "graph": ([], None),
+        "report": (["--manifest", str(tmp_path / "evaluate" / "manifest.jsonl")], "manifest.jsonl"),
     }
-    assert digests == DEMO_GOLDEN_SHA256
+    for command, (argv, manifest) in runs.items():
+        out_dir = tmp_path / command
+        assert run_cli(command, "--config", str(demo_dir / "config.json"), *argv, "--out-dir", str(out_dir)) == 0
+        bundle = json.loads((out_dir / "bundle.json").read_text(encoding="utf-8"))
+        written = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
+        written.remove("bundle.json")
+        assert bundle == {"emitted": written, "manifest": manifest}, command
 
 
 def test_evaluate_missing_dataset_is_config_error(demo_dir, tmp_path, capsys):
