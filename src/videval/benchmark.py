@@ -57,9 +57,7 @@ class BenchmarkItem:
     options: dict[str, str]
     answer: str
 
-    def __post_init__(self):
-        if self.duration_class not in DURATION_CLASSES:
-            raise SchemaError(f"bad duration class: {self.duration_class!r}")
+    def __post_init__(self):  # item_from_record's _normalize_duration has checked duration_class
         if tuple(sorted(self.options)) != OPTION_LETTERS:
             raise SchemaError(
                 f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}"
@@ -159,7 +157,6 @@ def build_question_prompt(
             "options": render_options(item.options),
             "transcript": transcript_block(transcript),
         },
-        required=("question", "options"),
     )
 
 

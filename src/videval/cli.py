@@ -27,7 +27,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    EmptyVector,
     HarnessError,
     IoError,
     MalformedProviderOutput,
@@ -66,7 +65,7 @@ def _emit(out_dir: Path, emitted: list[str], name: str, chunks) -> None:
 
 
 def _write_bundle(out_dir: Path, emitted: list[str], manifest: str | None) -> None:
-    """Write bundle.json, the index of a command's output: the names it emitted, and its manifest's file name."""
+    """Write bundle.json, the index of a command's output: the names it emitted, and the manifest it wrote or None."""
     _write(out_dir / "bundle.json", (_pretty_json({"emitted": sorted(emitted), "manifest": manifest}),))
 
 
@@ -297,7 +296,7 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emi
             }
             entry: dict[str, dict] = {}
             for scenario in ("keyframe", "summary"):
-                vector = scoring.build_match_vector(
+                matches = scoring.build_match_vector(
                     scenario,
                     outputs_for_model,
                     annotations,
@@ -305,11 +304,7 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emi
                     mode=config.keyframe_match_mode,
                     model=model,
                 )
-                try:
-                    score = scoring.matching_node_score(vector)
-                except EmptyVector:
-                    score = None
-                entry[scenario] = {"score": score, "n": len(vector.matches)}
+                entry[scenario] = {"score": scoring.matching_node_score(matches), "n": len(matches)}
             matching_scores[model] = entry
         _emit(out_dir, emitted, "matching_scores.json", (_pretty_json(matching_scores),))
     return len(graph_metrics)
@@ -403,7 +398,7 @@ def cmd_report(args) -> int:
 
     emitted: list[str] = []
     _score_and_emit(items, manifest, out_dir, emitted)
-    _write_bundle(out_dir, emitted, manifest_path.name)
+    _write_bundle(out_dir, emitted, None)  # it reads --manifest and writes no manifest
     print(f"tables -> {out_dir}")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from functools import partial
 from pathlib import Path
 
 from .benchmark import REQUEST_KINDS, RunCondition
-from .errors import ConfigError, MalformedProviderOutput, SchemaError, TemplateError
+from .errors import ConfigError, MalformedProviderOutput, SchemaError
 from .knowledge_graph import LayoutParams
 from .providers import (
     ConditionTag,
@@ -22,7 +22,7 @@ from .providers import (
     transcript_from_payload,
 )
 from .schema import _boolean, _choice, _fill, _float, _keyframes, _number, _object, _string, _strings
-from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN, render_prompt
+from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
 
 
 @dataclass
@@ -154,10 +154,9 @@ def load_config(path: str | Path) -> HarnessConfig:
         _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        render_prompt(config.mcq_template, {}, required=("question", "options"))
-    except TemplateError as exc:
-        raise ConfigError(f"templates.mcq: {exc}") from exc
+    for name in ("question", "options"):  # the one check: no prompt render checks again
+        if "{%s}" % name not in config.mcq_template:
+            raise ConfigError(f"templates.mcq: template is missing a {{{name}}} placeholder")
     return config
 
 
@@ -185,17 +184,19 @@ def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
 def load_annotations(path: str | Path) -> dict[str, dict]:
     """Read ground-truth annotations: keyframes and binary summary verdicts.
 
-    Each entry is {"keyframes": [[seconds, caption], ...], "summary": {model: true | false}};
-    either key may be left out.
+    Each entry in the file is {"keyframes": [[seconds, caption], ...], "summary":
+    {model: true | false}}, either key may be left out; each comes back with
+    both, its keyframes as KeyframeEntry lists.
     """
     data = _read_json_object(path, "annotations")
     try:
         for video_id, entry in data.items():
             entry = _object(entry, f"annotations of video {video_id!r}")
-            _keyframes(entry.get("keyframes", []), f"keyframes of video {video_id!r}")
+            keyframes = _keyframes(entry.get("keyframes", []), f"keyframes of video {video_id!r}")
             summary = _object(entry.get("summary", {}), f"summary of video {video_id!r}")
             for model, verdict in summary.items():  # "false" would count as a match
                 _boolean(verdict, f"summary of video {video_id!r}[{model!r}]")
+            data[video_id] = {"keyframes": keyframes, "summary": summary}
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
     return data

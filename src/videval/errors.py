@@ -39,10 +39,6 @@ class MalformedProviderOutput(HarnessError):
 
 # --- parsing -------------------------------------------------------------
 
-class BadTimestamp(HarnessError):
-    """Timestamp text is not a valid MM:SS or HH:MM:SS value."""
-
-
 class NoAnswerFound(HarnessError):
     """No option letter could be extracted from the response text."""
 
@@ -57,24 +53,15 @@ class SchemaError(HarnessError):
     """
 
 
-class TemplateError(HarnessError):
-    """Prompt template is missing a required placeholder."""
-
-
-# --- scoring -------------------------------------------------------------
-
-class EmptyVector(HarnessError):
-    """Match vector has no entries; the mean is undefined."""
-
-
 # --- knowledge graph -----------------------------------------------------
 
 class NoValidOutputs(HarnessError):
-    """Graph construction needs at least one valid model output."""
+    """An outputs file holds no valid model output, so no graph can be built."""
 
 
 class DuplicateModelName(HarnessError):
-    """Two model outputs map to the same node identifier."""
+    """Two nodes of a comparison graph get one id: two model names, or a core name, or
+    a model name and the summary or keyframe node of another model ("a" and "a:summary")."""
 
 
 class UnknownCenter(HarnessError):

@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import DuplicateModelName, NoValidOutputs, UnknownCenter
+from .errors import DuplicateModelName, UnknownCenter
 from .parsing import ParsedVideoOutput
 from .schema import _plain, _pretty_json
 
@@ -67,15 +67,15 @@ class EvalGraph:
     edges: list[tuple[str, str]] = field(default_factory=list)
 
     def add_node(self, node_id: str, label: str, color: str, size: int) -> GraphNode:
+        """Add the node; an id already taken (model names that collide) is a DuplicateModelName."""
         if node_id in self.nodes:
-            raise ValueError(f"duplicate node id: {node_id}")
+            raise DuplicateModelName(f"duplicate node id: {node_id!r}")
         node = GraphNode(node_id, label, color, size)
         self.nodes[node_id] = node
         return node
 
     def add_edge(self, source: str, target: str) -> None:
-        if source not in self.nodes or target not in self.nodes:
-            raise ValueError(f"edge endpoints must exist: ({source}, {target})")
+        """Add an edge between two nodes already added."""
         self.edges.append((source, target))
 
 
@@ -90,9 +90,12 @@ class LayoutParams:
     initial_temperature: float | None = None  # None -> 0.1 * sqrt(area)
     cooling: float = 0.95
 
-    def optimal_distance(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("need at least one node")
+    def __post_init__(self):  # k = 0 would put NaN in every position
+        for name in ("spacing", "area"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be a positive number, got {getattr(self, name)!r}")
+
+    def optimal_distance(self, n: int) -> float:  # n >= 2: fr_layout places 0 or 1 node itself
         return self.spacing * math.sqrt(self.area / n)
 
 
@@ -126,24 +129,18 @@ def build_comparison_graph(outputs: dict[str, ParsedVideoOutput]) -> EvalGraph:
     Core nodes first, then per model: a model node wired to both cores, a
     summary-text node under "VideoSummary", and one caption node per keyframe
     under "KeyFrames". Caption node ids are model-prefixed so identical
-    captions from different models stay in their own clusters.
+    captions from different models stay in their own clusters. outputs holds
+    at least one output, all valid (the CLI builds it so); a node id that two
+    model names give is a DuplicateModelName from add_node.
     """
-    if not outputs:
-        raise NoValidOutputs("no model outputs supplied")
-    invalid = [name for name, out in outputs.items() if not out.valid]
-    if invalid:
-        raise NoValidOutputs(f"invalid outputs for: {', '.join(sorted(invalid))}")
-
     graph = EvalGraph()
     graph.add_node(KEYFRAMES_NODE, KEYFRAMES_NODE, "gray", CORE_KEYFRAMES_SIZE)
     graph.add_node(SUMMARY_NODE, SUMMARY_NODE, "gray", CORE_SUMMARY_SIZE)
 
-    seen_ids: set[str] = set()
     for index, (model_name, output) in enumerate(outputs.items()):
         model_id = _sanitize_id(model_name)
-        if not model_id or model_id in seen_ids or model_id in (KEYFRAMES_NODE, SUMMARY_NODE):
-            raise DuplicateModelName(f"model id collision: {model_name!r}")
-        seen_ids.add(model_id)
+        if not model_id:
+            raise DuplicateModelName(f"model name {model_name!r} gives an empty node id")
         light, dark = model_colors(index)
 
         graph.add_node(model_id, model_name, dark, MODEL_NODE_SIZE)
@@ -262,9 +259,6 @@ def graph_metrics(
 
     if center not in graph.nodes:
         raise UnknownCenter(f"unknown center node: {center}")
-    missing = [nid for nid in graph.nodes if nid not in positions]
-    if missing:
-        raise ValueError(f"positions missing for: {missing[:5]}")
 
     ids = list(graph.nodes)
     n = len(ids)

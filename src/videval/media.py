@@ -80,20 +80,13 @@ class MediaAsset:
     height_px: int | None = None
 
     def __post_init__(self):
+        # probe gives the kind, a duration of at least 0 and a video's dimensions; the
+        # container it classifies may still not be one of the kind's (a .wmv holding only audio)
         allowed = VIDEO_CONTAINERS if self.kind == "video" else AUDIO_CONTAINERS
-        if self.kind not in ("video", "audio"):
-            raise ValueError(f"bad kind: {self.kind}")
         if self.container not in allowed:
             raise UnsupportedFormat(
                 f"container {self.container!r} is not a supported {self.kind} format"
             )
-        if self.duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        has_dims = self.width_px is not None and self.height_px is not None
-        if self.kind == "video" and not has_dims:
-            raise ValueError("video assets need width/height")
-        if self.kind == "audio" and (self.width_px is not None or self.height_px is not None):
-            raise ValueError("audio assets must not carry dimensions")
 
 
 @dataclass

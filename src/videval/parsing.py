@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BadTimestamp, NoAnswerFound
+from .errors import NoAnswerFound
 
 MAX_TIMESTAMP_S = 359999  # exclusive: 99:59:59, the largest time with a two-digit hour, is out of range
 MAX_CAPTION_LEN = 500
@@ -72,22 +72,18 @@ _MCQ_ANSWERS = {
 }
 
 
-def parse_timestamp(text: str) -> int:
-    """Convert "MM:SS" or "HH:MM:SS" to whole seconds, below MAX_TIMESTAMP_S."""
+def parse_timestamp(text: str) -> int | None:
+    """Convert "MM:SS" or "HH:MM:SS" to whole seconds, below MAX_TIMESTAMP_S; None if it is not one."""
     m = _TS_RE.match(text.strip())
     if not m:
-        raise BadTimestamp(f"not a timestamp: {text!r}")
+        return None
     lead, mid, last = m.groups()
     if mid is None:
         hours, minutes, seconds = 0, int(lead), int(last)
     else:
         hours, minutes, seconds = int(lead), int(mid), int(last)
-    if minutes >= 60 or seconds >= 60:
-        raise BadTimestamp(f"minutes/seconds must be < 60: {text!r}")
     total = 3600 * hours + 60 * minutes + seconds
-    if total >= MAX_TIMESTAMP_S:
-        raise BadTimestamp(f"timestamp must be under {MAX_TIMESTAMP_S} s: {text!r}")
-    return total
+    return total if minutes < 60 and seconds < 60 and total < MAX_TIMESTAMP_S else None
 
 
 def _keyframe_line(line: str) -> KeyframeEntry | None:
@@ -95,12 +91,9 @@ def _keyframe_line(line: str) -> KeyframeEntry | None:
     for pattern in _KEYFRAME_RES:
         m = pattern.match(line)
         if m:
-            try:
-                ts = parse_timestamp(m.group(1))
-            except BadTimestamp:
-                return None
+            ts = parse_timestamp(m.group(1))
             caption = m.group(2).strip()[:MAX_CAPTION_LEN].strip()
-            return KeyframeEntry(ts, caption) if caption else None
+            return KeyframeEntry(ts, caption) if caption and ts is not None else None
     return None
 
 

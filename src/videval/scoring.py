@@ -11,19 +11,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .benchmark import DURATION_CLASSES
-from .errors import EmptyVector
 from .parsing import KeyframeEntry
-from .schema import _keyframes
 
 ANSWERED_OUTCOMES = ("answered_correct", "answered_wrong")
-
-
-@dataclass
-class MatchVector:
-    """Per-output match indicators for one scenario (keyframe or summary)."""
-
-    scenario: str
-    matches: list[bool]
 
 
 @dataclass
@@ -70,18 +60,13 @@ class ScoreReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def matching_node_score(vector: MatchVector) -> float:
-    """Mean indicator over the vector's entries."""
-    n = len(vector.matches)
-    if n == 0:
-        raise EmptyVector("match vector has no entries")
-    return sum(1 for m in vector.matches if m) / n
+def matching_node_score(matches: list[bool]) -> float | None:
+    """Mean indicator over the per-output matches; None when there are none."""
+    return sum(1 for m in matches if m) / len(matches) if matches else None
 
 
 def keyframe_match(pred: KeyframeEntry, truth: KeyframeEntry, tolerance_s: int = 0) -> bool:
-    """True when the predicted timestamp is within tolerance of the truth."""
-    if tolerance_s < 0:
-        raise ValueError("tolerance must be non-negative")
+    """True when the predicted timestamp is within tolerance (load_config's, at least 0) of the truth."""
     return abs(pred.timestamp_s - truth.timestamp_s) <= tolerance_s
 
 
@@ -96,8 +81,6 @@ def match_keyframe_lists(
     mode "any": at least one predicted entry lands within tolerance of some
     ground-truth entry; mode "all": every ground-truth entry is covered.
     """
-    if mode not in ("any", "all"):
-        raise ValueError(f"bad mode: {mode}")
     if not truth:
         return False
     covered = [
@@ -113,33 +96,24 @@ def build_match_vector(
     tolerance_s: int = 0,
     mode: str = "any",
     model: str | None = None,
-) -> MatchVector:
-    """Assemble a match vector over the valid outputs that have annotations.
+) -> list[bool]:
+    """The match of each output that has an annotation, in outputs order.
 
-    outputs maps video_id -> ParsedVideoOutput. For the keyframe scenario the
-    verdict is computed here; for the summary scenario the annotation's binary
-    verdict (per model) is taken as-is.
+    outputs maps video_id -> ParsedVideoOutput, valid ones only; annotations
+    are as load_annotations returns them. For the "keyframe" scenario the
+    verdict is computed here; for "summary" the annotation's verdict for model
+    is taken as-is, and an output without one is left out.
     """
     matches: list[bool] = []
     for video_id, output in outputs.items():
-        if not getattr(output, "valid", False):
-            continue
         ann = annotations.get(video_id)
         if ann is None:
             continue
         if scenario == "keyframe":
-            truth = _keyframes(ann.get("keyframes") or [], f"keyframes of video {video_id!r}")
-            matches.append(
-                match_keyframe_lists(output.keyframes, truth, tolerance_s, mode)
-            )
-        elif scenario == "summary":
-            verdicts = ann.get("summary") or {}
-            if model is None or model not in verdicts:
-                continue
-            matches.append(bool(verdicts[model]))
-        else:
-            raise ValueError(f"bad scenario: {scenario}")
-    return MatchVector(scenario=scenario, matches=matches)
+            matches.append(match_keyframe_lists(output.keyframes, ann["keyframes"], tolerance_s, mode))
+        elif model in ann["summary"]:
+            matches.append(ann["summary"][model])
+    return matches
 
 
 def completeness_counts(outcomes: dict[str, int], wall_ms: int) -> CompletenessRow:
@@ -187,7 +161,7 @@ def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
         outcomes, _, cells = tally
         outcome = record.outcome
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        tally[1] += getattr(record, "wall_ms", 0)
+        tally[1] += record.wall_ms
         if record.request_kind == "mcq":
             item = meta.get(record.item_ref)
             if item is None:

@@ -9,8 +9,6 @@ without a {transcript} placeholder gets the block in front.
 
 from __future__ import annotations
 
-from .errors import TemplateError
-
 # Default prompt of the summary_keyframes request kind (templates.summary).
 SUMMARY_PROMPT_PLAIN = (
     "Could you please provide a summary of this video, focusing on the content "
@@ -31,16 +29,11 @@ DEFAULT_MCQ_TEMPLATE = (
 )
 
 
-def render_prompt(
-    template: str, values: dict[str, str], required: tuple[str, ...] = ()
-) -> str:
-    """Substitute {name} placeholders; required ones must appear in the template.
+def render_prompt(template: str, values: dict[str, str]) -> str:
+    """Substitute {name} placeholders (load_config has checked that an mcq template holds its two).
 
     A "transcript" value goes in front when the template has no {transcript}.
     """
-    for name in required:
-        if "{%s}" % name not in template:
-            raise TemplateError(f"template is missing a {{{name}}} placeholder")
     rendered = template
     for name, value in values.items():
         rendered = rendered.replace("{%s}" % name, value)

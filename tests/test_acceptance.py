@@ -46,7 +46,6 @@ from videval.parsing import (
 from videval.providers import ConditionTag
 from videval.reports import format_percent
 from videval.scoring import (
-    MatchVector,
     RowTriple,
     _mean_triple,
     aggregate,
@@ -161,9 +160,9 @@ def test_criterion_1_matching_node_oracle():
     for _ in range(1000):
         matches = [rng.random() < rng.random() for _ in range(rng.randint(1, 200))]
         oracle = sum(1 for m in matches if m) / len(matches)
-        assert matching_node_score(MatchVector("keyframe", matches)) == oracle
+        assert matching_node_score(matches) == oracle
 
-    display = format_percent(matching_node_score(MatchVector("keyframe", [True] * 26 + [False] * 48)), 1)
+    display = format_percent(matching_node_score([True] * 26 + [False] * 48), 1)
     elapsed = time.perf_counter() - start
     ok = display == "35.1%" and elapsed < 1.0
     note("1", ok, f"26/74 -> {display}, {elapsed:.3f}s")
@@ -299,6 +298,7 @@ class _Record:
     condition: ConditionTag
     outcome: str
     request_kind: str = "mcq"
+    wall_ms: int = 0
 
 
 def _cell_records(ids, with_transcript, accuracy, model="m"):

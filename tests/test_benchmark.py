@@ -23,7 +23,7 @@ from videval.benchmark import (
     run_benchmark,
 )
 from videval.config import load_config, load_transcripts
-from videval.errors import SchemaError, TemplateError
+from videval.errors import SchemaError
 from videval.parsing import KeyframeEntry, McqAnswer, ParsedVideoOutput, parse_video_output
 from videval.providers import (
     CassetteStore,
@@ -188,14 +188,6 @@ def test_build_question_prompt_empty_transcript_elided():
     without = build_question_prompt(item, None)
     empty = build_question_prompt(item, Transcript())
     assert without == empty
-
-
-def test_build_question_prompt_requires_placeholders():
-    item = item_from_record(GENRE_RECORD)
-    with pytest.raises(TemplateError):
-        build_question_prompt(item, None, template="no placeholders at all")
-    with pytest.raises(TemplateError):
-        build_question_prompt(item, None, template="{question} only")
 
 
 # --- outcome classification ---------------------------------------------------------

@@ -266,7 +266,7 @@ def test_bundle_lists_what_each_command_wrote(demo_dir, tmp_path):
     runs = {  # evaluate first: report reads its manifest
         "evaluate": ([], "manifest.jsonl"),
         "graph": ([], None),
-        "report": (["--manifest", str(tmp_path / "evaluate" / "manifest.jsonl")], "manifest.jsonl"),
+        "report": (["--manifest", str(tmp_path / "evaluate" / "manifest.jsonl")], None),  # it writes none
     }
     for command, (argv, manifest) in runs.items():
         out_dir = tmp_path / command
@@ -395,6 +395,27 @@ def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, 
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["graph", "evaluate"])
+def test_colliding_model_names_are_an_error(demo_dir, tmp_path, capsys, command):
+    # "a:summary" is the id of model a's summary node: this ended in a ValueError traceback
+    outputs = tmp_path / "outputs.json"
+    outputs.write_text(json.dumps({"vid": {"a": "A summary.\n(00:05, a frame)", "a:summary": "Another."}}))
+    path = _demo_config_variant(demo_dir, tmp_path, outputs=str(outputs))
+    assert run_cli(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 1
+    assert "error: duplicate node id: 'a:summary'" in capsys.readouterr().err
+
+
+def test_graph_without_a_valid_output_is_invalid_input(demo_dir, tmp_path, capsys):
+    # no summary text in any output: no graph can be built
+    outputs = tmp_path / "outputs.json"
+    outputs.write_text(json.dumps({"v1": {"m": ""}, "v2": {"m": "  ", "n": "(00:05, only a frame)"}}))
+    out_dir = tmp_path / "out"
+    assert run_cli("graph", "--config", str(demo_dir / "config.json"), "--outputs", str(outputs),
+                   "--out-dir", str(out_dir)) == 3
+    assert "invalid input: no valid model outputs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # (config changes, the name the error must give); each of these, and the graph
 # flags below 0, used to end in a traceback or run on regardless
 BAD_CONFIG_VALUES = [
@@ -418,6 +439,9 @@ BAD_CONFIG_VALUES = [
     ({"probe_command": 5}, "probe_command"),
     ({"layout": {"iterations": "10"}}, "layout.iterations"),
     ({"layout": {"initial_temperature": "hot"}}, "layout.initial_temperature"),
+    # 0 passed the loader, and every laid-out position was NaN
+    ({"layout": {"spacing": 0}}, "layout: spacing"),
+    ({"layout": {"area": 0}}, "layout: area"),
     ({"templates": {"mcq": 5}}, "templates.mcq"),
     ({"outputs": 5}, "outputs"),
     *(

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from videval.errors import DuplicateModelName, NoValidOutputs, UnknownCenter
+from videval.errors import DuplicateModelName, UnknownCenter
 from videval.knowledge_graph import (
     KEYFRAMES_NODE,
     SUMMARY_NODE,
@@ -101,18 +101,16 @@ def test_build_comparison_graph_many_models_distinct_clusters():
     assert light_colors[0] == "lightblue" and light_colors[1] == "lightcoral"
 
 
-def test_build_comparison_graph_rejects_empty_and_invalid():
-    with pytest.raises(NoValidOutputs):
-        build_comparison_graph({})
-    with pytest.raises(NoValidOutputs):
-        build_comparison_graph({"m": ParsedVideoOutput("", [], False)})
-
-
 def test_build_comparison_graph_rejects_model_collisions():
     with pytest.raises(DuplicateModelName):
         build_comparison_graph({"m  1": output_with(1), "m 1": output_with(1)})
     with pytest.raises(DuplicateModelName):
         build_comparison_graph({"KeyFrames": output_with(1)})
+    # a model name that is another model's summary or keyframe node id, in either order
+    collisions = [(("a", "a:summary"), "a:summary"), (("a:summary", "a"), "a:summary"), (("a", "a:kf0"), "a:kf0")]
+    for names, node_id in collisions:
+        with pytest.raises(DuplicateModelName, match=f"'{node_id}'"):
+            build_comparison_graph({name: output_with(1) for name in names})
 
 
 # --- layout -------------------------------------------------------------------------
