@@ -57,7 +57,7 @@ class BenchmarkItem:
     options: dict[str, str]
     answer: str
 
-    def __post_init__(self):  # item_from_record's _normalize_duration has checked duration_class
+    def __post_init__(self):  # item_from_record's _duration has checked duration_class
         if tuple(sorted(self.options)) != OPTION_LETTERS:
             raise SchemaError(
                 f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}"
@@ -82,11 +82,7 @@ def _normalize_options(raw) -> dict[str, str]:
     raise SchemaError(f"options must be a mapping or list, got {type(raw).__name__}")
 
 
-def _normalize_duration(raw) -> str:
-    value = str(raw).strip().lower()
-    if value in DURATION_CLASSES:
-        return DURATION_CLASSES[DURATION_CLASSES.index(value)]  # one object per class, not one per row
-    raise SchemaError(f"bad duration value: {raw!r}")
+_duration = _choice(*DURATION_CLASSES)
 
 
 def item_from_record(record: dict) -> BenchmarkItem:
@@ -94,7 +90,7 @@ def item_from_record(record: dict) -> BenchmarkItem:
     try:
         return BenchmarkItem(
             video_id=str(record["video_id"]),
-            duration_class=_normalize_duration(record["duration"]),
+            duration_class=_duration(str(record["duration"]).strip().lower(), "duration"),
             domain=str(record.get("domain", "")),
             sub_category=str(record.get("sub_category", "")),
             url=str(record.get("url", "")),

@@ -11,7 +11,6 @@ import argparse
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -153,7 +152,7 @@ def cmd_ingest(args) -> int:
         durations[bucket] = durations.get(bucket, 0) + 1
 
     inventory = {
-        "assets": [asdict(asset) for asset in assets],
+        "assets": [_plain(asset) for asset in assets],
         "histogram": {"containers": containers, "durations": durations},
     }
     out_path = Path(args.out or "inventory.json")
@@ -255,24 +254,34 @@ def _filter_conditions(config: HarnessConfig, expr: str | None) -> list[bench.Ru
     return list(dict.fromkeys(selected))
 
 
-def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emitted: list[str]) -> int:
-    """Emit each video's graph, the graph metrics and any matching scores; return the number of graphs."""
+def _read_outputs(config: HarnessConfig, outputs_path: Path) -> tuple[dict, dict]:
+    """Read and check the outputs file and the annotations, before anything is sent or written.
+
+    Returns each video's valid parsed outputs and its comparison graph, in video
+    id order, and the annotations. An outputs file with no valid output is
+    NoValidOutputs, and two model names that give one node id DuplicateModelName.
+    """
     raw_outputs = load_outputs(outputs_path)
     annotations = load_annotations(config.annotations) if config.annotations else {}
 
-    parsed_by_video: dict[str, dict] = {}
-    graph_metrics: dict[str, dict] = {}
+    videos: dict[str, tuple[dict, kg.EvalGraph]] = {}
     for video_id in sorted(raw_outputs):
-        parsed = {
-            model: parse_video_output(text)
-            for model, text in raw_outputs[video_id].items()
-        }
+        parsed = {model: parse_video_output(text) for model, text in raw_outputs[video_id].items()}
         valid = {m: p for m, p in parsed.items() if p.valid}
         if not valid:
             print(f"no valid outputs for video {video_id}", file=sys.stderr)
             continue
-        parsed_by_video[video_id] = valid
-        graph = kg.build_comparison_graph(valid)
+        videos[video_id] = valid, kg.build_comparison_graph(valid)
+
+    if not videos:
+        raise NoValidOutputs(f"no valid model outputs in {outputs_path}")
+    return videos, annotations
+
+
+def _graph_outputs(config: HarnessConfig, videos: dict, annotations: dict, out_dir: Path, emitted: list[str]) -> None:
+    """Lay out and emit each video's graph, then the graph metrics and any matching scores."""
+    graph_metrics: dict[str, dict] = {}
+    for video_id, (_, graph) in videos.items():
         positions = kg.fr_layout(graph, config.layout)
         _emit(out_dir, emitted, f"graphs/{video_id}.dot", (kg.export_dot(graph, positions),))
         _emit(out_dir, emitted, f"graphs/{video_id}.json", (kg.export_json(graph, positions),))
@@ -280,20 +289,13 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emi
         metrics["unreachable"] = sorted(metrics["unreachable"])
         graph_metrics[video_id] = metrics
 
-    if not parsed_by_video:
-        raise NoValidOutputs(f"no valid model outputs in {outputs_path}")
-
     _emit(out_dir, emitted, "graph_metrics.json", (_pretty_json(graph_metrics),))
 
     if annotations:
-        models = sorted({m for v in parsed_by_video.values() for m in v})
+        models = sorted({m for valid, _ in videos.values() for m in valid})
         matching_scores: dict[str, dict] = {}
         for model in models:
-            outputs_for_model = {
-                vid: parsed[model]
-                for vid, parsed in sorted(parsed_by_video.items())
-                if model in parsed
-            }
+            outputs_for_model = {vid: valid[model] for vid, (valid, _) in videos.items() if model in valid}
             entry: dict[str, dict] = {}
             for scenario in ("keyframe", "summary"):
                 matches = scoring.build_match_vector(
@@ -307,7 +309,6 @@ def _graph_outputs(config: HarnessConfig, outputs_path: Path, out_dir: Path, emi
                 entry[scenario] = {"score": scoring.matching_node_score(matches), "n": len(matches)}
             matching_scores[model] = entry
         _emit(out_dir, emitted, "matching_scores.json", (_pretty_json(matching_scores),))
-    return len(graph_metrics)
 
 
 def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, emitted: list[str]) -> None:
@@ -326,6 +327,7 @@ def cmd_evaluate(args) -> int:
         print("dataset has no items", file=sys.stderr)
         return EXIT_EMPTY
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
+    outputs = _read_outputs(config, config.outputs) if config.outputs else None  # before any request
 
     plan = bench.RunPlan(
         dataset_path=str(config.dataset),
@@ -345,8 +347,8 @@ def cmd_evaluate(args) -> int:
     emitted: list[str] = []
     _emit(out_dir, emitted, "manifest.jsonl", manifest.lines())
     _score_and_emit(items, manifest, out_dir, emitted)
-    if config.outputs:
-        _graph_outputs(config, config.outputs, out_dir, emitted)
+    if outputs:
+        _graph_outputs(config, *outputs, out_dir, emitted)
     _write_bundle(out_dir, emitted, "manifest.jsonl")
 
     print(f"{len(manifest.records)} records -> {out_dir / 'manifest.jsonl'}")
@@ -378,10 +380,11 @@ def cmd_graph(args) -> int:
         raise ConfigError("graph command needs an outputs file (--outputs or config)")
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
+    videos, annotations = _read_outputs(config, Path(outputs_path))
     emitted: list[str] = []
-    graphs = _graph_outputs(config, Path(outputs_path), out_dir, emitted)
+    _graph_outputs(config, videos, annotations, out_dir, emitted)
     _write_bundle(out_dir, emitted, None)
-    print(f"{graphs} graph(s) -> {out_dir / 'graphs'}")
+    print(f"{len(videos)} graph(s) -> {out_dir / 'graphs'}")
     return EXIT_OK
 
 

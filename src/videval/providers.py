@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
 )
 from .media import MediaAsset
-from .schema import _boolean, _fill, _float, _list_of, _number, _object, _plain, _string
+from .schema import _boolean, _choice, _fill, _float, _list_of, _number, _object, _plain, _string
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -57,7 +57,6 @@ DEFAULT_ERROR_PATTERNS = {
         "timeout",
     ],
 }
-CONDITION_READERS = {"fps": _float, "with_transcript": _boolean}
 SEGMENT_NAME = re.compile(r"segment-(\d+)\.jsonl")
 _TAGS: dict[str, "ConditionTag"] = {}  # from_dict's tags, keyed by the repr of their dict
 
@@ -74,10 +73,7 @@ class ConditionTag:
 
     ATTENTION_VALUES = ("sdpa", "flash_attention", "other")
 
-    def __post_init__(self):
-        if self.attention not in self.ATTENTION_VALUES:
-            values = ", ".join(self.ATTENTION_VALUES)
-            raise ValueError(f"attention must be one of {values}, got {self.attention!r}")
+    def __post_init__(self):  # CONDITION_READERS has checked attention
         if not self.fps > 0:
             raise ValueError(f"fps must be a positive number, got {self.fps!r}")
 
@@ -103,6 +99,9 @@ class ConditionTag:
         return _TAGS[key]
 
 
+CONDITION_READERS = {"fps": _float, "with_transcript": _boolean, "attention": _choice(*ConditionTag.ATTENTION_VALUES)}
+
+
 @dataclass(frozen=True, slots=True)
 class TranscriptSegment:
     """One timed span of an ASR payload, its fields named as the payload's keys."""
@@ -112,9 +111,7 @@ class TranscriptSegment:
     end: float
     text: str
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError("segment id must be non-negative")
+    def __post_init__(self):  # SEGMENT_READERS has checked id
         if self.start > self.end:
             raise ValueError("segment start must not exceed end")
 
@@ -145,14 +142,11 @@ class ModelResponse:
     STATUSES = ("ok", "oom", "timeout", "invalid")
 
     def validate(self) -> "ModelResponse":
-        if self.status not in self.STATUSES:
-            raise MalformedProviderOutput(f"bad status: {self.status}")
+        """The one rule across fields, which from_dict's readers cannot check: ok has text, nothing else has."""
         if (self.status == "ok") != bool(self.raw_text):
             raise MalformedProviderOutput(
                 f"status={self.status} inconsistent with raw_text length {len(self.raw_text)}"
             )
-        if self.latency_ms < 0:
-            raise MalformedProviderOutput("negative latency")
         return self
 
     def to_json(self) -> str:
@@ -169,7 +163,7 @@ class ModelResponse:
             response = cls(
                 _string(data["raw_text"], "raw_text"),
                 _number(data.get("latency_ms", 0), "latency_ms"),
-                _status(data.get("status", "ok")),
+                _status(data.get("status", "ok"), "status"),
             )
         except KeyError as exc:
             raise SchemaError(f"{what} is missing {exc.args[0]!r}") from None
@@ -178,13 +172,7 @@ class ModelResponse:
         return response.validate()
 
 
-_STATUSES = dict(zip(ModelResponse.STATUSES, ModelResponse.STATUSES))
-
-
-def _status(value) -> str:
-    """A known status as its STATUSES object, so every entry shares it; validate() refuses any other."""
-    value = _string(value, "status")
-    return _STATUSES.get(value, value)
+_status = _choice(*ModelResponse.STATUSES)
 
 
 @dataclass
@@ -522,19 +510,21 @@ class ProviderHub:
     def transcribe(self, asset: MediaAsset, provider_id: str) -> Transcript:
         """Run ASR over the asset's audio and return ordered timed segments.
 
-        The caller checks that the asset has an audio stream.
+        The caller checks that the asset has an audio stream. An answer that is
+        not ok (oom, timeout, invalid) holds no transcript: it is a
+        MalformedProviderOutput, as an ok answer that does not parse is.
         """
         request = ModelRequest(
             provider_id=provider_id, modality="asr", audio_ref=asset.path
         )
         response = self.send(request)
+        if response.status != "ok":
+            raise MalformedProviderOutput(f"the ASR answer is {response.status}, not a transcript")
         return parse_transcript_payload(response.raw_text)
 
 
 def parse_transcript_payload(raw_text: str) -> Transcript:
     """Parse an ASR JSON payload ({"segments": [...], "text": ..., "language"})."""
-    if not raw_text.strip():
-        return Transcript()
     try:
         payload = json.loads(raw_text)
     except json.JSONDecodeError as exc:

@@ -458,7 +458,10 @@ def test_unknown_status_in_a_manifest_line_is_malformed():
     text = _manifest_text('{"latency_ms":7,"raw_text":"","status":"weird"}')
     with pytest.raises(SchemaError) as caught:
         RunManifest.from_jsonl((text,))
-    assert str(caught.value) == "manifest line 2 is malformed: MalformedProviderOutput('bad status: weird')"
+    assert str(caught.value) == (
+        "manifest line 2 is malformed: SchemaError(\"record.response.status must be one of "
+        "'ok', 'oom', 'timeout', 'invalid', got 'weird'\")"
+    )
 
 
 # quotes, a backslash, control characters, U+2028, non-ASCII, an astral character and a lone surrogate

@@ -405,6 +405,31 @@ def test_colliding_model_names_are_an_error(demo_dir, tmp_path, capsys, command)
     assert "error: duplicate node id: 'a:summary'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "outputs, code, message",
+    [
+        pytest.param({"vid": {"a": "A summary.\n(00:05, a frame)", "a:summary": "Another."}}, 1,
+                     "error: duplicate node id: 'a:summary'", id="colliding"),
+        pytest.param({"vid": {"m": ""}}, 3, "invalid input: no valid model outputs", id="no-valid-output"),
+    ],
+)
+def test_evaluate_refuses_a_bad_outputs_file_before_any_request(
+    demo_dir, tmp_path, capsys, loopback_provider, outputs, code, message
+):
+    # such a run sent every request, paid for in a live run, and wrote the manifest and tables first
+    outputs_path = tmp_path / "outputs.json"
+    outputs_path.write_text(json.dumps(outputs), encoding="utf-8")
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    path = _demo_config_variant(demo_dir, tmp_path, outputs=str(outputs_path),
+                                cassette_dir=str(tmp_path / "cassettes"), providers=raw["providers"])
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(out_dir)) == code
+    assert message in capsys.readouterr().err
+    assert len(loopback_provider.seen) == 0
+    assert not (out_dir / "manifest.jsonl").exists() and not (tmp_path / "cassettes").exists()
+
+
 def test_graph_without_a_valid_output_is_invalid_input(demo_dir, tmp_path, capsys):
     # no summary text in any output: no graph can be built
     outputs = tmp_path / "outputs.json"
@@ -933,6 +958,23 @@ def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, f
     assert len(loopback_provider.seen) == 2  # the replay asked nothing live
     assert json.loads(outputs["--live"]) == {"b_good": {"segments": asr["segments"], "text": "hello", "language": "en"}}
     assert outputs["--replay"] == outputs["--live"]
+
+
+@pytest.mark.parametrize("status", ["oom", "timeout", "invalid"])
+def test_transcribe_skips_an_answer_that_is_not_ok(tmp_path, capsys, fake_probe_cmd, status):
+    # such an answer gave its file an empty transcript, so the prompts "with" it equalled those without
+    audio, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+    failed = tmp_path / "b" / "talk.mp3"  # the same transcript id: the skip must leave it unclaimed
+    failed.parent.mkdir()
+    failed.write_bytes(b"mp3 bytes")
+    key = request_key(ModelRequest("whisper", "asr", audio_ref=str(failed)))
+    CassetteStore(tmp_path / "cassettes").put(key, "{}", ModelResponse("", 540, status))
+    out = tmp_path / "transcripts.json"
+    capsys.readouterr()
+    argv = ["transcribe", "--replay", str(failed), str(audio), "--config", str(config_path), "--out", str(out)]
+    assert run_cli(*argv) == 0
+    assert f"skipping {failed}: the ASR answer is {status}, not a transcript" in capsys.readouterr().err
+    assert json.loads(out.read_text(encoding="utf-8"))["talk"]["text"] == "hello world"
 
 
 def test_transcribe_takes_a_file_reached_twice_once(tmp_path, capsys, fake_probe_cmd):

@@ -336,7 +336,9 @@ def test_unknown_status_in_a_cassette_line_is_the_keys_error(store):
     (store.root / "segment-000001.jsonl").write_bytes(b'k1\t{"latency_ms":1,"raw_text":"","status":"weird"}\t{}\n')
     with pytest.raises(MalformedProviderOutput) as caught:
         store.get("k1")
-    assert str(caught.value) == "corrupt cassette entry k1: bad status: weird"
+    assert str(caught.value) == (
+        "corrupt cassette entry k1: response.status must be one of 'ok', 'oom', 'timeout', 'invalid', got 'weird'"
+    )
 
 
 @pytest.mark.parametrize("response", [b"{not json", b"", b'{"raw_text":"x\xff","status":"ok"}', b"[1]"])
