@@ -2,22 +2,16 @@
 """Rebuild the demo cassette directory from the scripted responses below.
 
 Run from anywhere: python demo/regenerate.py
-The cassette keys depend on the exact prompts the harness builds, so this
-script goes through the same prompt/request code path the evaluate command
-uses.
+The cassette keys hash the exact requests the harness sends, so this script
+keys each answer by the request benchmark.plan_cells gives its cell: the
+requests the evaluate command sends.
 """
 
 from pathlib import Path
 
-from videval.benchmark import build_question_prompt, load_dataset
+from videval.benchmark import RunPlan, load_dataset, plan_cells
 from videval.config import load_config, load_transcripts
-from videval.providers import (
-    CassetteStore,
-    ModelRequest,
-    ModelResponse,
-    request_fingerprint,
-    request_key,
-)
+from videval.providers import CassetteStore, ModelResponse, request_fingerprint, request_key
 
 DEMO_DIR = Path(__file__).resolve().parent
 
@@ -49,28 +43,28 @@ SCRIPTED: dict[tuple[str, int], tuple[str, str, int]] = {
 def main() -> None:
     cassette_dir = DEMO_DIR / "cassettes"
     config = load_config(DEMO_DIR / "config.json")
-    items = load_dataset(config.dataset)
-    transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
+    plan = RunPlan(
+        dataset_path=str(config.dataset),
+        items=load_dataset(config.dataset),
+        conditions=config.conditions,
+        request_kind=config.request_kind,
+        mcq_template=config.mcq_template,
+        summary_template=config.summary_template,
+        transcripts=load_transcripts(config.transcripts) if config.transcripts else {},
+    )
 
     # old segments, and the one-file-per-answer entries of earlier versions
     for stale in [*cassette_dir.glob("segment-*.jsonl"), *cassette_dir.glob("*.json")]:
         stale.unlink()
     store = CassetteStore(cassette_dir)  # writes one segment
 
-    written = 0
-    for item in items:
-        for cond_idx, condition in enumerate(config.conditions):
-            transcript = transcripts.get(item.video_id) if condition.tag.with_transcript else None
-            prompt = build_question_prompt(item, transcript, config.mcq_template)
-            request = ModelRequest(
-                provider_id=condition.provider, modality="vlm", prompt=prompt, condition=condition.tag
-            )
-            raw_text, status, latency_ms = SCRIPTED[(item.question_id, cond_idx)]
-            response = ModelResponse(raw_text, latency_ms, status).validate()
-            store.put(request_key(request), request_fingerprint(request), response)
-            written += 1
+    cells = list(plan_cells(plan))
+    for n, (item, request) in enumerate(cells):  # each item's cells take the conditions in order
+        raw_text, status, latency_ms = SCRIPTED[(item.question_id, n % len(plan.conditions))]
+        response = ModelResponse(raw_text, latency_ms, status).validate()
+        store.put(request_key(request), request_fingerprint(request), response)
 
-    print(f"wrote {written} cassette entries to {cassette_dir}")
+    print(f"wrote {len(cells)} cassette entries to {cassette_dir}")
 
 
 if __name__ == "__main__":

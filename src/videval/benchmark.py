@@ -1,12 +1,12 @@
 """Load Video-MME-style datasets, expand the condition matrix, and run them.
 
-A run produces one record per (condition x item) cell. Partial failures,
-including replay misses and out-of-memory responses, become records rather than
-aborting the run, so completeness can be accounted afterwards. Records come out
-in (condition, question id) order. Replay is serial and deterministic; live
-runs the cells concurrently, in a pool as wide as the plan's max_workers. A
-record's `wall_ms` is its answer's recorded latency in both modes (in a live run,
-that of the last attempt), so a replay of a live run's cassettes reads the same times.
+plan_cells says what each (item x condition) cell sends, for evaluate and for demo/regenerate.py,
+and run_benchmark makes one record of each. Partial failures, including replay misses and
+out-of-memory responses, become records rather than aborting the run, so completeness can be
+accounted afterwards. Records come out in (condition, question id) order. Replay is serial and
+deterministic; live runs the cells concurrently, in a pool as wide as the plan's max_workers. A
+record's `wall_ms` is its answer's recorded latency in both modes (in a live run, that of the last
+attempt), so a replay of a live run's cassettes reads the same times.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ REPLAY_EPOCH = "1970-01-01T00:00:00Z"
 class BenchmarkItem:
     video_id: str
     duration_class: str
-    domain: str
-    sub_category: str
-    url: str
     question_id: str
     task_type: str
     question: str
@@ -91,9 +88,6 @@ def item_from_record(record: dict) -> BenchmarkItem:
         return BenchmarkItem(
             video_id=str(record["video_id"]),
             duration_class=_duration(str(record["duration"]).strip().lower(), "duration"),
-            domain=str(record.get("domain", "")),
-            sub_category=str(record.get("sub_category", "")),
-            url=str(record.get("url", "")),
             question_id=str(record["question_id"]),
             task_type=str(record.get("task_type", "")),
             question=str(record["question"]),
@@ -328,30 +322,23 @@ def _build_prompt(plan: RunPlan, item: BenchmarkItem, with_transcript: bool) -> 
     return render_prompt(plan.summary_template, {"transcript": transcript_block(transcript)})
 
 
-def _cells(plan: RunPlan, items: list[BenchmarkItem]):
-    """(slot, condition, item, prompt) of every cell, item by item.
+def plan_cells(plan: RunPlan):
+    """(item, request) of every cell: items in question id order, then the plan's conditions in order.
 
-    Each item's prompt is rendered once per transcript side, and dropped when
-    the next item starts. slot is the cell's place in (condition, item) order.
+    The one place that says what a cell sends. Each item's prompt is rendered
+    once per transcript side, and dropped when the next item starts.
     """
-    for i, item in enumerate(items):
+    for item in sorted(plan.items, key=lambda item: item.question_id):
         prompts: dict[bool, str] = {}
-        for c, condition in enumerate(plan.conditions):
+        for condition in plan.conditions:
             side = condition.tag.with_transcript
             if side not in prompts:
                 prompts[side] = _build_prompt(plan, item, side)
-            yield c * len(items) + i, condition, item, prompts[side]
+            yield item, ModelRequest(condition.provider, "vlm", prompts[side], condition=condition.tag)
 
 
-def _run_one(
-    plan: RunPlan, hub: ProviderHub, condition: RunCondition, item: BenchmarkItem, prompt: str
-) -> RunRecord:
-    request = ModelRequest(
-        provider_id=condition.provider,
-        modality="vlm",
-        prompt=prompt,
-        condition=condition.tag,
-    )
+def _run_one(request_kind: str, hub: ProviderHub, cell: tuple[BenchmarkItem, ModelRequest]) -> RunRecord:
+    item, request = cell
     error = None
     try:
         response = hub.send(request)
@@ -361,7 +348,7 @@ def _run_one(
 
     parsed: McqAnswer | ParsedVideoOutput | None = None
     if response.status == "ok":
-        if plan.request_kind == "mcq":
+        if request_kind == "mcq":
             try:
                 parsed = parse_mcq(response.raw_text)
             except NoAnswerFound:
@@ -372,8 +359,8 @@ def _run_one(
     outcome = classify_outcome(response, parsed, item.answer)
     return RunRecord(
         item_ref=item.question_id,
-        condition=condition.tag,
-        request_kind=plan.request_kind,
+        condition=request.condition,
+        request_kind=request_kind,
         response=response,
         parsed=parsed,
         outcome=outcome,
@@ -383,29 +370,25 @@ def _run_one(
 
 
 def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
-    """Run every (condition, item) cell and return the manifest of its records.
+    """Run every cell of plan_cells and return the manifest of its records.
 
-    Cells are taken item by item, in question id order, so each item's prompt
-    is rendered once per transcript side; each record goes to its place in
-    (condition, question id) order. Replay runs the cells one after another.
-    Live runs them through one pool, plan.max_workers threads wide.
+    Replay runs the cells one after another; live runs them through one pool,
+    plan.max_workers threads wide. Both give the records in cell order, item by
+    item, and one stride slice per condition lists them condition by condition.
     """
     started_at = (
         REPLAY_EPOCH
         if hub.mode == "replay"
         else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
-    items = sorted(plan.items, key=lambda item: item.question_id)
-    records: list = [None] * (len(plan.conditions) * len(items))
+    run = partial(_run_one, plan.request_kind, hub)
     if hub.mode == "replay":
-        for slot, *cell in _cells(plan, items):
-            records[slot] = _run_one(plan, hub, *cell)
+        done = list(map(run, plan_cells(plan)))
     else:
-        cells = list(_cells(plan, items))
         with ThreadPoolExecutor(plan.max_workers) as pool:
-            done = pool.map(lambda cell: _run_one(plan, hub, *cell[1:]), cells)
-            for (slot, *_), record in zip(cells, done):
-                records[slot] = record
+            done = list(pool.map(run, plan_cells(plan)))
+    width = len(plan.conditions)
+    records = [record for c in range(width) for record in done[c::width]]
     return RunManifest(
         dataset_path=plan.dataset_path,
         conditions=plan.conditions,

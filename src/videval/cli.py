@@ -59,6 +59,12 @@ def _write(path: Path, chunks) -> None:
 
 def _emit(out_dir: Path, emitted: list[str], name: str, chunks) -> None:
     """Write the artifact name (a path under out_dir), the text chunks in order, and add name to emitted."""
+    if not emitted:  # the old index goes first: it would name another run's files beside this run's
+        bundle = out_dir / "bundle.json"
+        try:
+            bundle.unlink(missing_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot write {bundle}: {exc}") from exc
     _write(out_dir / name, chunks)
     emitted.append(name)
 

@@ -8,6 +8,7 @@ a SchemaError naming what; each caller turns that error into its own once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, fields
 from functools import partial
 
@@ -27,12 +28,16 @@ def _boolean(value, what: str) -> bool:
     return value
 
 
-def _number(value, what: str, kind=int, minimum=0):
-    """A JSON number of the given kind (int, or float which takes ints too), at least minimum.
+_LARGEST = sys.float_info.max  # json.loads reads Infinity, and 1e400, as float("inf")
 
-    Anything else, a numeric string included, is a SchemaError naming what.
+
+def _number(value, what: str, kind=int, minimum=0):
+    """A finite JSON number of the given kind (int, or float which takes ints too), at least minimum.
+
+    Anything else, a numeric string, NaN and the infinities included, is a SchemaError naming what.
+    So is an int past the largest float, which float() could not convert.
     """
-    if type(value) is kind and value >= minimum:  # the common case, checked first
+    if type(value) is kind and minimum <= value <= _LARGEST:  # the common case, checked first
         return value
     accepted = (int,) if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, accepted):
@@ -40,6 +45,8 @@ def _number(value, what: str, kind=int, minimum=0):
         raise SchemaError(f"{what} must be {noun}, got {value!r}")
     if not value >= minimum:  # also false for NaN
         raise SchemaError(f"{what} must be at least {minimum}, got {value!r}")
+    if not value <= _LARGEST:
+        raise SchemaError(f"{what} must be finite, at most {_LARGEST!r}, got {value!r}")
     return kind(value)
 
 
@@ -85,7 +92,7 @@ def _keyframe(pair, what: str) -> KeyframeEntry:
     seconds, caption = _float(pair[0], what), _string(pair[1], what)
     try:
         return KeyframeEntry(int(seconds), caption)
-    except (ValueError, OverflowError) as exc:  # out of range, untrimmed, or infinite
+    except ValueError as exc:  # out of range, or untrimmed
         raise SchemaError(f"{what}: {exc}") from exc
 
 

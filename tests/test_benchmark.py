@@ -20,6 +20,7 @@ from videval.benchmark import (
     classify_outcome,
     item_from_record,
     load_dataset,
+    plan_cells,
     run_benchmark,
 )
 from videval.config import load_config, load_transcripts
@@ -32,6 +33,7 @@ from videval.providers import (
     ProviderHub,
     Transcript,
     TranscriptSegment,
+    request_key,
 )
 from videval.schema import _choice
 from videval.templates import transcript_block
@@ -346,6 +348,13 @@ def test_run_benchmark_records_sorted(demo_dir):
     assert without == sorted(without)
     assert with_t == sorted(with_t)
     assert all(not r.condition.with_transcript for r in records[:10])
+
+
+def test_plan_cells_key_the_demo_cassettes_line_by_line(demo_dir):
+    # demo/regenerate.py writes one cassette line per cell of plan_cells, the requests evaluate sends
+    plan, _ = demo_plan_and_hub(demo_dir)
+    lines = (demo_dir / "cassettes" / "segment-000001.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [request_key(request) for _, request in plan_cells(plan)] == [line.split("\t", 1)[0] for line in lines]
 
 
 @pytest.mark.parametrize("mode", ["replay", "live"])

@@ -9,13 +9,12 @@ import warnings
 import pytest
 
 import videval.media
-from videval.benchmark import RunManifest, build_question_prompt, item_from_record
+from videval.benchmark import RunManifest, RunPlan, load_dataset, plan_cells
 from videval.cli import PROBES_AHEAD_PER_WORKER, _write, main
 from videval.config import load_config
 from videval.errors import ConfigError, SchemaError
 from videval.providers import (
     CassetteStore,
-    ConditionTag,
     ModelRequest,
     ModelResponse,
     ProviderHub,
@@ -467,11 +466,14 @@ BAD_CONFIG_VALUES = [
     # 0 passed the loader, and every laid-out position was NaN
     ({"layout": {"spacing": 0}}, "layout: spacing"),
     ({"layout": {"area": 0}}, "layout: area"),
+    # json.loads reads Infinity: graph exited 0 with NaN in its exports; an int past the largest
+    # float ended in an OverflowError traceback
+    *(({"layout": {"area": area}}, "layout.area") for area in (float("inf"), 10**400)),
     ({"templates": {"mcq": 5}}, "templates.mcq"),
     ({"outputs": 5}, "outputs"),
     *(
         ({"conditions": [{"provider": "local-qwen", "model_name": "m", "fps": fps}]}, "fps")
-        for fps in ("0.1", True, 0)
+        for fps in ("0.1", True, 0, float("inf"))  # an infinite fps put Infinity, which is not JSON, in the manifest
     ),
     ({"conditions": [{"provider": "local-qwen", "model_name": 5}]}, "model_name"),
     (
@@ -797,6 +799,13 @@ def test_evaluate_records_corrupt_cassette_entry(demo_dir, tmp_path, capsys, dam
         pytest.param(
             "report", "eval/manifest.jsonl", lambda data: data.replace(b"001-2", b"001-\xff"), id="manifest-not-utf8"
         ),
+        # json.loads reads Infinity, which is not JSON: the tag passed, and the records written from it held it
+        pytest.param(
+            "report",
+            "eval/manifest.jsonl",
+            lambda data: data.replace(b'"fps":0.1', b'"fps":Infinity'),
+            id="manifest-fps-infinite",
+        ),
     ],
 )
 def test_undecodable_input_is_invalid_input(demo_dir, tmp_path, capsys, command, name, damage):
@@ -841,6 +850,23 @@ def test_unwritable_output_path_exits_1(demo_dir, tmp_path, capsys, request, fak
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
+
+def test_a_rerun_that_fails_past_its_first_write_leaves_no_bundle(demo_dir, tmp_path, capsys):
+    # the first run's bundle.json named its own tables beside the rerun's manifest
+    config = str(demo_dir / "config.json")
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--config", config, "--replay", "--out-dir", str(out_dir)) == 0
+    bundle = (out_dir / "bundle.json").read_bytes()
+    # a command that fails before its first write keeps the bundle, which still indexes the out dir
+    assert run_cli("evaluate", "--config", config, "--conditions", "9", "--out-dir", str(out_dir)) == 2
+    assert (out_dir / "bundle.json").read_bytes() == bundle
+    (out_dir / "task_accuracy.md").unlink()
+    (out_dir / "task_accuracy.md").mkdir()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", config, "--replay", "--conditions", "1", "--out-dir", str(out_dir)) == 1
+    assert f"error: cannot write {out_dir / 'task_accuracy.md'}" in capsys.readouterr().err
+    assert not (out_dir / "bundle.json").exists()
 
 
 # --- transcribe -----------------------------------------------------------------------------
@@ -1255,14 +1281,12 @@ def _synthetic_replay(root, n_items: int):
         ),
         encoding="utf-8",
     )
-    store = CassetteStore(root / "cassettes")
-    for condition in conditions:
-        tag = ConditionTag.from_dict(condition)
-        for i, raw in enumerate(items):
-            prompt = build_question_prompt(item_from_record(raw), None)
-            request = ModelRequest("p", "vlm", prompt, condition=tag)
-            answer = ModelResponse(f"The answer is {'ABCD'[i * 7 % 4]}.", 1000 + i, "ok")
-            store.put(request_key(request), request_fingerprint(request), answer)
+    loaded = load_config(config)  # keyed as evaluate sends them: a change there misses no answer
+    store = CassetteStore(loaded.cassette_dir)
+    for item, request in plan_cells(RunPlan(str(loaded.dataset), load_dataset(loaded.dataset), loaded.conditions)):
+        i = int(item.question_id[1:])
+        answer = ModelResponse(f"The answer is {'ABCD'[i * 7 % 4]}.", 1000 + i, "ok")
+        store.put(request_key(request), request_fingerprint(request), answer)
     return config
 
 
@@ -1280,7 +1304,10 @@ def test_memory_per_record_of_evaluate_and_report(tmp_path):
 
     Holding the manifest's text whole grew it by about 1,720 B (evaluate) and 1,280 B (report);
     writing and reading it a line at a time, with slotted records, by about 730 B and 760 B; one
-    object per repeated status, outcome, request kind and answer, by about 530 B and 580 B.
+    object per repeated status, outcome, request kind and answer, by about 530 B and 580 B; with
+    no unread dataset fields in BenchmarkItem, by about 510 B and 580 B.
+    Every record must carry an answer: a request rule the cassettes no longer match made each
+    cell a ReplayMiss, a cheaper record, and the slopes still passed.
     """
     peaks = {}
     for n_items in (50, 400):
@@ -1293,6 +1320,9 @@ def test_memory_per_record_of_evaluate_and_report(tmp_path):
                 "--out-dir", str(root / "rep"),
             ),
         )
+        records = (root / "eval" / "manifest.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(records) == n_items * MEMORY_CONDITIONS
+        assert not [line for line in records if json.loads(line)["error"] is not None]
     (small, small_peaks), (large, large_peaks) = peaks.items()
     slopes = [(b - a) / (large - small) for a, b in zip(small_peaks, large_peaks)]
     assert all(slope < 650 for slope in slopes), f"bytes per added record (evaluate, report): {slopes}"
