@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
@@ -385,6 +384,7 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
     if hub.mode == "replay":
         done = list(map(run, plan_cells(plan)))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # it loads logging: only live runs pay
         with ThreadPoolExecutor(plan.max_workers) as pool:
             done = list(pool.map(run, plan_cells(plan)))
     width = len(plan.conditions)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 
@@ -118,6 +117,7 @@ def _probed_assets(paths: list[str], tool: media.MediaToolRunner, max_workers: i
     serial loop gives them. Closing the generator (the caller stopped early)
     cancels the probes not yet started and waits for the running ones.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only ingest and transcribe pay for loading it
     files = (path for path in _walk_media_files(paths) if media.is_supported(path))
     pool = ThreadPoolExecutor(max_workers)
     try:

@@ -13,6 +13,7 @@ graph bytes do not depend on the numpy version.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -160,6 +161,17 @@ def build_comparison_graph(outputs: dict[str, ParsedVideoOutput]) -> EvalGraph:
     return graph
 
 
+def _numpy():
+    """numpy, loaded on first use, with OpenBLAS held to one thread unless OPENBLAS_NUM_THREADS is set.
+
+    The layout and the metrics make no BLAS call, and each extra OpenBLAS thread spins while numpy loads.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy
+
+    return numpy
+
+
 def fr_layout(
     graph: EvalGraph, params: LayoutParams | None = None
 ) -> dict[str, NodePosition]:
@@ -175,7 +187,7 @@ def fr_layout(
     multiply, divide and sqrt in a fixed order, so identical inputs give
     bit-identical positions whatever the numpy version.
     """
-    import numpy as np  # only the graph command pays for loading numpy
+    np = _numpy()
 
     p = params or LayoutParams()
     ids = list(graph.nodes)
@@ -255,7 +267,7 @@ def graph_metrics(
     Hops are counted by a breadth-first search that takes each edge both
     ways; they are the floats 0.0, 1.0, ... and unreachable nodes have none.
     """
-    import numpy as np
+    np = _numpy()
 
     if center not in graph.nodes:
         raise UnknownCenter(f"unknown center node: {center}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import shlex
-import subprocess
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -156,6 +155,7 @@ class MediaToolRunner:
         self.timeout_s = timeout_s
 
     def _run(self, template: str, subs: dict[str, str]) -> subprocess.CompletedProcess:
+        import subprocess  # only the commands that run the media tool pay for loading it
         argv = []
         for token in _split_template(template):
             for name, value in subs.items():
@@ -225,9 +225,11 @@ def probe(path: str | Path, tool: MediaToolRunner | None = None) -> MediaAsset:
         raw = source.get("duration")  # ffprobe writes it as a string
         if raw is not None:
             try:
-                duration = max(duration, float(raw))
+                seconds = float(raw)
             except (TypeError, ValueError):
-                pass
+                continue
+            if math.isfinite(seconds):  # float() takes "inf", which inventory.json cannot hold
+                duration = max(duration, seconds)
 
     kind = "video" if video_streams else "audio"
     container = classify_container(p, format_name)

@@ -29,11 +29,11 @@ import os
 import re
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
-from typing import Callable
 
 from .errors import (
     MalformedProviderOutput,
@@ -194,6 +194,8 @@ class ProviderSettings:
     error_patterns: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.timeout_s > 0:  # 0 makes every socket non-blocking, and every live call fail
+            raise ValueError(f"timeout_s must be a positive number, got {self.timeout_s!r}")
         # a status the given patterns leave out keeps its default texts
         defaults = {status: list(texts) for status, texts in DEFAULT_ERROR_PATTERNS.items()}
         self.error_patterns = {**defaults, **self.error_patterns}

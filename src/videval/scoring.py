@@ -7,8 +7,8 @@ judges summary semantics itself.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .benchmark import DURATION_CLASSES
 from .parsing import KeyframeEntry

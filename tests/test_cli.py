@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import shutil
 import threading
 import time
@@ -92,6 +93,28 @@ def test_ingest_skips_probe_documents_of_another_shape(media_tree, probe_config,
     assert sorted(asset["path"] for asset in inventory["assets"]) == sorted(
         str(p) for p in media_tree.rglob("*") if p.suffix in (".mp4", ".flac", ".webm", ".wmv") and p not in bad
     )
+
+
+def test_ingest_skips_a_duration_that_is_not_finite(tmp_path, probe_config):
+    # float() reads "inf", and the inventory held Infinity, which is not JSON, counted as long
+    raw = json.loads(probe_config.read_text(encoding="utf-8"))
+    raw["probe_command"] = "cat {input}"
+    config = tmp_path / "cat_config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    media = tmp_path / "media"
+    media.mkdir()
+    for name, duration in (("a.wav", "inf"), ("b.wav", "NaN"), ("c.wav", "-Infinity")):
+        doc = {"format": {"duration": duration, "format_name": "wav"}, "streams": [{"codec_type": "audio"}]}
+        (media / name).write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "inventory.json"
+    assert run_cli("ingest", str(media), "--config", str(config), "--out", str(out)) == 0
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    inventory = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert [asset["duration_s"] for asset in inventory["assets"]] == [0.0, 0.0, 0.0]
+    assert inventory["histogram"]["durations"] == {"short": 3}
 
 
 def test_ingest_zero_usable_exits_3(tmp_path, probe_config, capsys):
@@ -448,6 +471,8 @@ BAD_CONFIG_VALUES = [
     ({"max_workers": "four"}, "max_workers"),
     ({"keyframe_match_mode": "most"}, "keyframe_match_mode"),
     ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, "timeout_s"),
+    # 0 gave every live call a non-blocking socket, so each one failed
+    ({"providers": {"local-qwen": {"timeout_s": 0}}}, "timeout_s must be a positive number"),
     ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, "provider 'local-qwen'"),
     ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, "error_patterns"),
     # keys that are not an error status: a live reply that matched one would raise before it was recorded
@@ -1190,8 +1215,8 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_only_the_commands_that_hash_load_openssl(demo_dir, demo_manifest, media_tree, probe_config, tmp_path):
-    """hashlib loads OpenSSL's _hashlib, a few MiB resident; of these commands only evaluate hashes."""
+def _modules_loaded_by_each_command(modules, demo_dir, demo_manifest, media_tree, probe_config, tmp_path):
+    """Per command, run in a fresh interpreter: its exit code, then whether each of modules is loaded."""
     config = str(demo_dir / "config.json")
     commands = {
         "import": None,
@@ -1206,14 +1231,48 @@ def test_only_the_commands_that_hash_load_openssl(demo_dir, demo_manifest, media
         code = (
             "import sys; from videval.cli import main; "
             f"argv = {argv!r}; code = 0 if argv is None else main(argv); "
-            "print(code, '_hashlib' in sys.modules, file=sys.stderr)"
+            f"print(code, *(m in sys.modules for m in {modules!r}), file=sys.stderr)"
         )
         done = _run_python(code, timeout=120)
         loaded[name] = done.stderr.splitlines()[-1]
+    return loaded
+
+
+def test_only_the_commands_that_hash_load_openssl(demo_dir, demo_manifest, media_tree, probe_config, tmp_path):
+    """hashlib loads OpenSSL's _hashlib, a few MiB resident; of these commands only evaluate hashes."""
+    loaded = _modules_loaded_by_each_command(
+        ("_hashlib",), demo_dir, demo_manifest, media_tree, probe_config, tmp_path
+    )
     assert loaded == {
         "import": "0 False", "ingest": "0 False", "graph": "0 False", "report": "0 False",
         "evaluate --replay": "0 True",
     }
+
+
+def test_only_the_commands_that_run_a_pool_or_the_media_tool_load_them(
+    demo_dir, demo_manifest, media_tree, probe_config, tmp_path
+):
+    """concurrent.futures, with the logging it loads, and subprocess are loaded only where they run."""
+    loaded = _modules_loaded_by_each_command(
+        ("concurrent.futures", "subprocess"), demo_dir, demo_manifest, media_tree, probe_config, tmp_path
+    )
+    assert loaded == {
+        "import": "0 False False", "ingest": "0 True True", "graph": "0 False False",
+        "report": "0 False False", "evaluate --replay": "0 False False",
+    }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc/self/task")
+def test_graph_leaves_one_thread(demo_dir, tmp_path, monkeypatch):
+    """The layout makes no BLAS call, so numpy's OpenBLAS starts no worker thread beside the main one."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    argv = ["graph", "--config", str(demo_dir / "config.json"), "--out-dir", str(tmp_path / "graph")]
+    code = (
+        "import os, sys; from videval.cli import main; "
+        f"code = main({argv!r}); print(code, len(os.listdir('/proc/self/task')), file=sys.stderr)"
+    )
+    done = _run_python(code, timeout=120)
+    assert done.stderr.splitlines()[-1] == "0 1"
 
 
 def test_live_evaluate_runs_without_requests(demo_dir, tmp_path, loopback_provider):

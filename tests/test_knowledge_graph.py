@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 from dataclasses import replace
@@ -13,6 +14,7 @@ from videval.knowledge_graph import (
     EvalGraph,
     LayoutParams,
     NodePosition,
+    _numpy,
     build_comparison_graph,
     export_dot,
     export_json,
@@ -386,6 +388,16 @@ def test_metrics_unknown_center():
     positions = fr_layout(graph)
     with pytest.raises(UnknownCenter):
         graph_metrics(graph, positions, center="missing")
+
+
+@pytest.mark.parametrize("given, held", [(None, "1"), ("3", "3")])
+def test_numpy_loader_holds_openblas_to_one_thread_unless_it_is_set(monkeypatch, given, held):
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    assert _numpy().__name__ == "numpy"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == held
 
 
 # --- exports -----------------------------------------------------------------------
