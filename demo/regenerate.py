@@ -9,7 +9,7 @@ requests the evaluate command sends.
 
 from pathlib import Path
 
-from videval.benchmark import RunPlan, load_dataset, plan_cells
+from videval.benchmark import load_dataset, plan_cells
 from videval.config import load_config, load_transcripts
 from videval.providers import CassetteStore, ModelResponse, request_fingerprint, request_key
 
@@ -43,24 +43,16 @@ SCRIPTED: dict[tuple[str, int], tuple[str, str, int]] = {
 def main() -> None:
     cassette_dir = DEMO_DIR / "cassettes"
     config = load_config(DEMO_DIR / "config.json")
-    plan = RunPlan(
-        dataset_path=str(config.dataset),
-        items=load_dataset(config.dataset),
-        conditions=config.conditions,
-        request_kind=config.request_kind,
-        mcq_template=config.mcq_template,
-        summary_template=config.summary_template,
-        transcripts=load_transcripts(config.transcripts) if config.transcripts else {},
-    )
+    transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
 
     # old segments, and the one-file-per-answer entries of earlier versions
     for stale in [*cassette_dir.glob("segment-*.jsonl"), *cassette_dir.glob("*.json")]:
         stale.unlink()
     store = CassetteStore(cassette_dir)  # writes one segment
 
-    cells = list(plan_cells(plan))
+    cells = list(plan_cells(config, load_dataset(config.dataset), transcripts))
     for n, (item, request) in enumerate(cells):  # each item's cells take the conditions in order
-        raw_text, status, latency_ms = SCRIPTED[(item.question_id, n % len(plan.conditions))]
+        raw_text, status, latency_ms = SCRIPTED[(item.question_id, n % len(config.conditions))]
         response = ModelResponse(raw_text, latency_ms, status).validate()
         store.put(request_key(request), request_fingerprint(request), response)
 

@@ -1,10 +1,10 @@
 """Load Video-MME-style datasets, expand the condition matrix, and run them.
 
-plan_cells says what each (item x condition) cell sends, for evaluate and for demo/regenerate.py,
-and run_benchmark makes one record of each. Partial failures, including replay misses and
-out-of-memory responses, become records rather than aborting the run, so completeness can be
-accounted afterwards. Records come out in (condition, question id) order. Replay is serial and
-deterministic; live runs the cells concurrently, in a pool as wide as the plan's max_workers. A
+plan_cells says what each (item x condition) cell of a config sends, for evaluate and for
+demo/regenerate.py, and run_benchmark makes one record of each. Partial failures, including replay
+misses and out-of-memory responses, become records rather than aborting the run, so completeness can
+be accounted afterwards. Records come out in (condition, question id) order. Replay is serial and
+deterministic; live runs the cells concurrently, in a pool as wide as the config's max_workers. A
 record's `wall_ms` is its answer's recorded latency in both modes (in a live run, that of the last
 attempt), so a replay of a live run's cassettes reads the same times.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     HarnessError,
@@ -34,6 +35,9 @@ from .providers import (
 )
 from .schema import _boolean, _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import HarnessConfig
 
 OPTION_LETTERS = ("A", "B", "C", "D")
 DURATION_CLASSES = ("short", "medium", "long")
@@ -152,7 +156,6 @@ def build_question_prompt(
 # the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
 PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes, "valid": _boolean}
 _ANSWERS: dict[str, McqAnswer] = {}  # _parsed's answers, keyed by the repr of their dict
-_ANSWER_JSON: dict[McqAnswer, str] = {}  # the JSON text of each answer a record has written
 
 
 def _parsed(value, what: str) -> McqAnswer | ParsedVideoOutput | None:
@@ -170,11 +173,7 @@ def _parsed_json(parsed: McqAnswer | ParsedVideoOutput | None) -> str:
     if parsed is None:
         return "null"
     if isinstance(parsed, McqAnswer):
-        if parsed not in _ANSWER_JSON:
-            _ANSWER_JSON[parsed] = (
-                f'{{"confidence_source":{_quote(parsed.confidence_source)},"letter":{_quote(parsed.letter)}}}'
-            )
-        return _ANSWER_JSON[parsed]
+        return f'{{"confidence_source":{_quote(parsed.confidence_source)},"letter":{_quote(parsed.letter)}}}'
     keyframes = ",".join(f"[{entry.timestamp_s!r},{_quote(entry.caption)}]" for entry in parsed.keyframes)
     valid = "true" if parsed.valid else "false"
     return f'{{"keyframes":[{keyframes}],"summary":{_quote(parsed.summary)},"valid":{valid}}}'
@@ -194,7 +193,7 @@ class RunRecord:
     def to_json(self) -> str:
         """The record's line: json.dumps(fields, sort_keys=True, separators=(",", ":")) byte for byte,
         keyframes as [seconds, caption]. Written by hand for speed, each string escaped as json.dumps
-        escapes it; a tag's JSON is made once per tag, and an answer's once per answer."""
+        escapes it; a tag's JSON is made once per tag."""
         error = "null" if self.error is None else _quote(self.error)
         return (
             f'{{"condition":{self.condition.canonical_json},"error":{error},"item_ref":{_quote(self.item_ref)},'
@@ -264,18 +263,6 @@ HEADER_READERS = {
 
 
 @dataclass
-class RunPlan:
-    dataset_path: str
-    items: list[BenchmarkItem]
-    conditions: list[RunCondition]
-    request_kind: str = "mcq"
-    mcq_template: str = DEFAULT_MCQ_TEMPLATE
-    summary_template: str = ""
-    transcripts: dict[str, Transcript] = field(default_factory=dict)
-    max_workers: int = 4  # the width of a live run's pool: its limit on calls in flight
-
-
-@dataclass
 class RunManifest:
     dataset_path: str
     conditions: list[RunCondition]
@@ -314,25 +301,24 @@ class RunManifest:
         return manifest
 
 
-def _build_prompt(plan: RunPlan, item: BenchmarkItem, with_transcript: bool) -> str:
-    transcript = plan.transcripts.get(item.video_id) if with_transcript else None
-    if plan.request_kind == "mcq":
-        return build_question_prompt(item, transcript, plan.mcq_template)
-    return render_prompt(plan.summary_template, {"transcript": transcript_block(transcript)})
+def _build_prompt(config: HarnessConfig, item: BenchmarkItem, transcript: Transcript | None) -> str:
+    if config.request_kind == "mcq":
+        return build_question_prompt(item, transcript, config.mcq_template)
+    return render_prompt(config.summary_template, {"transcript": transcript_block(transcript)})
 
 
-def plan_cells(plan: RunPlan):
-    """(item, request) of every cell: items in question id order, then the plan's conditions in order.
+def plan_cells(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript]):
+    """(item, request) of every cell: items in question id order, then the config's conditions in order.
 
     The one place that says what a cell sends. Each item's prompt is rendered
     once per transcript side, and dropped when the next item starts.
     """
-    for item in sorted(plan.items, key=lambda item: item.question_id):
+    for item in sorted(items, key=lambda item: item.question_id):
         prompts: dict[bool, str] = {}
-        for condition in plan.conditions:
+        for condition in config.conditions:
             side = condition.tag.with_transcript
             if side not in prompts:
-                prompts[side] = _build_prompt(plan, item, side)
+                prompts[side] = _build_prompt(config, item, transcripts.get(item.video_id) if side else None)
             yield item, ModelRequest(condition.provider, "vlm", prompts[side], condition=condition.tag)
 
 
@@ -368,11 +354,12 @@ def _run_one(request_kind: str, hub: ProviderHub, cell: tuple[BenchmarkItem, Mod
     )
 
 
-def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
+def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript],
+                  hub: ProviderHub) -> RunManifest:
     """Run every cell of plan_cells and return the manifest of its records.
 
     Replay runs the cells one after another; live runs them through one pool,
-    plan.max_workers threads wide. Both give the records in cell order, item by
+    config.max_workers threads wide. Both give the records in cell order, item by
     item, and one stride slice per condition lists them condition by condition.
     """
     started_at = (
@@ -380,19 +367,19 @@ def run_benchmark(plan: RunPlan, hub: ProviderHub) -> RunManifest:
         if hub.mode == "replay"
         else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
-    run = partial(_run_one, plan.request_kind, hub)
+    run = partial(_run_one, config.request_kind, hub)
     if hub.mode == "replay":
-        done = list(map(run, plan_cells(plan)))
+        done = list(map(run, plan_cells(config, items, transcripts)))
     else:
         from concurrent.futures import ThreadPoolExecutor  # it loads logging: only live runs pay
-        with ThreadPoolExecutor(plan.max_workers) as pool:
-            done = list(pool.map(run, plan_cells(plan)))
-    width = len(plan.conditions)
+        with ThreadPoolExecutor(config.max_workers) as pool:
+            done = list(pool.map(run, plan_cells(config, items, transcripts)))
+    width = len(config.conditions)
     records = [record for c in range(width) for record in done[c::width]]
     return RunManifest(
-        dataset_path=plan.dataset_path,
-        conditions=plan.conditions,
-        providers=sorted({c.provider for c in plan.conditions}),
+        dataset_path=str(config.dataset),
+        conditions=config.conditions,
+        providers=sorted({c.provider for c in config.conditions}),
         started_at=started_at,
         records=records,
     )

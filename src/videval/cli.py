@@ -8,6 +8,8 @@ failure in live mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from collections import deque
 from itertools import islice
@@ -45,14 +47,19 @@ EXIT_PROVIDER = 4
 
 
 def _write(path: Path, chunks) -> None:
-    """Write one output file, the text chunks in order, as UTF-8, making its directory; an OSError
-    is an IoError. A caller with one text passes (text,): writelines on a str writes a character
-    at a time."""
+    """Write one output file, the text chunks in order, as UTF-8, making its directory. The text goes
+    to <name>.tmp beside it, which then replaces it, so a reader sees the old file or the whole new one;
+    an OSError removes the .tmp and is an IoError. A caller with one text passes (text,): writelines
+    on a str writes a character at a time."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # unlink(missing_ok=True) raises when the parent is a file
+            tmp.unlink()
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -325,7 +332,7 @@ def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, emitted: 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
-    conditions = _filter_conditions(config, args.conditions)
+    config.conditions = _filter_conditions(config, args.conditions)
     hub = _hub(config, args)
 
     items = bench.load_dataset(config.dataset)
@@ -335,17 +342,7 @@ def cmd_evaluate(args) -> int:
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
     outputs = _read_outputs(config, config.outputs) if config.outputs else None  # before any request
 
-    plan = bench.RunPlan(
-        dataset_path=str(config.dataset),
-        items=items,
-        conditions=conditions,
-        request_kind=config.request_kind,
-        mcq_template=config.mcq_template,
-        summary_template=config.summary_template,
-        transcripts=transcripts,
-        max_workers=config.max_workers,
-    )
-    manifest = bench.run_benchmark(plan, hub)
+    manifest = bench.run_benchmark(config, items, transcripts, hub)
     _report_dropped(hub.store)
     mode = hub.mode
     del hub  # the index of every recorded answer is not needed past the run

@@ -45,7 +45,7 @@ class HarnessConfig:
     keyframe_match_mode: str = "any"
     layout: LayoutParams = field(default_factory=LayoutParams)
     probe_command: str | None = None
-    max_workers: int = 4
+    max_workers: int = 4  # the width of a live run's pool: its limit on calls in flight
     asr_provider: str | None = None
 
 

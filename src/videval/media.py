@@ -11,7 +11,6 @@ import json
 import math
 import shlex
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import InvalidOverlap, NotAVideo, ProbeFailure, SchemaError, UnsupportedFormat
@@ -128,12 +127,6 @@ def is_supported(path: str | Path) -> bool:
     return Path(path).suffix.lower() in _EXTENSION_MAP
 
 
-@lru_cache(maxsize=16)
-def _split_template(template: str) -> tuple[str, ...]:
-    """The tokens of a command template, split once per template rather than once per call."""
-    return tuple(shlex.split(template))
-
-
 class MediaToolRunner:
     """Invokes the external media tool via command templates.
 
@@ -157,7 +150,7 @@ class MediaToolRunner:
     def _run(self, template: str, subs: dict[str, str]) -> subprocess.CompletedProcess:
         import subprocess  # only the commands that run the media tool pay for loading it
         argv = []
-        for token in _split_template(template):
+        for token in shlex.split(template):
             for name, value in subs.items():
                 token = token.replace("{%s}" % name, value)
             argv.append(token)

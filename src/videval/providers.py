@@ -19,7 +19,7 @@ is verified against the system trust store (or `SSL_CERT_FILE`), every socket
 operation uses the provider's `timeout_s`, and a 307/308 reply to the POST is
 returned as an answer rather than followed. The hub keeps no in-flight limit of
 its own: a live run sends from `run_benchmark`'s pool, as wide as the run
-plan's `max_workers`, and `transcribe` sends one request at a time.
+config's `max_workers`, and `transcribe` sends one request at a time.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ class ProviderHub:
 
     Live mode records every response before returning it; replay mode answers
     exclusively from the cassette store. The hub sends from the thread that
-    calls it: `run_benchmark`'s pool, as wide as the plan's `max_workers`, is
+    calls it: `run_benchmark`'s pool, as wide as the config's `max_workers`, is
     what bounds concurrent live calls.
     """
 

@@ -14,7 +14,6 @@ from videval.benchmark import (
     REQUEST_KINDS,
     RunCondition,
     RunManifest,
-    RunPlan,
     RunRecord,
     build_question_prompt,
     classify_outcome,
@@ -36,7 +35,7 @@ from videval.providers import (
     request_key,
 )
 from videval.schema import _choice
-from videval.templates import transcript_block
+from videval.templates import SUMMARY_PROMPT_PLAIN, transcript_block
 
 GENRE_RECORD = {
     "video_id": "001",
@@ -217,14 +216,7 @@ def demo_plan_and_hub(demo_dir):
     items = load_dataset(config.dataset)
     transcripts = load_transcripts(config.transcripts)
     hub = ProviderHub(config.providers, CassetteStore(config.cassette_dir), mode="replay")
-    plan = RunPlan(
-        dataset_path=str(config.dataset),
-        items=items,
-        conditions=config.conditions,
-        mcq_template=config.mcq_template,
-        transcripts=transcripts,
-    )
-    return plan, hub
+    return (config, items, transcripts), hub
 
 
 class ScriptedTransport:
@@ -283,9 +275,9 @@ def record_dicts(manifest, drop_latency=False):
 
 
 def test_run_benchmark_cross_product(demo_dir):
-    plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
-    assert len(manifest.records) == len(plan.items) * len(plan.conditions) == 20
+    (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
+    manifest = run_benchmark(config, items, transcripts, hub)
+    assert len(manifest.records) == len(items) * len(config.conditions) == 20
     pairs = {(r.item_ref, r.condition.with_transcript) for r in manifest.records}
     assert len(pairs) == 20
     assert all(r.outcome in ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom") for r in manifest.records)
@@ -293,7 +285,7 @@ def test_run_benchmark_cross_product(demo_dir):
 
 def test_run_benchmark_oom_passthrough(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
+    manifest = run_benchmark(*plan, hub)
     oom = [r for r in manifest.records if r.outcome == "oom"]
     assert len(oom) == 1
     assert oom[0].response.status == "oom"
@@ -302,17 +294,19 @@ def test_run_benchmark_oom_passthrough(demo_dir):
 
 def test_run_benchmark_idempotent_under_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    first = "".join(run_benchmark(plan, hub).lines())
-    second = "".join(run_benchmark(plan, hub).lines())
+    first = "".join(run_benchmark(*plan, hub).lines())
+    second = "".join(run_benchmark(*plan, hub).lines())
     assert first.encode() == second.encode()
 
 
 def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
     # live runs at in-flight limits 1 and 8 differ only in timings: the start
     # stamp, wall_ms and the latency the hub measured around each call
-    plan, _ = demo_plan_and_hub(demo_dir)
-    serial = run_benchmark(replace(plan, max_workers=1), live_hub(demo_dir, tmp_path / "c1", ScriptedTransport(0.001)))
-    wide = run_benchmark(replace(plan, max_workers=8), live_hub(demo_dir, tmp_path / "c8", ScriptedTransport(0.001)))
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
+    serial_hub = live_hub(demo_dir, tmp_path / "c1", ScriptedTransport(0.001))
+    serial = run_benchmark(replace(config, max_workers=1), items, transcripts, serial_hub)
+    wide_hub = live_hub(demo_dir, tmp_path / "c8", ScriptedTransport(0.001))
+    wide = run_benchmark(replace(config, max_workers=8), items, transcripts, wide_hub)
     assert serial.dataset_path == wide.dataset_path
     assert serial.conditions == wide.conditions
     assert serial.providers == wide.providers
@@ -320,29 +314,30 @@ def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
 
 
 def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
-    plan, _ = demo_plan_and_hub(demo_dir)
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     transport = ScriptedTransport()
-    manifest = run_benchmark(replace(plan, max_workers=3), live_hub(demo_dir, tmp_path / "c", transport))
+    hub = live_hub(demo_dir, tmp_path / "c", transport)
+    manifest = run_benchmark(replace(config, max_workers=3), items, transcripts, hub)
     assert len(manifest.records) == 20
     assert transport.peak == 3
 
 
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
-    live = run_benchmark(plan, live_hub(demo_dir, tmp_path / "c"))
+    live = run_benchmark(*plan, live_hub(demo_dir, tmp_path / "c"))
     assert {r.response.status for r in live.records} == {"ok", "oom", "timeout"}
     assert not any(r.error for r in live.records)
     order = [(r.condition.with_transcript, r.item_ref) for r in live.records]
     assert order == sorted(order)  # the demo lists the without-transcript condition first
 
     replay_hub = ProviderHub({}, CassetteStore(tmp_path / "c"), mode="replay")
-    replayed = run_benchmark(plan, replay_hub)
+    replayed = run_benchmark(*plan, replay_hub)
     assert record_dicts(replayed) == record_dicts(live)
 
 
 def test_run_benchmark_records_sorted(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    records = run_benchmark(plan, hub).records
+    records = run_benchmark(*plan, hub).records
     without = [r.item_ref for r in records if not r.condition.with_transcript]
     with_t = [r.item_ref for r in records if r.condition.with_transcript]
     assert without == sorted(without)
@@ -354,20 +349,19 @@ def test_plan_cells_key_the_demo_cassettes_line_by_line(demo_dir):
     # demo/regenerate.py writes one cassette line per cell of plan_cells, the requests evaluate sends
     plan, _ = demo_plan_and_hub(demo_dir)
     lines = (demo_dir / "cassettes" / "segment-000001.jsonl").read_text(encoding="utf-8").splitlines()
-    assert [request_key(request) for _, request in plan_cells(plan)] == [line.split("\t", 1)[0] for line in lines]
+    assert [request_key(request) for _, request in plan_cells(*plan)] == [line.split("\t", 1)[0] for line in lines]
 
 
 @pytest.mark.parametrize("mode", ["replay", "live"])
 def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_path, monkeypatch, mode, request):
     import videval.benchmark
 
-    plan, _ = demo_plan_and_hub(demo_dir)
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     # four conditions over the two transcript sides, listed so that neither side comes first throughout
-    tags = [replace(plan.conditions[0].tag, model_name=name, with_transcript=side)
+    tags = [replace(config.conditions[0].tag, model_name=name, with_transcript=side)
             for name, side in (("m1", True), ("m1", False), ("m2", False), ("m2", True))]
-    plan = replace(
-        plan, conditions=[RunCondition(tag, "local-qwen") for tag in tags], items=plan.items[::-1], max_workers=3
-    )
+    config = replace(config, conditions=[RunCondition(tag, "local-qwen") for tag in tags], max_workers=3)
+    items = items[::-1]
     rendered = []
     real_build = videval.benchmark.build_question_prompt
     monkeypatch.setattr(
@@ -380,12 +374,12 @@ def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_
         settings = {"local-qwen": replace(load_config(demo_dir / "config.json").providers["local-qwen"],
                                           endpoint=provider.endpoint)}
         hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live")
-    records = run_benchmark(plan, hub).records
-    assert len(rendered) == 2 * len(plan.items)
-    question_ids = sorted(item.question_id for item in plan.items)
+    records = run_benchmark(config, items, transcripts, hub).records
+    assert len(rendered) == 2 * len(items)
+    question_ids = sorted(item.question_id for item in items)
     assert [(r.condition, r.item_ref) for r in records] == [(tag, qid) for tag in tags for qid in question_ids]
     if mode == "live":
-        assert len(provider.seen) == 4 * len(plan.items) and not any(r.error for r in records)
+        assert len(provider.seen) == 4 * len(items) and not any(r.error for r in records)
 
 
 def test_outcomes_rederivable_from_raw_responses(demo_dir):
@@ -393,9 +387,9 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
     from videval.errors import NoAnswerFound
     from videval.parsing import parse_mcq
 
-    plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
-    answers = {item.question_id: item.answer for item in plan.items}
+    (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
+    manifest = run_benchmark(config, items, transcripts, hub)
+    answers = {item.question_id: item.answer for item in items}
     for record in manifest.records:
         parsed = None
         if record.response.status == "ok":
@@ -409,7 +403,7 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
 def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    manifest = run_benchmark(plan, empty_hub)
+    manifest = run_benchmark(*plan, empty_hub)
     assert len(manifest.records) == 20
     assert all(r.outcome == "invalid_output" for r in manifest.records)
     assert all(r.error and "ReplayMiss" in r.error for r in manifest.records)
@@ -417,14 +411,15 @@ def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
 
 def test_manifest_round_trip(demo_dir, tmp_path):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
+    manifest = run_benchmark(*plan, hub)
     text = "".join(manifest.lines())
     loaded = RunManifest.from_jsonl((text,))
     assert "".join(loaded.lines()) == text
     # a summary_keyframes manifest: records with keyframes, and replay misses that carry their error
-    summary_plan = replace(plan, request_kind="summary_keyframes", summary_template="Summarize.")
+    config, items, transcripts = plan
+    summary_config = replace(config, request_kind="summary_keyframes", summary_template="Summarize.")
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    summaries = run_benchmark(summary_plan, empty_hub)
+    summaries = run_benchmark(summary_config, items, transcripts, empty_hub)
     answer = ModelResponse("A dog runs.\n(00:08, a dog)\n(1:02:03, the end)", 1200)
     summaries.records[0] = replace(
         summaries.records[0], response=answer, parsed=parse_video_output(answer.raw_text), outcome="answered", error=None
@@ -555,17 +550,35 @@ class PromptRecorder:
     ],
 )
 def test_summary_prompt_places_the_transcript(demo_dir, template, without, with_):
-    plan, _ = demo_plan_and_hub(demo_dir)
-    item = next(item for item in plan.items if item.video_id in plan.transcripts)
-    plan = replace(plan, items=[item], request_kind="summary_keyframes", summary_template=template)
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
+    item = next(item for item in items if item.video_id in transcripts)
+    config = replace(config, request_kind="summary_keyframes", summary_template=template)
     hub = PromptRecorder()
-    run_benchmark(plan, hub)
-    block = transcript_block(plan.transcripts[item.video_id])
+    run_benchmark(config, [item], transcripts, hub)
+    block = transcript_block(transcripts[item.video_id])
     assert block.startswith("Audio transcript:")
     assert hub.prompts == {False: without, True: with_.replace("BLOCK", block)}
 
 
+def test_a_config_without_templates_sends_the_default_summary_prompt(demo_dir, tmp_path):
+    # the config holds the one default of the summary template: plan_cells reads it from there
+    raw = json.loads((demo_dir / "config.json").read_text(encoding="utf-8"))
+    assert "templates" not in raw
+    for key in ("dataset", "transcripts", "outputs", "annotations"):
+        raw[key] = str(demo_dir / raw[key])
+    raw["request_kind"] = "summary_keyframes"
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    config = load_config(tmp_path / "config.json")
+    transcripts = load_transcripts(config.transcripts)
+    item = next(item for item in load_dataset(config.dataset) if item.video_id in transcripts)
+    cells = plan_cells(config, [item], transcripts)
+    prompts = {request.condition.with_transcript: request.prompt for _, request in cells}
+    block = transcript_block(transcripts[item.video_id])
+    assert block.startswith("Audio transcript:")
+    assert prompts == {False: SUMMARY_PROMPT_PLAIN, True: block + SUMMARY_PROMPT_PLAIN}
+
+
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(plan, hub)
+    manifest = run_benchmark(*plan, hub)
     assert all(r.wall_ms == r.response.latency_ms for r in manifest.records)

@@ -10,10 +10,10 @@ import warnings
 import pytest
 
 import videval.media
-from videval.benchmark import RunManifest, RunPlan, load_dataset, plan_cells
+from videval.benchmark import RunManifest, load_dataset, plan_cells
 from videval.cli import PROBES_AHEAD_PER_WORKER, _write, main
 from videval.config import load_config
-from videval.errors import ConfigError, SchemaError
+from videval.errors import ConfigError, IoError, SchemaError
 from videval.providers import (
     CassetteStore,
     ModelRequest,
@@ -856,6 +856,20 @@ def test_write_writes_its_chunks_in_order(tmp_path):
     assert path.read_bytes() == "first\né 日 😀\nlast".encode("utf-8")
 
 
+def test_a_write_that_fails_keeps_the_old_file_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"earlier\n")
+
+    def chunks():
+        yield "first\n"
+        raise OSError("disk full")
+
+    with pytest.raises(IoError, match="cannot write .*out.txt: disk full"):
+        _write(path, chunks())
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report", "graph", "ingest", "transcribe"])
 def test_unwritable_output_path_exits_1(demo_dir, tmp_path, capsys, request, fake_probe_cmd, command):
     blocker = tmp_path / "afile"  # a regular file where the output's directory should be
@@ -892,6 +906,7 @@ def test_a_rerun_that_fails_past_its_first_write_leaves_no_bundle(demo_dir, tmp_
     assert run_cli("evaluate", "--config", config, "--replay", "--conditions", "1", "--out-dir", str(out_dir)) == 1
     assert f"error: cannot write {out_dir / 'task_accuracy.md'}" in capsys.readouterr().err
     assert not (out_dir / "bundle.json").exists()
+    assert not list(out_dir.rglob("*.tmp"))
 
 
 # --- transcribe -----------------------------------------------------------------------------
@@ -1342,7 +1357,7 @@ def _synthetic_replay(root, n_items: int):
     )
     loaded = load_config(config)  # keyed as evaluate sends them: a change there misses no answer
     store = CassetteStore(loaded.cassette_dir)
-    for item, request in plan_cells(RunPlan(str(loaded.dataset), load_dataset(loaded.dataset), loaded.conditions)):
+    for item, request in plan_cells(loaded, load_dataset(loaded.dataset), {}):
         i = int(item.question_id[1:])
         answer = ModelResponse(f"The answer is {'ABCD'[i * 7 % 4]}.", 1000 + i, "ok")
         store.put(request_key(request), request_fingerprint(request), answer)
