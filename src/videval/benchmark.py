@@ -33,7 +33,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _boolean, _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _string, _strings
+from .schema import _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
@@ -154,7 +154,7 @@ def build_question_prompt(
 
 
 # the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
-PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes, "valid": _boolean}
+PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes}
 _ANSWERS: dict[str, McqAnswer] = {}  # _parsed's answers, keyed by the repr of their dict
 
 

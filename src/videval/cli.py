@@ -253,6 +253,8 @@ def _filter_conditions(config: HarnessConfig, expr: str | None) -> list[bench.Ru
         return conditions
     selected = []
     tokens = [token.strip() for token in expr.split(",") if token.strip()]
+    if not tokens:  # a run of no condition would write a manifest no config can hold
+        raise ConfigError(f"--conditions {expr!r} names no condition")
     for token in tokens:
         if token.isdigit():
             idx = int(token)
@@ -333,7 +335,6 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
     config.conditions = _filter_conditions(config, args.conditions)
-    hub = _hub(config, args)
 
     items = bench.load_dataset(config.dataset)
     if not items:
@@ -341,6 +342,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_EMPTY
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
     outputs = _read_outputs(config, config.outputs) if config.outputs else None  # before any request
+    hub = _hub(config, args)  # reads the cassette index, once the inputs are known good
 
     manifest = bench.run_benchmark(config, items, transcripts, hub)
     _report_dropped(hub.store)

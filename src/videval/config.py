@@ -21,7 +21,7 @@ from .providers import (
     Transcript,
     transcript_from_payload,
 )
-from .schema import _boolean, _choice, _fill, _float, _keyframes, _number, _object, _string, _strings
+from .schema import _boolean, _choice, _fill, _keyframes, _number, _object, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
 
 
@@ -61,24 +61,9 @@ def _error_patterns(value, what: str) -> dict[str, list[str]]:
     }
 
 
-PROVIDER_READERS = {
-    "timeout_s": _float,
-    "retries": _number,
-    "error_patterns": _error_patterns,
-}
-LAYOUT_READERS = {
-    "spacing": _float,
-    "area": _float,
-    "iterations": _number,
-    "seed": _number,
-    "initial_temperature": _float,
-    "cooling": _float,
-}
-
-
 def _providers(value, what: str) -> dict[str, ProviderSettings]:
     return {
-        name: _fill(ProviderSettings, entry, f"provider {name!r}", PROVIDER_READERS)
+        name: _fill(ProviderSettings, entry, f"provider {name!r}", {"error_patterns": _error_patterns})
         for name, entry in _object(value, what).items()
     }
 
@@ -135,9 +120,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         "transcripts": file_in_base,
         "outputs": file_in_base,
         "annotations": file_in_base,
-        "tolerance_s": _number,
         "keyframe_match_mode": _choice("any", "all"),
-        "layout": lambda value, what: _fill(LayoutParams, value or {}, what, LAYOUT_READERS),
+        "layout": lambda value, what: _fill(LayoutParams, value or {}, what, {}),
         "max_workers": partial(_number, minimum=1),
         "mcq_template": lambda value, _what: _string(value, "templates.mcq"),
         "summary_template": lambda value, _what: _string(value, "templates.summary"),

@@ -36,13 +36,14 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escap
 from pathlib import Path
 
 from .errors import (
+    ConfigError,
     MalformedProviderOutput,
     ProviderUnavailable,
     ReplayMiss,
     SchemaError,
 )
 from .media import MediaAsset
-from .schema import _boolean, _choice, _fill, _float, _list_of, _number, _object, _plain, _string
+from .schema import _choice, _fill, _list_of, _number, _object, _plain, _string
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -99,7 +100,7 @@ class ConditionTag:
         return _TAGS[key]
 
 
-CONDITION_READERS = {"fps": _float, "with_transcript": _boolean, "attention": _choice(*ConditionTag.ATTENTION_VALUES)}
+CONDITION_READERS = {"attention": _choice(*ConditionTag.ATTENTION_VALUES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +112,7 @@ class TranscriptSegment:
     end: float
     text: str
 
-    def __post_init__(self):  # SEGMENT_READERS has checked id
+    def __post_init__(self):  # _fill has read id by its annotation
         if self.start > self.end:
             raise ValueError("segment start must not exceed end")
 
@@ -273,8 +274,8 @@ class CassetteStore:
 
     Every store writes the lines of its own `segment-<n>.jsonl`, which it
     creates on its first `put` under the next free sequence number, and each
-    line is on disk before `put` returns. The first `get`, `put` or `in` reads
-    every segment once, in sequence order, into an index of decoded answers:
+    line is on disk before `put` returns. Opening the store reads every
+    segment once, in sequence order, into an index of decoded answers:
     each response goes through `ModelResponse.from_dict`, the one reader of an
     answer, which reads its three fields directly and validates it.
 
@@ -284,23 +285,16 @@ class CassetteStore:
     read: a tab line without its final newline or with fewer than three
     fields, or a `{` line that is not JSON or holds no string `key`. A line
     with a key whose response does not decode becomes that key's error, raised
-    by `get`.
+    by `get`. A segment that cannot be read at all is a ConfigError.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.dropped = 0
         self._lock = threading.Lock()
-        self._index: dict[str, ModelResponse | str] | None = None  # str: a corrupt entry's error
         self._next = 1  # sequence number of the first segment this store tries to create
         self._segment: Path | None = None
-
-    def _entries(self) -> dict[str, ModelResponse | str]:
-        if self._index is None:
-            with self._lock:
-                if self._index is None:
-                    self._index = self._read_segments()
-        return self._index
+        self._index = self._read_segments()  # str: a corrupt entry's error
 
     def _read_segments(self) -> dict[str, ModelResponse | str]:
         numbered = [(int(m[1]), p) for p in self.root.glob("segment-*.jsonl")
@@ -308,25 +302,28 @@ class CassetteStore:
         index: dict[str, ModelResponse | str] = {}
         for number, path in sorted(numbered):
             self._next = number + 1
-            with open(path, "rb") as fh:
-                for line in fh:
-                    key, response = _line_fields(line)
-                    if key is None:
-                        self.dropped += 1
-                    elif key not in index:
-                        try:
-                            if isinstance(response, bytes):
-                                response = json.loads(response)
-                            index[key] = ModelResponse.from_dict(response)
-                        except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, a field, validate()
-                            index[key] = f"corrupt cassette entry {key}: {exc}"
+            try:
+                with open(path, "rb") as fh:
+                    for line in fh:
+                        key, response = _line_fields(line)
+                        if key is None:
+                            self.dropped += 1
+                        elif key not in index:
+                            try:
+                                if isinstance(response, bytes):
+                                    response = json.loads(response)
+                                index[key] = ModelResponse.from_dict(response)
+                            except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, field, validate()
+                                index[key] = f"corrupt cassette entry {key}: {exc}"
+            except OSError as exc:  # a directory, or unreadable: the command stops before its first request
+                raise ConfigError(f"cannot read cassette segment {path}: {exc}") from exc
         return index
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries()
+        return key in self._index
 
     def get(self, key: str) -> ModelResponse | None:
-        response = self._entries().get(key)
+        response = self._index.get(key)
         if isinstance(response, str):
             raise MalformedProviderOutput(response)
         return response
@@ -336,9 +333,8 @@ class CassetteStore:
             raise ValueError(f"a cassette key holds no tab or newline and does not start with {{, got {key!r}")
         if "\t" in fingerprint or "\n" in fingerprint:
             raise ValueError(f"a cassette request fingerprint holds no tab or newline, got {fingerprint!r}")
-        entries = self._entries()
         with self._lock:
-            if key in entries:
+            if key in self._index:
                 return
             line = f"{key}\t{response.to_json()}\t{fingerprint}\n".encode("utf-8")
             while self._segment is None:  # the first put creates this store's own segment
@@ -352,7 +348,7 @@ class CassetteStore:
                     pass
             with open(self._segment, "ab") as fh:
                 fh.write(line)
-            entries[key] = response
+            self._index[key] = response
 
 
 def _default_transport(
@@ -534,8 +530,7 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
     return transcript_from_payload(payload)
 
 
-SEGMENT_READERS = {"id": _number, "start": _float, "end": _float}
-_segments = _list_of(partial(_fill, TranscriptSegment, readers=SEGMENT_READERS))
+_segments = _list_of(partial(_fill, TranscriptSegment, readers={}))
 
 
 def transcript_from_payload(payload) -> Transcript:

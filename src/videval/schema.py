@@ -98,7 +98,11 @@ def _keyframe(pair, what: str) -> KeyframeEntry:
 
 _keyframes = _list_of(_keyframe)
 
-# per class, (name, required, null keeps the default) of each field: no decode calls fields()
+# the reader an annotation gives: every module of a _fill'd dataclass has `from __future__ import
+# annotations`, so a field's type is its annotation's text
+_TYPED = {"int": _number, "float": _float, "bool": _boolean}
+
+# per class, (name, required, null keeps the default, typed reader) of each field: no decode calls fields()
 _FIELDS: dict[type, list] = {}
 
 
@@ -106,9 +110,10 @@ def _fill(cls, entry, what: str, readers: dict):
     """Build the dataclass cls from the JSON object entry, one key per field.
 
     An absent key keeps the field's default, and so does null where that
-    default is None. Any other value goes through its reader in readers, a
-    string check if it has none there. Unknown keys are ignored. A missing
-    required field, or a ValueError from __post_init__, is a SchemaError.
+    default is None. Any other value goes through its reader in readers, else
+    the one its int, float or bool annotation gives, else a string check.
+    Unknown keys are ignored. A missing required field, or a ValueError from
+    __post_init__, is a SchemaError.
     A reader is given the field's name as its what, and its error gets this
     what in front, so the message names the whole path ("record.response.raw_text").
     """
@@ -116,18 +121,19 @@ def _fill(cls, entry, what: str, readers: dict):
     specs = _FIELDS.get(cls)
     if specs is None:
         specs = _FIELDS[cls] = [
-            (f.name, f.default is MISSING and f.default_factory is MISSING, f.default is None)
+            (f.name, f.default is MISSING and f.default_factory is MISSING, f.default is None,
+             _TYPED.get(f.type.removesuffix(" | None"), _string))
             for f in fields(cls)
         ]
     values = {}
-    for name, required, null_keeps_default in specs:
+    for name, required, null_keeps_default, typed in specs:
         value = entry.get(name, MISSING)
         if value is MISSING:
             if required:
                 raise SchemaError(f"{what} is missing {name!r}")
         elif value is not None or not null_keeps_default:
             try:
-                values[name] = readers.get(name, _string)(value, name)
+                values[name] = readers.get(name, typed)(value, name)
             except SchemaError as exc:
                 raise SchemaError(f"{what}.{exc}") from exc
     try:

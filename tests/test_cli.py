@@ -332,15 +332,31 @@ def test_evaluate_condition_filter(demo_dir, tmp_path):
 
 
 def test_evaluate_unknown_condition_filter(demo_dir, tmp_path):
-    assert (
-        run_cli(
-            "evaluate",
-            "--config", str(demo_dir / "config.json"),
-            "--out-dir", str(tmp_path / "x"),
-            "--conditions", "nonexistent-label",
+    # "," named no condition, and the run wrote a manifest of "conditions": [], which no config holds
+    for expr in ("nonexistent-label", ","):
+        assert (
+            run_cli(
+                "evaluate",
+                "--config", str(demo_dir / "config.json"),
+                "--out-dir", str(tmp_path / "x"),
+                "--conditions", expr,
+            )
+            == 2
         )
-        == 2
-    )
+
+
+def test_unreadable_cassette_segment_is_config_error(demo_dir, tmp_path, capsys):
+    # a segment that could not be opened ended evaluate in an IsADirectoryError traceback
+    cassettes = tmp_path / "cassettes"
+    shutil.copytree(demo_dir / "cassettes", cassettes)
+    (cassettes / "segment-000002.jsonl").mkdir()
+    config = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(cassettes))
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--config", str(config), "--replay", "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read cassette segment {cassettes / 'segment-000002.jsonl'}: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 # --- graph -----------------------------------------------------------------------------
@@ -488,6 +504,11 @@ BAD_CONFIG_VALUES = [
     ({"probe_command": 5}, "probe_command"),
     ({"layout": {"iterations": "10"}}, "layout.iterations"),
     ({"layout": {"initial_temperature": "hot"}}, "layout.initial_temperature"),
+    # fields read by their annotation alone: no reader table names them
+    ({"layout": {"seed": "42"}}, "layout.seed must be an integer, got '42'"),
+    ({"layout": {"cooling": "0.9"}}, "layout.cooling must be a number"),
+    ({"layout": {"spacing": True}}, "layout.spacing must be a number"),
+    ({"providers": {"local-qwen": {"retries": 1.5}}}, "'local-qwen'.retries must be an integer, got 1.5"),
     # 0 passed the loader, and every laid-out position was NaN
     ({"layout": {"spacing": 0}}, "layout: spacing"),
     ({"layout": {"area": 0}}, "layout: area"),

@@ -288,6 +288,7 @@ def test_legacy_cassette_segment_replays(store, providers):
     (store.root / "segment-000001.jsonl").write_text(
         _legacy_line(request_key(request), ModelResponse("old layout", 5, "ok")), encoding="utf-8"
     )
+    store = CassetteStore(store.root)
     assert ProviderHub(providers, store, mode="replay").send(request).raw_text == "old layout"
     assert store.dropped == 0
 
@@ -316,6 +317,7 @@ def test_cassette_lines_without_a_readable_key_are_dropped(store):
         b'k\xff\t{"latency_ms":1,"raw_text":"key not UTF-8","status":"ok"}\t{}\n'
         b'k4\t{"latency_ms":1,"raw_text":"no newline","status":"ok"}\t{}'
     )
+    store = CassetteStore(store.root)
     assert store.get("k1").raw_text == "kept"
     assert [store.get(k) for k in ("k2", "k3", "k4")] == [None, None, None]
     assert store.dropped == 5
@@ -327,6 +329,7 @@ def test_cassette_line_whose_request_holds_a_tab_is_read(store):
     (store.root / "segment-000001.jsonl").write_bytes(
         b'k1\t{"latency_ms":1,"raw_text":"kept","status":"ok"}\t{"prompt":"a\tb"}\t\n'
     )
+    store = CassetteStore(store.root)
     assert store.get("k1") == ModelResponse("kept", 1, "ok")
     assert store.dropped == 0
 
@@ -334,6 +337,7 @@ def test_cassette_line_whose_request_holds_a_tab_is_read(store):
 def test_unknown_status_in_a_cassette_line_is_the_keys_error(store):
     store.root.mkdir(parents=True)
     (store.root / "segment-000001.jsonl").write_bytes(b'k1\t{"latency_ms":1,"raw_text":"","status":"weird"}\t{}\n')
+    store = CassetteStore(store.root)
     with pytest.raises(MalformedProviderOutput) as caught:
         store.get("k1")
     assert str(caught.value) == (
@@ -345,6 +349,7 @@ def test_unknown_status_in_a_cassette_line_is_the_keys_error(store):
 def test_undecodable_response_field_is_the_keys_error(store, response):
     store.root.mkdir(parents=True)
     (store.root / "segment-000001.jsonl").write_bytes(b"k1\t" + response + b"\t{}\n")
+    store = CassetteStore(store.root)
     with pytest.raises(MalformedProviderOutput, match="corrupt cassette entry k1: "):
         store.get("k1")
     assert "k1" in store and store.dropped == 0
@@ -591,7 +596,7 @@ def test_malformed_transcript_payload():
             json.dumps({"segments": [{"id": 0, "start": 0, "end": 1, "text": "a"}], "text": "zzz"})
         )
     # each of these was coerced (the id 1.7 read as 1) and accepted
-    for change in ({"id": "3"}, {"id": 1.7}, {"start": "0.5"}, {"text": 5}):
+    for change in ({"id": "3"}, {"id": 1.7}, {"start": "0.5"}, {"end": "1"}, {"text": 5}):
         segment = {"id": 0, "start": 0, "end": 1, "text": "a", **change}
         with pytest.raises(MalformedProviderOutput):
             parse_transcript_payload(json.dumps({"segments": [segment]}))
