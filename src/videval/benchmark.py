@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -154,7 +156,8 @@ def build_question_prompt(
 
 
 # the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
-PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "keyframes": _keyframes}
+PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "confidence_source": _choice("explicit", "extracted"),
+                  "keyframes": _keyframes}
 _ANSWERS: dict[str, McqAnswer] = {}  # _parsed's answers, keyed by the repr of their dict
 
 
@@ -354,11 +357,29 @@ def _run_one(request_kind: str, hub: ProviderHub, cell: tuple[BenchmarkItem, Mod
     )
 
 
+AHEAD_PER_WORKER = 2  # calls in_order has submitted, or finished, and not yet handed out: per thread of its pool
+
+
+def in_order(fn, items, width: int):
+    """Yield (item, future of fn(item)) in item order from a pool width threads wide, at most AHEAD_PER_WORKER *
+    width calls ahead of the item last taken. Closing it cancels the calls not started and waits for the rest."""
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: only the commands that fan out pay
+    pool = ThreadPoolExecutor(width)
+    try:
+        submitted = ((item, pool.submit(fn, item)) for item in items)
+        ahead = deque(islice(submitted, AHEAD_PER_WORKER * width))
+        while ahead:
+            yield ahead.popleft()
+            ahead.extend(islice(submitted, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript],
                   hub: ProviderHub) -> RunManifest:
     """Run every cell of plan_cells and return the manifest of its records.
 
-    Replay runs the cells one after another; live runs them through one pool,
+    Replay runs the cells one after another; live runs them through in_order,
     config.max_workers threads wide. Both give the records in cell order, item by
     item, and one stride slice per condition lists them condition by condition.
     """
@@ -367,13 +388,11 @@ def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts
         if hub.mode == "replay"
         else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     )
-    run = partial(_run_one, config.request_kind, hub)
+    run, cells = partial(_run_one, config.request_kind, hub), plan_cells(config, items, transcripts)
     if hub.mode == "replay":
-        done = list(map(run, plan_cells(config, items, transcripts)))
+        done = list(map(run, cells))
     else:
-        from concurrent.futures import ThreadPoolExecutor  # it loads logging: only live runs pay
-        with ThreadPoolExecutor(config.max_workers) as pool:
-            done = list(pool.map(run, plan_cells(config, items, transcripts)))
+        done = [future.result() for _, future in in_order(run, cells, config.max_workers)]
     width = len(config.conditions)
     records = [record for c in range(width) for record in done[c::width]]
     return RunManifest(

@@ -11,8 +11,6 @@ import argparse
 import contextlib
 import os
 import sys
-from collections import deque
-from itertools import islice
 from pathlib import Path
 
 from . import benchmark as bench
@@ -49,18 +47,19 @@ EXIT_PROVIDER = 4
 def _write(path: Path, chunks) -> None:
     """Write one output file, the text chunks in order, as UTF-8, making its directory. The text goes
     to <name>.tmp beside it, which then replaces it, so a reader sees the old file or the whole new one;
-    an OSError removes the .tmp and is an IoError. A caller with one text passes (text,): writelines
-    on a str writes a character at a time."""
+    a failed write removes the .tmp, and an OSError or a text UTF-8 cannot encode is an IoError. A caller
+    with one text passes (text,): writelines on a str writes a character at a time."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):  # unlink(missing_ok=True) raises when the parent is a file
-            tmp.unlink()
+    except (OSError, UnicodeEncodeError) as exc:  # a lone surrogate in a dataset's text, say
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:  # the .tmp is gone after the replace; unlink(missing_ok=True) raises when the parent is a file
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def _emit(out_dir: Path, emitted: list[str], name: str, chunks) -> None:
@@ -111,39 +110,23 @@ def _duration_bucket(duration_s: float) -> str:
     return "long"
 
 
-# probes submitted to the pool, or finished, but not yet taken: per thread of the pool
-PROBES_AHEAD_PER_WORKER = 2
-
-
 def _probed_assets(paths: list[str], tool: media.MediaToolRunner, max_workers: int):
     """Yield the probed asset of each supported file; report and skip those that fail.
 
-    Files are probed in a pool max_workers threads wide, at most
-    PROBES_AHEAD_PER_WORKER * max_workers ahead of the file last taken, and
-    taken in walk order, so the assets and the `skipping` lines come out as a
-    serial loop gives them. Closing the generator (the caller stopped early)
-    cancels the probes not yet started and waits for the running ones.
+    Files are probed through bench.in_order, max_workers threads wide, and taken
+    in walk order, so the assets and the `skipping` lines come out as a serial
+    loop gives them. Closing the generator (the caller stopped early) closes the pool.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only ingest and transcribe pay for loading it
     files = (path for path in _walk_media_files(paths) if media.is_supported(path))
-    pool = ThreadPoolExecutor(max_workers)
-    try:
-        # media.probe is looked up at each submit, so a wrapper set on the module sees every probe
-        ahead = deque((path, pool.submit(media.probe, path, tool))
-                      for path in islice(files, PROBES_AHEAD_PER_WORKER * max_workers))
-        while ahead:
-            path, probed = ahead.popleft()
-            following = next(files, None)
-            if following is not None:
-                ahead.append((following, pool.submit(media.probe, following, tool)))
+    # media.probe is looked up at each call, so a wrapper set on the module sees every probe
+    with contextlib.closing(bench.in_order(lambda path: media.probe(path, tool), files, max_workers)) as probes:
+        for path, probed in probes:
             try:
                 asset = probed.result()
             except (ProbeFailure, UnsupportedFormat) as exc:
                 print(f"skipping {path}: {exc}", file=sys.stderr)
                 continue
             yield asset
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def cmd_ingest(args) -> int:

@@ -69,7 +69,8 @@ class UnknownCenter(HarnessError):
 
 
 class IoError(HarnessError):
-    """An output file cannot be written: its directory cannot be made, or the write fails.
+    """An output file cannot be written: its directory cannot be made, the write fails, or the text
+    holds what UTF-8 cannot encode (a lone surrogate read from a JSON escape).
 
     The one writer of the CLI, `cli._write`, raises it; the command exits 1.
     """

@@ -63,7 +63,7 @@ class ParsedVideoOutput:
 @dataclass(frozen=True)
 class McqAnswer:
     letter: str  # A-D
-    confidence_source: str  # explicit | extracted | none
+    confidence_source: str  # explicit | extracted
 
 
 # every answer parse_mcq can give, made once: the records of a run share these few objects

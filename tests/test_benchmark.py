@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from videval.benchmark import (
+    AHEAD_PER_WORKER,
     OPTION_LETTERS,
     OUTCOMES,
     REQUEST_KINDS,
@@ -322,6 +323,41 @@ def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
     assert transport.peak == 3
 
 
+class HeadHoldingTransport(ScriptedTransport):
+    """Answers every call at once, save the one whose prompt is held: that one waits until every other
+    call has started, or for at most timeout_s, and then notes how many others started meanwhile."""
+
+    def __init__(self, held_prompt: str, calls: int, timeout_s=2.0):
+        super().__init__(0.0)
+        self.held_prompt, self.calls, self.timeout_s = held_prompt, calls, timeout_s
+        self.others = 0
+        self.others_while_held = None
+        self.all_started = threading.Event()
+
+    def __call__(self, url, body, headers, timeout_s):
+        if body["prompt"] == self.held_prompt:
+            self.all_started.wait(self.timeout_s)
+            with self.lock:
+                self.others_while_held = self.others
+        else:
+            with self.lock:
+                self.others += 1
+                if self.others == self.calls - 1:
+                    self.all_started.set()
+        return super().__call__(url, body, headers, timeout_s)
+
+
+def test_run_benchmark_live_runs_a_bounded_window_past_a_slow_head_cell(demo_dir, tmp_path):
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
+    head = next(item for item in items if item.question_id == "001-2")  # the first cell: its item, no transcript
+    transport = HeadHoldingTransport(build_question_prompt(head, None, config.mcq_template), 20)
+    hub = live_hub(demo_dir, tmp_path / "c", transport)
+    manifest = run_benchmark(replace(config, max_workers=2), items, transcripts, hub)
+    assert len(manifest.records) == 20
+    # the cells behind the held one in the window, not all 19 others
+    assert transport.others_while_held <= AHEAD_PER_WORKER * 2 - 1
+
+
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
     live = run_benchmark(*plan, live_hub(demo_dir, tmp_path / "c"))
@@ -488,7 +524,7 @@ def _adversarial_record(rng: random.Random) -> RunRecord:
     latency_ms = rng.choice([0, 2**40, rng.randint(1, 10**6)])
     parsed = rng.choice([
         None,
-        McqAnswer(rng.choice(OPTION_LETTERS), rng.choice(["explicit", "extracted", _text(rng, 0, 6)])),
+        McqAnswer(rng.choice(OPTION_LETTERS), rng.choice(["explicit", "extracted"])),  # all the reader takes
         ParsedVideoOutput(
             summary=_text(rng, 0, 20),
             # a caption is trimmed and holds no newline

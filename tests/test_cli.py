@@ -10,8 +10,8 @@ import warnings
 import pytest
 
 import videval.media
-from videval.benchmark import RunManifest, load_dataset, plan_cells
-from videval.cli import PROBES_AHEAD_PER_WORKER, _write, main
+from videval.benchmark import AHEAD_PER_WORKER, RunManifest, load_dataset, plan_cells
+from videval.cli import _write, main
 from videval.config import load_config
 from videval.errors import ConfigError, IoError, SchemaError
 from videval.providers import (
@@ -742,6 +742,7 @@ MISTYPED_RECORD_FIELDS = [
     ("item_ref", 7),
     ("parsed", "A"),
     ("parsed.confidence_source", 3),
+    ("parsed.confidence_source", "guess"),
     ("condition", None),
     ("condition.fps", 0),
     ("condition.with_transcript", 1),
@@ -889,6 +890,32 @@ def test_a_write_that_fails_keeps_the_old_file_and_leaves_no_tmp(tmp_path):
         _write(path, chunks())
     assert path.read_bytes() == b"earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_a_text_utf8_cannot_encode_is_an_io_error_that_keeps_the_old_file_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(IoError, match="cannot write .*out.txt: .*surrogates not allowed"):
+        _write(path, ("first\n", "a lone \ud800 surrogate\n"))
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_evaluate_on_a_lone_surrogate_in_a_dataset_exits_1_and_leaves_no_tmp(demo_dir, tmp_path):
+    rows = json.loads((demo_dir / "dataset.json").read_text(encoding="utf-8"))
+    for row in rows:
+        if row["question_id"] == "001-2":
+            row["task_type"] = "\ud800"  # json.dumps writes the escape; json.loads reads a lone surrogate back
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    config = _demo_config_variant(demo_dir, tmp_path, dataset=str(dataset))
+    out_dir = tmp_path / "out"
+    argv = ["evaluate", "--config", str(config), "--replay", "--out-dir", str(out_dir)]
+    done = _run_python(f"import sys; from videval.cli import main; sys.exit(main({argv!r}))", timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot write ") and "task_accuracy.md" in done.stderr
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.jsonl"]  # no .tmp, and no bundle.json
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report", "graph", "ingest", "transcribe"])
@@ -1097,7 +1124,7 @@ def test_transcribe_stopped_by_a_replay_miss_stops_the_probing(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err.startswith("error: no cassette entry for asr request to whisper")
     assert "clip00.wav" in probed
-    assert len(probed) <= 1 + PROBES_AHEAD_PER_WORKER * 2  # the one taken, and those ahead of it
+    assert len(probed) <= 1 + AHEAD_PER_WORKER * 2  # the one taken, and those ahead of it
 
 
 # --- the cassette directory ----------------------------------------------------------------------
