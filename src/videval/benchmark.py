@@ -35,7 +35,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _choice, _fill, _keyframes, _list_of, _number, _object, _plain, _string, _strings
+from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
@@ -206,29 +206,9 @@ class RunRecord:
         )
 
 
-_request_kind, _outcome = _choice(*REQUEST_KINDS), _choice(*OUTCOMES)
-
-
-def _record(data) -> RunRecord:
-    """One manifest record, each field through its reader, with _fill's rules and messages:
-    an absent wall_ms or error keeps its default, and so does a null error."""
-    data = _object(data, "record")
-    error = data.get("error")
-    try:
-        return RunRecord(  # positional, in field order: keywords would more than double the call's cost
-            _string(data["item_ref"], "item_ref"),
-            ConditionTag.from_dict(data["condition"], "condition"),
-            _request_kind(data["request_kind"], "request_kind"),
-            ModelResponse.from_dict(data["response"], "response"),
-            _parsed(data["parsed"], "parsed"),
-            _outcome(data["outcome"], "outcome"),
-            _number(data.get("wall_ms", 0), "wall_ms"),
-            None if error is None else _string(error, "error"),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"record is missing {exc.args[0]!r}") from None
-    except SchemaError as exc:
-        raise SchemaError(f"record.{exc}") from exc
+# item_ref, wall_ms and error are read by their annotations
+RECORD_READERS = {"condition": ConditionTag.from_dict, "request_kind": _choice(*REQUEST_KINDS),
+                  "response": ModelResponse.from_dict, "parsed": _parsed, "outcome": _choice(*OUTCOMES)}
 
 
 def classify_outcome(
@@ -284,19 +264,21 @@ class RunManifest:
 
     @classmethod
     def from_jsonl(cls, chunks) -> "RunManifest":
-        """Read a manifest back from chunks of text or bytes, each split into lines (a file opened
-        "rb" gives one chunk per line); a SchemaError names a line that does not decode."""
+        """Read a manifest back from chunks of text or UTF-8 bytes, each split into lines (a file opened "rb"
+        gives one chunk per line, a BOM at its start taken); a SchemaError names a line that does not decode."""
         manifest = None
         lines = (line for chunk in chunks for line in chunk.splitlines())
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
+                if isinstance(line, bytes):  # UTF-8 alone: json.loads would guess UTF-16 and pass surrogates
+                    line = line.decode("utf-8").removeprefix("\ufeff")
                 data = json.loads(line)
                 if manifest is None:
                     manifest = _fill(cls, data, "header", HEADER_READERS)
                 else:
-                    manifest.records.append(_record(data))
+                    manifest.records.append(_fill(RunRecord, data, "record", RECORD_READERS))
             except (ValueError, SchemaError, MalformedProviderOutput) as exc:
                 raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
         if manifest is None:

@@ -174,11 +174,17 @@ def _report_dropped(store: CassetteStore) -> None:
 def _hub(config: HarnessConfig, args) -> ProviderHub:
     """The hub of evaluate and transcribe, in the mode --replay/--live sets or else the config's.
 
-    Replay reads the cassette directory, so it must exist; a live run's first answer makes it.
+    Replay reads the cassette directory, so it must exist; a live run makes it here, before its first
+    request, so that a path where no directory can be made costs no call whose answer is then lost.
     """
     mode = args.mode or config.mode
     if mode == "replay" and not config.cassette_dir.is_dir():
         raise ConfigError(f"cassette directory not found: {config.cassette_dir}")
+    if mode == "live":
+        try:
+            config.cassette_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a regular file, or a path under one
+            raise ConfigError(f"cannot make cassette directory {config.cassette_dir}: {exc}") from exc
     store = CassetteStore(config.cassette_dir)
     return ProviderHub(config.providers, store, mode=mode)
 

@@ -95,6 +95,8 @@ class LayoutParams:
         for name in ("spacing", "area"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be a positive number, got {getattr(self, name)!r}")
+        if self.cooling > 1:  # the temperature, and with it each round's step, would grow without bound
+            raise ValueError(f"cooling must be at most 1, got {self.cooling!r}")
 
     def optimal_distance(self, n: int) -> float:  # n >= 2: fr_layout places 0 or 1 node itself
         return self.spacing * math.sqrt(self.area / n)

@@ -156,8 +156,8 @@ class MediaToolRunner:
             argv.append(token)
         try:
             return subprocess.run(
-                argv, capture_output=True, text=True, timeout=self.timeout_s
-            )
+                argv, capture_output=True, text=True, errors="replace", timeout=self.timeout_s
+            )  # output that is not UTF-8 is a failed probe, not a UnicodeDecodeError
         except FileNotFoundError as exc:
             raise ProbeFailure(f"media tool not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired as exc:

@@ -43,7 +43,7 @@ from .errors import (
     SchemaError,
 )
 from .media import MediaAsset
-from .schema import _choice, _fill, _list_of, _number, _object, _plain, _string
+from .schema import _choice, _fill, _list_of, _object, _plain, _string
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -157,23 +157,11 @@ class ModelResponse:
 
     @classmethod
     def from_dict(cls, data: dict, what: str = "response") -> "ModelResponse":
-        """The validated response in data, each field through its reader, with _fill's rules and
-        messages: an absent latency_ms or status keeps its default, and null is an error."""
-        data = _object(data, what)
-        try:
-            response = cls(
-                _string(data["raw_text"], "raw_text"),
-                _number(data.get("latency_ms", 0), "latency_ms"),
-                _status(data.get("status", "ok"), "status"),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"{what} is missing {exc.args[0]!r}") from None
-        except SchemaError as exc:
-            raise SchemaError(f"{what}.{exc}") from exc
-        return response.validate()
+        """The validated response in data: an absent latency_ms or status keeps its default, and null is an error."""
+        return _fill(cls, data, what, RESPONSE_READERS).validate()
 
 
-_status = _choice(*ModelResponse.STATUSES)
+RESPONSE_READERS = {"status": _choice(*ModelResponse.STATUSES)}
 
 
 @dataclass
@@ -246,9 +234,9 @@ def _line_fields(line: bytes) -> tuple[str | None, bytes | dict | None]:
     """The key of one segment line and its response, undecoded; key None for a line to drop."""
     if line.startswith(b"{"):  # the one-object line of earlier versions
         try:
-            entry = json.loads(line)
+            entry = json.loads(line.decode("utf-8"))
             key = entry["key"]
-        except (ValueError, KeyError):  # cut off, not JSON, no key
+        except (ValueError, KeyError):  # cut off, not UTF-8 or not JSON, no key
             return None, None
         return (key, entry.get("response")) if isinstance(key, str) else (None, None)
     key_end = line.find(b"\t")  # the request after the second tab is never copied
@@ -276,8 +264,8 @@ class CassetteStore:
     creates on its first `put` under the next free sequence number, and each
     line is on disk before `put` returns. Opening the store reads every
     segment once, in sequence order, into an index of decoded answers:
-    each response goes through `ModelResponse.from_dict`, the one reader of an
-    answer, which reads its three fields directly and validates it.
+    each line is read as UTF-8, and each response goes through `ModelResponse.from_dict`,
+    the one reader of an answer, which fills it through `schema._fill` and validates it.
 
     The first recorded answer to a key wins, across segments and within one:
     a key already held is never written again, and a later line for it is
@@ -310,8 +298,8 @@ class CassetteStore:
                             self.dropped += 1
                         elif key not in index:
                             try:
-                                if isinstance(response, bytes):
-                                    response = json.loads(response)
+                                if isinstance(response, bytes):  # UTF-8 alone, as from_jsonl reads a manifest
+                                    response = json.loads(response.decode("utf-8"))
                                 index[key] = ModelResponse.from_dict(response)
                             except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, field, validate()
                                 index[key] = f"corrupt cassette entry {key}: {exc}"

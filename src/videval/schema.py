@@ -102,42 +102,42 @@ _keyframes = _list_of(_keyframe)
 # annotations`, so a field's type is its annotation's text
 _TYPED = {"int": _number, "float": _float, "bool": _boolean}
 
-# per class, (name, required, null keeps the default, typed reader) of each field: no decode calls fields()
+# per class, (name, default, default_factory, typed reader) of each field: no decode calls fields()
 _FIELDS: dict[type, list] = {}
 
 
 def _fill(cls, entry, what: str, readers: dict):
-    """Build the dataclass cls from the JSON object entry, one key per field.
+    """Build the dataclass cls from the JSON object entry, one key per field, passed by position.
 
-    An absent key keeps the field's default, and so does null where that
-    default is None. Any other value goes through its reader in readers, else
-    the one its int, float or bool annotation gives, else a string check.
-    Unknown keys are ignored. A missing required field, or a ValueError from
-    __post_init__, is a SchemaError.
-    A reader is given the field's name as its what, and its error gets this
-    what in front, so the message names the whole path ("record.response.raw_text").
+    An absent key takes the field's default, or a fresh default_factory() on each call, and so
+    does null where that default is None. Any other value goes through its reader in readers,
+    else the one its int, float or bool annotation gives, else a string check. Unknown keys are
+    ignored. A missing required field, or a ValueError from __post_init__, is a SchemaError.
+    A reader is given the field's name as its what, and its error gets this what in front, so
+    the message names the whole path ("record.response.raw_text").
     """
     entry = _object(entry, what)
     specs = _FIELDS.get(cls)
     if specs is None:
         specs = _FIELDS[cls] = [
-            (f.name, f.default is MISSING and f.default_factory is MISSING, f.default is None,
-             _TYPED.get(f.type.removesuffix(" | None"), _string))
+            (f.name, f.default, f.default_factory, _TYPED.get(f.type.removesuffix(" | None"), _string))
             for f in fields(cls)
         ]
-    values = {}
-    for name, required, null_keeps_default, typed in specs:
+    values = []
+    for name, default, factory, typed in specs:
         value = entry.get(name, MISSING)
-        if value is MISSING:
-            if required:
+        if value is MISSING or (value is None and default is None):
+            if default is MISSING and factory is MISSING:
                 raise SchemaError(f"{what} is missing {name!r}")
-        elif value is not None or not null_keeps_default:
+            value = default if factory is MISSING else factory()
+        else:
             try:
-                values[name] = readers.get(name, typed)(value, name)
+                value = readers.get(name, typed)(value, name)
             except SchemaError as exc:
                 raise SchemaError(f"{what}.{exc}") from exc
+        values.append(value)
     try:
-        return cls(**values)
+        return cls(*values)
     except ValueError as exc:  # a check in __post_init__
         raise SchemaError(f"{what}: {exc}") from exc
 

@@ -9,6 +9,8 @@ without a {transcript} placeholder gets the block in front.
 
 from __future__ import annotations
 
+import re
+
 # Default prompt of the summary_keyframes request kind (templates.summary).
 SUMMARY_PROMPT_PLAIN = (
     "Could you please provide a summary of this video, focusing on the content "
@@ -29,14 +31,16 @@ DEFAULT_MCQ_TEMPLATE = (
 )
 
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
 def render_prompt(template: str, values: dict[str, str]) -> str:
     """Substitute {name} placeholders (load_config has checked that an mcq template holds its two).
 
-    A "transcript" value goes in front when the template has no {transcript}.
+    One pass over the template: a placeholder inside a value stays as it is, and an unknown
+    name stays literal. A "transcript" value goes in front when the template has no {transcript}.
     """
-    rendered = template
-    for name, value in values.items():
-        rendered = rendered.replace("{%s}" % name, value)
+    rendered = _PLACEHOLDER.sub(lambda m: values.get(m[1], m[0]), template)
     if "{transcript}" not in template:
         rendered = values.get("transcript", "") + rendered
     return rendered

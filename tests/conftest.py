@@ -10,8 +10,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_DIR = REPO_ROOT / "demo"
 
 # ffprobe-compatible stub: emits JSON keyed off the file extension and an
-# optional "_d<seconds>" stem suffix; special stems simulate tool failures and
-# documents of another shape.
+# optional "_d<seconds>" stem suffix; special stems simulate tool failures,
+# output that is not UTF-8 and documents of another shape.
 _FAKE_PROBE_SCRIPT = r'''
 import json, sys
 from pathlib import Path
@@ -24,6 +24,12 @@ if "broken" in stem:
 if "badjson" in stem:
     sys.stdout.write("this is not json")
     sys.exit(0)
+if "latin1out" in stem:  # output that is not UTF-8
+    sys.stdout.buffer.write(b"\xff\xfe{}")
+    sys.exit(0)
+if "latin1err" in stem:
+    sys.stderr.buffer.write(b"probe \xff\xfe exploded\n")
+    sys.exit(1)
 
 duration = 120.0
 for part in stem.split("_"):

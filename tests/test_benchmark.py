@@ -25,6 +25,7 @@ from videval.benchmark import (
 )
 from videval.config import load_config, load_transcripts
 from videval.errors import SchemaError
+from videval.knowledge_graph import LayoutParams
 from videval.parsing import KeyframeEntry, McqAnswer, ParsedVideoOutput, parse_video_output
 from videval.providers import (
     CassetteStore,
@@ -190,6 +191,16 @@ def test_build_question_prompt_empty_transcript_elided():
     without = build_question_prompt(item, None)
     empty = build_question_prompt(item, Transcript())
     assert without == empty
+
+
+def test_build_question_prompt_renders_a_placeholder_in_a_value_literally():
+    # a value used to be substituted again: the question took in the whole option list, and both texts the transcript block
+    record = dict(GENRE_RECORD, question="What does the slide titled {options} show?",
+                  options={**GENRE_RECORD["options"], "B": "use {transcript} here"})
+    prompt = build_question_prompt(item_from_record(record), transcript_fixture())
+    assert "Question: What does the slide titled {options} show?\n" in prompt
+    assert "\nB. use {transcript} here\n" in prompt
+    assert prompt.count("Audio transcript:") == 1 and prompt.count("A. ") == 1
 
 
 # --- outcome classification ---------------------------------------------------------
@@ -492,6 +503,28 @@ def test_manifest_records_read_back_share_their_repeated_values():
     assert first.outcome is second.outcome is OUTCOMES[3]
     assert first.request_kind is second.request_kind is REQUEST_KINDS[0]
     assert first.response.status is second.response.status is ModelResponse.STATUSES[2]
+
+
+def test_a_record_and_an_answer_without_their_defaulted_fields_read_the_defaults():
+    text = _manifest_text('{"raw_text":"Answer: A"}').replace('"error":null,', "").replace(',"wall_ms":0', "")
+    assert '"wall_ms"' not in text and '"error"' not in text
+    (record,) = RunManifest.from_jsonl((text,)).records
+    assert (record.wall_ms, record.error) == (0, None)
+    assert record.response == ModelResponse.from_dict({"raw_text": "Answer: A"}) == ModelResponse("Answer: A", 0, "ok")
+
+
+def test_each_read_makes_its_own_default_factory_value(demo_dir, tmp_path):
+    # graph sets config.layout.seed from --seed: a layout shared between two configs would carry it over
+    first, second = (RunManifest.from_jsonl((_manifest_text(),)) for _ in range(2))
+    assert first.records == second.records == [] and first.records is not second.records
+    raw = json.loads((demo_dir / "config.json").read_text(encoding="utf-8"))
+    del raw["layout"]
+    for key in ("dataset", "cassette_dir", "transcripts", "outputs", "annotations"):
+        raw[key] = str(demo_dir / raw[key])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    one, other = load_config(path), load_config(path)
+    assert one.layout == other.layout == LayoutParams() and one.layout is not other.layout
 
 
 def test_unknown_status_in_a_manifest_line_is_malformed():

@@ -95,6 +95,23 @@ def test_ingest_skips_probe_documents_of_another_shape(media_tree, probe_config,
     )
 
 
+def test_ingest_skips_a_probe_whose_output_is_not_utf8(media_tree, probe_config, tmp_path, capsys):
+    # the fake probe writes bytes that are not UTF-8 to stdout for one stem, and to stderr, failing, for the
+    # other: each ended ingest in a UnicodeDecodeError traceback
+    stdout_bad, stderr_bad = media_tree / "g_latin1out.mp4", media_tree / "h_latin1err.wav"
+    for path in (stdout_bad, stderr_bad):
+        path.write_bytes(b"x")
+    out = tmp_path / "inventory.json"
+    assert run_cli("ingest", str(media_tree), "--config", str(probe_config), "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert f"skipping {stdout_bad}: probe emitted invalid JSON for {stdout_bad}\n" in err
+    assert f"skipping {stderr_bad}: probe failed for {stderr_bad}: probe \ufffd\ufffd exploded\n" in err
+    inventory = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(asset["path"] for asset in inventory["assets"]) == sorted(
+        str(p) for p in media_tree.rglob("*") if p.suffix in (".mp4", ".flac", ".webm", ".wmv") and p != stdout_bad
+    )
+
+
 def test_ingest_skips_a_duration_that_is_not_finite(tmp_path, probe_config):
     # float() reads "inf", and the inventory held Infinity, which is not JSON, counted as long
     raw = json.loads(probe_config.read_text(encoding="utf-8"))
@@ -511,6 +528,8 @@ BAD_CONFIG_VALUES = [
     ({"providers": {"local-qwen": {"retries": 1.5}}}, "'local-qwen'.retries must be an integer, got 1.5"),
     # 0 passed the loader, and every laid-out position was NaN
     ({"layout": {"spacing": 0}}, "layout: spacing"),
+    # above 1 the temperature grew each round: graph exited 0 with positions near 1e76
+    ({"layout": {"cooling": 1.5}}, "layout: cooling must be at most 1, got 1.5"),
     ({"layout": {"area": 0}}, "layout: area"),
     # json.loads reads Infinity: graph exited 0 with NaN in its exports; an int past the largest
     # float ended in an OverflowError traceback
@@ -1142,7 +1161,7 @@ def test_live_flag_records_into_a_new_cassette_directory(demo_dir, tmp_path, loo
     raw = json.loads((demo_dir / "config.json").read_text())
     raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
     cassettes = tmp_path / "cassettes"
-    # the config's mode is replay; --live overrides it, and the first answer creates the directory
+    # the config's mode is replay; --live overrides it, and the live run creates the directory
     path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(cassettes), providers=raw["providers"])
     assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 0
     assert len((cassettes / "segment-000001.jsonl").read_bytes().splitlines()) == 20
@@ -1169,6 +1188,35 @@ def test_live_run_replays_to_the_same_records_and_tables(demo_dir, tmp_path, loo
 
     assert "completeness.md" in outputs(live)
     assert outputs(live) == outputs(replay)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "transcribe"])
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["a-file", "under-a-file"])
+def test_live_run_refuses_a_cassette_dir_it_cannot_make_before_any_request(
+    demo_dir, tmp_path, capsys, loopback_provider, fake_probe_cmd, command, under_a_file
+):
+    # the first answer made the directory: the call was paid for, and then put ended in a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file", encoding="utf-8")
+    cassettes = blocker / "cassettes" if under_a_file else blocker
+    out_dir = tmp_path / "out"
+    if command == "evaluate":
+        raw = json.loads((demo_dir / "config.json").read_text())
+        raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+        path = _demo_config_variant(demo_dir, tmp_path, cassette_dir=str(cassettes), providers=raw["providers"])
+        argv = ["evaluate", "--live", "--config", str(path), "--out-dir", str(out_dir)]
+    else:
+        audio, path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["providers"]["whisper"]["endpoint"] = loopback_provider.endpoint
+        raw["cassette_dir"] = str(cassettes)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        argv = ["transcribe", "--live", str(audio), "--config", str(path), "--out", str(out_dir / "transcripts.json")]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot make cassette directory {cassettes}: ")
+    assert loopback_provider.seen == []
+    assert not out_dir.exists()
 
 
 def test_replay_flag_needs_the_cassette_directory(demo_dir, tmp_path, capsys):
