@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -35,7 +36,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _strings
+from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _string, _strings
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
@@ -71,11 +72,11 @@ class BenchmarkItem:
 def _normalize_options(raw) -> dict[str, str]:
     """Accept either {"A": text, ...} or ["A. text", ...] option shapes."""
     if isinstance(raw, dict):
-        return {str(k).strip().upper(): str(v) for k, v in raw.items()}
+        return {str(k).strip().upper(): _string(v, f"options.{k}") for k, v in raw.items()}
     if isinstance(raw, list):
         options = {}
-        for entry in raw:
-            text = str(entry).strip()
+        for i, entry in enumerate(raw):
+            text = _string(entry, f"options[{i}]").strip()
             if len(text) >= 2 and text[0].upper() in OPTION_LETTERS and text[1] in ".):":
                 options[text[0].upper()] = text[2:].strip()
             else:
@@ -88,41 +89,59 @@ _duration = _choice(*DURATION_CLASSES)
 
 
 def item_from_record(record: dict) -> BenchmarkItem:
+    """The item of one dataset row. Each text must be a JSON string (nothing is coerced: null or a
+    number is a SchemaError naming the field); an absent task_type is ""."""
     record = _object(record, "dataset row")
     try:
         return BenchmarkItem(
-            video_id=str(record["video_id"]),
-            duration_class=_duration(str(record["duration"]).strip().lower(), "duration"),
-            question_id=str(record["question_id"]),
-            task_type=str(record.get("task_type", "")),
-            question=str(record["question"]),
+            video_id=_string(record["video_id"], "video_id"),
+            duration_class=_duration(_string(record["duration"], "duration").strip().lower(), "duration"),
+            question_id=_string(record["question_id"], "question_id"),
+            task_type=_string(record.get("task_type", ""), "task_type"),
+            question=_string(record["question"], "question"),
             options=_normalize_options(record["options"]),
-            answer=str(record["answer"]).strip().upper(),
+            answer=_string(record["answer"], "answer").strip().upper(),
         )
     except KeyError as exc:
         raise SchemaError(f"record missing field {exc.args[0]!r}: {record}") from exc
 
 
-def load_dataset(path: str | Path) -> list[BenchmarkItem]:
-    """Load a JSON array or JSON-lines file of benchmark items."""
-    text = Path(path).read_bytes()  # json.loads decodes it: a byte that is not UTF-8 is bad JSON
-    stripped = text.removeprefix(b"\xef\xbb\xbf").lstrip()  # a UTF-8 BOM, which json.loads takes
+def _utf8(data: bytes, what: str) -> str:
+    """data decoded as UTF-8, a BOM at its start dropped (json.loads takes none in a str); anything else is a
+    SchemaError naming what, where json.loads on the bytes would guess UTF-16 or UTF-32."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"dataset file {what} is not UTF-8: {exc}") from exc
+
+
+def _rows(path: str | Path):
+    """The decoded rows of a JSON array or JSON-lines file, in UTF-8 with an optional BOM."""
+    data = Path(path).read_bytes()
+    stripped = data.removeprefix(b"\xef\xbb\xbf").lstrip()
     if not stripped:
         raise SchemaError(f"dataset file is empty: {path}")
     if stripped.startswith(b"["):
         try:
-            rows = json.loads(text)
+            return json.loads(_utf8(data, str(path)))
         except ValueError as exc:
             raise SchemaError(f"dataset is not valid JSON: {exc}") from exc
-    else:
-        rows = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno} is not valid JSON: {exc}") from exc
+    rows = []
+    # split as bytes, then decoded: str.splitlines would also split at a U+2028 inside a JSON string
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(_utf8(line, f"{path} line {lineno}")))
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno} is not valid JSON: {exc}") from exc
+    return rows
+
+
+def load_dataset(path: str | Path) -> list[BenchmarkItem]:
+    """Load a JSON array or JSON-lines file of benchmark items. The file's bytes are dropped, once
+    _rows has decoded them, before the items are built."""
+    rows = _rows(path)
     if not isinstance(rows, list):
         raise SchemaError("dataset must be a JSON array or JSON-lines file")
 
@@ -263,27 +282,29 @@ class RunManifest:
             yield record.to_json() + "\n"
 
     @classmethod
-    def from_jsonl(cls, chunks) -> "RunManifest":
+    def read(cls, chunks) -> tuple["RunManifest", Iterator[RunRecord]]:
         """Read a manifest back from chunks of text or UTF-8 bytes, each split into lines (a file opened "rb"
-        gives one chunk per line, a BOM at its start taken); a SchemaError names a line that does not decode."""
-        manifest = None
-        lines = (line for chunk in chunks for line in chunk.splitlines())
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                if isinstance(line, bytes):  # UTF-8 alone: json.loads would guess UTF-16 and pass surrogates
-                    line = line.decode("utf-8").removeprefix("\ufeff")
-                data = json.loads(line)
-                if manifest is None:
-                    manifest = _fill(cls, data, "header", HEADER_READERS)
-                else:
-                    manifest.records.append(_fill(RunRecord, data, "record", RECORD_READERS))
-            except (ValueError, SchemaError, MalformedProviderOutput) as exc:
-                raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
-        if manifest is None:
+        gives one chunk per line, a BOM at its start taken): its header, with no records, read here, and a
+        generator that decodes each record as it is taken, so no record outlives its use. A SchemaError,
+        raised here or by the generator, names a line that does not decode."""
+        numbered = enumerate((line for chunk in chunks for line in chunk.splitlines()), start=1)
+        lines = ((lineno, line) for lineno, line in numbered if line.strip())
+        first = next(lines, None)
+        if first is None:
             raise SchemaError("empty manifest")
-        return manifest
+        return _decode(*first, cls, "header", HEADER_READERS), (
+            _decode(*line, RunRecord, "record", RECORD_READERS) for line in lines
+        )
+
+
+def _decode(lineno: int, line: str | bytes, cls, what: str, readers: dict):
+    """The object cls of one manifest line, lineno, through _fill."""
+    try:
+        if isinstance(line, bytes):  # UTF-8 alone: json.loads would guess UTF-16 and pass surrogates
+            line = line.decode("utf-8").removeprefix("\ufeff")
+        return _fill(cls, json.loads(line), what, readers)
+    except (ValueError, SchemaError, MalformedProviderOutput) as exc:
+        raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
 
 
 def _build_prompt(config: HarnessConfig, item: BenchmarkItem, transcript: Transcript | None) -> str:

@@ -315,8 +315,8 @@ def _graph_outputs(config: HarnessConfig, videos: dict, annotations: dict, out_d
         _emit(out_dir, emitted, "matching_scores.json", (_pretty_json(matching_scores),))
 
 
-def _score_and_emit(items, manifest: bench.RunManifest, out_dir: Path, emitted: list[str]) -> None:
-    for name, text in reports.report_files(scoring.aggregate(items, manifest.records)).items():
+def _emit_tables(scores: scoring.ScoreReport, out_dir: Path, emitted: list[str]) -> None:
+    for name, text in reports.report_files(scores).items():
         _emit(out_dir, emitted, name, (text,))
 
 
@@ -340,7 +340,7 @@ def cmd_evaluate(args) -> int:
 
     emitted: list[str] = []
     _emit(out_dir, emitted, "manifest.jsonl", manifest.lines())
-    _score_and_emit(items, manifest, out_dir, emitted)
+    _emit_tables(scoring.aggregate(items, manifest.records), out_dir, emitted)
     if outputs:
         _graph_outputs(config, *outputs, out_dir, emitted)
     _write_bundle(out_dir, emitted, "manifest.jsonl")
@@ -387,14 +387,15 @@ def cmd_report(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    # as bytes, a line at a time, so that a byte that is not UTF-8 is reported with its line
+    # as bytes, a line at a time, so that a byte that is not UTF-8 is reported with its line; the header
+    # is checked before the dataset is read, and each record is scored as it is decoded, then dropped
     with open(manifest_path, "rb") as fh:
-        manifest = bench.RunManifest.from_jsonl(fh)
-    items = bench.load_dataset(config.dataset)
+        _, records = bench.RunManifest.read(fh)
+        scores = scoring.aggregate(bench.load_dataset(config.dataset), records)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
 
     emitted: list[str] = []
-    _score_and_emit(items, manifest, out_dir, emitted)
+    _emit_tables(scores, out_dir, emitted)
     _write_bundle(out_dir, emitted, None)  # it reads --manifest and writes no manifest
     print(f"tables -> {out_dir}")
     return EXIT_OK

@@ -86,7 +86,8 @@ def _conditions(value, what: str) -> list[RunCondition]:
 def _read_json_object(path: str | Path, what: str) -> dict:
     """Decode a JSON file whose top level must be an object; any failure is a ConfigError."""
     try:
-        data = json.loads(Path(path).read_bytes())  # json.loads decodes it: a UTF-8 BOM is taken
+        # UTF-8 alone: json.loads on the bytes would guess UTF-16 or UTF-32, and on a str takes no BOM
+        data = json.loads(Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} file {path} is not readable JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -279,11 +279,10 @@ def graph_metrics(
     mean_distance = 0.0
     if n >= 2:
         coords = np.array([[positions[i].x, positions[i].y] for i in ids])
-        delta = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=2))
-        # fsum: a correctly rounded sum, whatever blocking numpy's reductions use
-        pairs = dist[np.triu_indices(n, k=1)]
-        mean_distance = math.fsum(pairs.tolist()) / len(pairs)
+        # node i against the nodes after it, a row at a time so memory stays linear in n; every row
+        # goes into one fsum, which rounds once and correctly in any order (an fsum per row would not)
+        rows = (np.sqrt(((coords[i + 1:] - coords[i]) ** 2).sum(axis=1)).tolist() for i in range(n - 1))
+        mean_distance = math.fsum(d for row in rows for d in row) / (n * (n - 1) // 2)
 
     neighbours: dict[str, list[str]] = {nid: [] for nid in graph.nodes}
     for s, t in graph.edges:

@@ -298,7 +298,7 @@ class CassetteStore:
                             self.dropped += 1
                         elif key not in index:
                             try:
-                                if isinstance(response, bytes):  # UTF-8 alone, as from_jsonl reads a manifest
+                                if isinstance(response, bytes):  # UTF-8 alone, as RunManifest.read reads a manifest
                                     response = json.loads(response.decode("utf-8"))
                                 index[key] = ModelResponse.from_dict(response)
                             except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, field, validate()

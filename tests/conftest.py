@@ -82,6 +82,15 @@ def fake_probe_cmd(tmp_path_factory) -> str:
     return f"{sys.executable} {script} {{input}}"
 
 
+def read_manifest(chunks):
+    """The whole manifest that RunManifest.read gives a piece at a time: its header, every record read into it."""
+    from videval.benchmark import RunManifest
+
+    manifest, records = RunManifest.read(chunks)
+    manifest.records.extend(records)
+    return manifest
+
+
 @pytest.fixture(scope="session")
 def demo_dir() -> Path:
     return DEMO_DIR

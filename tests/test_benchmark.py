@@ -7,6 +7,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from conftest import read_manifest
 
 from videval.benchmark import (
     AHEAD_PER_WORKER,
@@ -108,6 +109,27 @@ def test_item_rejects_missing_field():
     del record["question"]
     with pytest.raises(SchemaError):
         item_from_record(record)
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"question": None}, "question must be a string, got None", id="null-question"),
+    pytest.param({"options": dict(GENRE_RECORD["options"], B=None)}, "options.B must be a string, got None",
+                 id="null-option"),
+    pytest.param({"options": ["A. one", None, "C. three", "D. four"]}, r"options\[1\] must be a string, got None",
+                 id="null-option-in-a-list"),
+    pytest.param({"question_id": 7}, "question_id must be a string, got 7", id="numeric-question-id"),
+    pytest.param({"task_type": None}, "task_type must be a string, got None", id="null-task-type"),
+    pytest.param({"answer": 1}, "answer must be a string, got 1", id="numeric-answer"),
+])
+def test_item_refuses_a_text_that_is_not_a_string(change, message):
+    # str() would send "None" as the question or an option, and read 7 as the id "7"
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        item_from_record(dict(GENRE_RECORD, **change))
+
+
+def test_item_without_a_task_type_has_an_empty_one():
+    record = {key: value for key, value in GENRE_RECORD.items() if key != "task_type"}
+    assert item_from_record(record).task_type == ""
 
 
 def test_load_dataset_array_and_jsonl(tmp_path):
@@ -460,7 +482,7 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     plan, hub = demo_plan_and_hub(demo_dir)
     manifest = run_benchmark(*plan, hub)
     text = "".join(manifest.lines())
-    loaded = RunManifest.from_jsonl((text,))
+    loaded = read_manifest((text,))
     assert "".join(loaded.lines()) == text
     # a summary_keyframes manifest: records with keyframes, and replay misses that carry their error
     config, items, transcripts = plan
@@ -473,7 +495,7 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     )
     assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
     text = "".join(summaries.lines())
-    assert "".join(RunManifest.from_jsonl((text,)).lines()) == text
+    assert "".join(read_manifest((text,)).lines()) == text
 
 
 def test_choice_returns_the_allowed_object():
@@ -499,7 +521,7 @@ def _manifest_text(*responses: str) -> str:
 
 def test_manifest_records_read_back_share_their_repeated_values():
     response = '{"latency_ms":7,"raw_text":"","status":"timeout"}'
-    first, second = RunManifest.from_jsonl((_manifest_text(response, response),)).records
+    first, second = read_manifest((_manifest_text(response, response),)).records
     assert first.outcome is second.outcome is OUTCOMES[3]
     assert first.request_kind is second.request_kind is REQUEST_KINDS[0]
     assert first.response.status is second.response.status is ModelResponse.STATUSES[2]
@@ -508,14 +530,14 @@ def test_manifest_records_read_back_share_their_repeated_values():
 def test_a_record_and_an_answer_without_their_defaulted_fields_read_the_defaults():
     text = _manifest_text('{"raw_text":"Answer: A"}').replace('"error":null,', "").replace(',"wall_ms":0', "")
     assert '"wall_ms"' not in text and '"error"' not in text
-    (record,) = RunManifest.from_jsonl((text,)).records
+    (record,) = read_manifest((text,)).records
     assert (record.wall_ms, record.error) == (0, None)
     assert record.response == ModelResponse.from_dict({"raw_text": "Answer: A"}) == ModelResponse("Answer: A", 0, "ok")
 
 
 def test_each_read_makes_its_own_default_factory_value(demo_dir, tmp_path):
     # graph sets config.layout.seed from --seed: a layout shared between two configs would carry it over
-    first, second = (RunManifest.from_jsonl((_manifest_text(),)) for _ in range(2))
+    first, second = (read_manifest((_manifest_text(),)) for _ in range(2))
     assert first.records == second.records == [] and first.records is not second.records
     raw = json.loads((demo_dir / "config.json").read_text(encoding="utf-8"))
     del raw["layout"]
@@ -530,7 +552,7 @@ def test_each_read_makes_its_own_default_factory_value(demo_dir, tmp_path):
 def test_unknown_status_in_a_manifest_line_is_malformed():
     text = _manifest_text('{"latency_ms":7,"raw_text":"","status":"weird"}')
     with pytest.raises(SchemaError) as caught:
-        RunManifest.from_jsonl((text,))
+        read_manifest((text,))
     assert str(caught.value) == (
         "manifest line 2 is malformed: SchemaError(\"record.response.status must be one of "
         "'ok', 'oom', 'timeout', 'invalid', got 'weird'\")"
@@ -594,7 +616,7 @@ def test_hand_built_record_line_equals_json_dumps():
     manifest = RunManifest(_text(rng, 0, 12), conditions, ["p"], "1970-01-01T00:00:00Z", records)
     text = "".join(manifest.lines())
     assert text.splitlines()[1:] == [_oracle_line(record) for record in records]
-    assert "".join(RunManifest.from_jsonl((text,)).lines()) == text
+    assert "".join(read_manifest((text,)).lines()) == text
 
 
 class PromptRecorder:

@@ -8,9 +8,10 @@ import tracemalloc
 import warnings
 
 import pytest
+from conftest import read_manifest
 
 import videval.media
-from videval.benchmark import AHEAD_PER_WORKER, RunManifest, load_dataset, plan_cells
+from videval.benchmark import AHEAD_PER_WORKER, load_dataset, plan_cells
 from videval.cli import _write, main
 from videval.config import load_config
 from videval.errors import ConfigError, IoError, SchemaError
@@ -299,6 +300,41 @@ def test_evaluate_takes_json_files_that_start_with_a_bom(demo_dir, tmp_path, mon
     for name in ("config.json", "dataset.json", "transcripts.json", "outputs.json", "annotations.json"):
         (demo / name).write_bytes(b"\xef\xbb\xbf" + (demo_dir / name).read_bytes())
     assert _demo_digests(monkeypatch, tmp_path, tmp_path / "out") == DEMO_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name, code, message", [
+    pytest.param("dataset.json", 3, "invalid input: dataset file {path} line 1 is not UTF-8: 'utf-8' codec can't "
+                 "decode byte 0xff", id="dataset"),
+    pytest.param("config.json", 2, "config error: config file {path} is not readable JSON: 'utf-8' codec can't "
+                 "decode byte 0xff", id="config"),
+])
+def test_a_utf16_input_file_is_one_error_line(demo_dir, tmp_path, capsys, name, code, message):
+    # json.loads on the bytes guessed UTF-16: such a config was taken, and such a dataset's error held every row
+    demo = shutil.copytree(demo_dir, tmp_path / "demo")
+    path = demo / name
+    path.write_bytes((demo_dir / name).read_text(encoding="utf-8").encode("utf-16"))
+    assert run_cli("evaluate", "--config", str(demo / "config.json"), "--out-dir", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and err.count("\n") == 1 and len(err) < 300, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_refuses_a_null_dataset_text_before_any_request(demo_dir, tmp_path, capsys, loopback_provider):
+    # str() read a null question as "Question: None" and a null option as "B. None", and sent both
+    rows = json.loads((demo_dir / "dataset.json").read_text(encoding="utf-8"))
+    rows[0]["question"] = None
+    rows[1]["options"]["B"] = None
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(rows), encoding="utf-8")
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    path = _demo_config_variant(demo_dir, tmp_path, dataset=str(dataset), cassette_dir=str(tmp_path / "cassettes"),
+                                providers=raw["providers"])
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(out_dir)) == 3
+    assert capsys.readouterr().err == "invalid input: question must be a string, got None\n"
+    assert len(loopback_provider.seen) == 0
+    assert not out_dir.exists() and not (tmp_path / "cassettes").exists()
 
 
 def test_bundle_lists_what_each_command_wrote(demo_dir, tmp_path):
@@ -694,7 +730,7 @@ def test_report_reads_the_manifest_a_line_at_a_time_as_it_read_it_whole(demo_man
     config, original, eval_dir = demo_manifest
     data = layout(original)
     try:
-        whole = "".join(RunManifest.from_jsonl((data,)).lines())
+        whole = "".join(read_manifest((data,)).lines())
     except SchemaError as exc:
         whole = f"invalid input: {exc}\n"
     manifest = tmp_path / "manifest.jsonl"
@@ -708,7 +744,7 @@ def test_report_reads_the_manifest_a_line_at_a_time_as_it_read_it_whole(demo_man
     if line is None:
         assert code == 0 and whole == original.decode("utf-8")
         with open(manifest, "rb") as fh:  # the round trip through the file, as report reads it
-            assert "".join(RunManifest.from_jsonl(fh).lines()) == whole
+            assert "".join(read_manifest(fh).lines()) == whole
         for name in ("task_accuracy.md", "model_accuracy.md", "completeness.md", "scores.json"):
             assert (tmp_path / "rep" / name).read_bytes() == (eval_dir / name).read_bytes()
     else:
@@ -787,6 +823,24 @@ def test_report_on_mistyped_manifest_field_is_invalid_input(demo_dir, tmp_path, 
     assert code == 3
     err = capsys.readouterr().err
     assert "invalid input" in err and "manifest line 2 " in err and field.split(".")[-1] in err
+
+
+@pytest.mark.parametrize("spoiled_line, first_error", [
+    pytest.param(1, "manifest line 1 is malformed", id="bad-header"),  # the header is read before the dataset
+    pytest.param(3, "dataset file is empty", id="bad-record"),  # a record is read as aggregate scores it
+])
+def test_report_reads_the_header_then_the_dataset_then_the_records(demo_dir, demo_manifest, tmp_path, capsys,
+                                                                   spoiled_line, first_error):
+    lines = demo_manifest[1].split(b"\n")
+    lines[spoiled_line - 1] = b"{not JSON"
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b"\n".join(lines))
+    (tmp_path / "empty.json").write_bytes(b"")
+    path = _demo_config_variant(demo_dir, tmp_path, dataset=str(tmp_path / "empty.json"))
+    capsys.readouterr()
+    code = run_cli("report", "--config", str(path), "--manifest", str(manifest), "--out-dir", str(tmp_path / "rep"))
+    assert code == 3 and capsys.readouterr().err.startswith(f"invalid input: {first_error}")
+    assert not (tmp_path / "rep").exists()
 
 
 def _damage_response(edit):
@@ -1470,12 +1524,14 @@ def _peak_traced_bytes(*argv) -> int:
 
 
 def test_memory_per_record_of_evaluate_and_report(tmp_path):
-    """The peak traced memory of evaluate --replay and of report grows by under 650 B per added record.
+    """The peak traced memory grows by under 650 B per added record in evaluate --replay, and under 300 B in report.
 
     Holding the manifest's text whole grew it by about 1,720 B (evaluate) and 1,280 B (report);
     writing and reading it a line at a time, with slotted records, by about 730 B and 760 B; one
     object per repeated status, outcome, request kind and answer, by about 530 B and 580 B; with
-    no unread dataset fields in BenchmarkItem, by about 510 B and 580 B.
+    no unread dataset fields in BenchmarkItem, by about 510 B and 580 B. With report scoring each
+    record as it decodes it, and the dataset file's bytes dropped before its items are built,
+    report's peak is its dataset's, about 220 B per record.
     Every record must carry an answer: a request rule the cassettes no longer match made each
     cell a ReplayMiss, a cheaper record, and the slopes still passed.
     """
@@ -1495,4 +1551,4 @@ def test_memory_per_record_of_evaluate_and_report(tmp_path):
         assert not [line for line in records if json.loads(line)["error"] is not None]
     (small, small_peaks), (large, large_peaks) = peaks.items()
     slopes = [(b - a) / (large - small) for a, b in zip(small_peaks, large_peaks)]
-    assert all(slope < 650 for slope in slopes), f"bytes per added record (evaluate, report): {slopes}"
+    assert slopes[0] < 650 and slopes[1] < 300, f"bytes per added record (evaluate, report): {slopes}"
