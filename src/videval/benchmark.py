@@ -1,20 +1,22 @@
 """Load Video-MME-style datasets, expand the condition matrix, and run them.
 
 plan_cells says what each (item x condition) cell of a config sends, for evaluate and for
-demo/regenerate.py, and run_benchmark makes one record of each. Partial failures, including replay
-misses and out-of-memory responses, become records rather than aborting the run, so completeness can
-be accounted afterwards. Records come out in (condition, question id) order. Replay is serial and
-deterministic; live runs the cells concurrently, in a pool as wide as the config's max_workers. A
-record's `wall_ms` is its answer's recorded latency in both modes (in a live run, that of the last
-attempt), so a replay of a live run's cassettes reads the same times.
+demo/regenerate.py, and run_benchmark makes one record of each and hands it to a sink. Partial
+failures, including replay misses and out-of-memory responses, become records rather than aborting
+the run, so completeness can be accounted afterwards. A manifest lists its records in (condition,
+question id) order. Replay is serial and deterministic; live runs the cells concurrently, in a pool
+as wide as the config's max_workers. A record's `wall_ms` is its answer's recorded latency in both
+modes (in a live run, that of the last attempt), so a replay of a live run's cassettes reads the same
+times.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -36,7 +38,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _string, _strings
+from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _string, _strings, _text
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
@@ -72,11 +74,11 @@ class BenchmarkItem:
 def _normalize_options(raw) -> dict[str, str]:
     """Accept either {"A": text, ...} or ["A. text", ...] option shapes."""
     if isinstance(raw, dict):
-        return {str(k).strip().upper(): _string(v, f"options.{k}") for k, v in raw.items()}
+        return {str(k).strip().upper(): _text(v, f"options.{k}") for k, v in raw.items()}
     if isinstance(raw, list):
         options = {}
         for i, entry in enumerate(raw):
-            text = _string(entry, f"options[{i}]").strip()
+            text = _text(entry, f"options[{i}]").strip()
             if len(text) >= 2 and text[0].upper() in OPTION_LETTERS and text[1] in ".):":
                 options[text[0].upper()] = text[2:].strip()
             else:
@@ -89,18 +91,18 @@ _duration = _choice(*DURATION_CLASSES)
 
 
 def item_from_record(record: dict) -> BenchmarkItem:
-    """The item of one dataset row. Each text must be a JSON string (nothing is coerced: null or a
-    number is a SchemaError naming the field); an absent task_type is ""."""
+    """The item of one dataset row. Each text must be a JSON string that UTF-8 can encode (nothing is
+    coerced: null, a number or a lone surrogate is a SchemaError naming the field); an absent task_type is ""."""
     record = _object(record, "dataset row")
     try:
         return BenchmarkItem(
-            video_id=_string(record["video_id"], "video_id"),
-            duration_class=_duration(_string(record["duration"], "duration").strip().lower(), "duration"),
-            question_id=_string(record["question_id"], "question_id"),
-            task_type=_string(record.get("task_type", ""), "task_type"),
-            question=_string(record["question"], "question"),
+            video_id=_text(record["video_id"], "video_id"),
+            duration_class=_duration(_text(record["duration"], "duration").strip().lower(), "duration"),
+            question_id=_text(record["question_id"], "question_id"),
+            task_type=_text(record.get("task_type", ""), "task_type"),
+            question=_text(record["question"], "question"),
             options=_normalize_options(record["options"]),
-            answer=_string(record["answer"], "answer").strip().upper(),
+            answer=_text(record["answer"], "answer").strip().upper(),
         )
     except KeyError as exc:
         raise SchemaError(f"record missing field {exc.args[0]!r}: {record}") from exc
@@ -140,12 +142,20 @@ def _rows(path: str | Path):
 
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Load a JSON array or JSON-lines file of benchmark items. The file's bytes are dropped, once
-    _rows has decoded them, before the items are built."""
+    _rows has decoded them, before the items are built. An item's SchemaError names its row, counting
+    from 1, and its question_id where that is a string."""
     rows = _rows(path)
     if not isinstance(rows, list):
         raise SchemaError("dataset must be a JSON array or JSON-lines file")
 
-    items = [item_from_record(row) for row in rows]
+    items = []
+    for n, row in enumerate(rows, start=1):
+        try:
+            items.append(item_from_record(row))
+        except SchemaError as exc:
+            question_id = row.get("question_id") if isinstance(row, dict) else None
+            named = f" (question_id {question_id!r})" if isinstance(question_id, str) else ""
+            raise SchemaError(f"dataset row {n}{named}: {exc}") from exc
     seen: set[str] = set()
     for item in items:
         if item.question_id in seen:
@@ -379,12 +389,14 @@ def in_order(fn, items, width: int):
 
 
 def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript],
-                  hub: ProviderHub) -> RunManifest:
-    """Run every cell of plan_cells and return the manifest of its records.
+                  hub: ProviderHub, sink: Callable[[RunRecord], object]) -> RunManifest:
+    """Run every cell of plan_cells, hand each record to sink as it is made, and return the manifest's header.
 
     Replay runs the cells one after another; live runs them through in_order,
-    config.max_workers threads wide. Both give the records in cell order, item by
-    item, and one stride slice per condition lists them condition by condition.
+    config.max_workers threads wide. Both hand sink the records in cell order, item
+    by item; evaluate's sink spools them, so that its manifest lists them condition
+    by condition. An exception from sink stops the run, a live run's calls not yet
+    started included.
     """
     started_at = (
         REPLAY_EPOCH
@@ -393,15 +405,15 @@ def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts
     )
     run, cells = partial(_run_one, config.request_kind, hub), plan_cells(config, items, transcripts)
     if hub.mode == "replay":
-        done = list(map(run, cells))
+        for cell in cells:
+            sink(run(cell))
     else:
-        done = [future.result() for _, future in in_order(run, cells, config.max_workers)]
-    width = len(config.conditions)
-    records = [record for c in range(width) for record in done[c::width]]
+        with contextlib.closing(in_order(run, cells, config.max_workers)) as done:
+            for _, future in done:
+                sink(future.result())
     return RunManifest(
         dataset_path=str(config.dataset),
         conditions=config.conditions,
         providers=sorted({c.provider for c in config.conditions}),
         started_at=started_at,
-        records=records,
     )

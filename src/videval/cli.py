@@ -11,6 +11,8 @@ import argparse
 import contextlib
 import os
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from . import benchmark as bench
@@ -62,14 +64,19 @@ def _write(path: Path, chunks) -> None:
             tmp.unlink()
 
 
+def _remove_bundle(out_dir: Path) -> None:
+    """Remove out_dir's bundle.json, before a command's first write: it would name another run's files beside this run's."""
+    bundle = out_dir / "bundle.json"
+    try:
+        bundle.unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write {bundle}: {exc}") from exc
+
+
 def _emit(out_dir: Path, emitted: list[str], name: str, chunks) -> None:
     """Write the artifact name (a path under out_dir), the text chunks in order, and add name to emitted."""
-    if not emitted:  # the old index goes first: it would name another run's files beside this run's
-        bundle = out_dir / "bundle.json"
-        try:
-            bundle.unlink(missing_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot write {bundle}: {exc}") from exc
+    if not emitted:
+        _remove_bundle(out_dir)
     _write(out_dir / name, chunks)
     emitted.append(name)
 
@@ -320,6 +327,60 @@ def _emit_tables(scores: scoring.ScoreReport, out_dir: Path, emitted: list[str])
         _emit(out_dir, emitted, name, (text,))
 
 
+class _Spools:
+    """evaluate's sink: each record's line goes to manifest.jsonl.<c>.tmp in the out dir, the spool of its
+    condition c, and the record into the score fold, so the run holds no record. run_benchmark hands the
+    records in cell order, each item's in condition order, so the n-th is of condition n % width (a count,
+    where a lookup would hash the tag). Entering removes the out dir's bundle.json and makes the spools, one
+    open file per condition, before the run's first request; lines() reads them back in condition order,
+    the manifest's; leaving removes them. An OSError is an IoError.
+    """
+
+    def __init__(self, out_dir: Path, conditions: list[bench.RunCondition], items: list[bench.BenchmarkItem]):
+        self.out_dir, self.tally = out_dir, scoring.Tally(items)
+        self.paths = [out_dir / f"manifest.jsonl.{c}.tmp" for c in range(len(conditions))]
+        self.files: list = []
+        self.records = self.failed = self.unavailable = 0  # records, those with an error, a ProviderUnavailable
+
+    def __enter__(self) -> "_Spools":
+        _remove_bundle(self.out_dir)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            for path in self.paths:
+                self.files.append(open(path, "w+", encoding="utf-8"))
+        except OSError as exc:
+            self.__exit__()
+            raise IoError(f"cannot write {self.paths[len(self.files)]}: {exc}") from exc
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for fh, path in zip(self.files, self.paths):
+            with contextlib.suppress(OSError):  # a flush that fails on a full disk: the spool goes either way
+                fh.close()
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+    def __call__(self, record: bench.RunRecord) -> None:
+        c = self.records % len(self.paths)
+        try:
+            self.write(c, record.to_json() + "\n")
+        except OSError as exc:
+            raise IoError(f"cannot write {self.paths[c]}: {exc}") from exc
+        self.tally.add(record)
+        self.records += 1
+        if record.error:
+            self.failed += 1
+            self.unavailable += "ProviderUnavailable" in record.error
+
+    def write(self, c: int, line: str) -> None:
+        self.files[c].write(line)
+
+    def lines(self):
+        for fh in self.files:
+            fh.seek(0)
+            yield from iter(partial(fh.read, 1 << 16), "")
+
+
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
@@ -332,28 +393,23 @@ def cmd_evaluate(args) -> int:
     transcripts = load_transcripts(config.transcripts) if config.transcripts else {}
     outputs = _read_outputs(config, config.outputs) if config.outputs else None  # before any request
     hub = _hub(config, args)  # reads the cassette index, once the inputs are known good
-
-    manifest = bench.run_benchmark(config, items, transcripts, hub)
-    _report_dropped(hub.store)
     mode = hub.mode
-    del hub  # the index of every recorded answer is not needed past the run
 
     emitted: list[str] = []
-    _emit(out_dir, emitted, "manifest.jsonl", manifest.lines())
-    _emit_tables(scoring.aggregate(items, manifest.records), out_dir, emitted)
+    with _Spools(out_dir, config.conditions, items) as spools:
+        manifest = bench.run_benchmark(config, items, transcripts, hub, spools)
+        _report_dropped(hub.store)
+        del hub  # the index of every recorded answer is not needed past the run
+        _emit(out_dir, emitted, "manifest.jsonl", chain(manifest.lines(), spools.lines()))
+    _emit_tables(spools.tally.report(), out_dir, emitted)
     if outputs:
         _graph_outputs(config, *outputs, out_dir, emitted)
     _write_bundle(out_dir, emitted, "manifest.jsonl")
 
-    print(f"{len(manifest.records)} records -> {out_dir / 'manifest.jsonl'}")
+    print(f"{spools.records} records -> {out_dir / 'manifest.jsonl'}")
     print(f"tables and exports -> {out_dir}")
 
-    if (
-        mode == "live"
-        and manifest.records
-        and all(r.error for r in manifest.records)
-        and any("ProviderUnavailable" in (r.error or "") for r in manifest.records)
-    ):
+    if mode == "live" and spools.records and spools.failed == spools.records and spools.unavailable:
         print("provider hard failure: every live call failed", file=sys.stderr)
         return EXIT_PROVIDER
     return EXIT_OK

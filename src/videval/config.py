@@ -72,6 +72,7 @@ def _conditions(value, what: str) -> list[RunCondition]:
     if not value or not isinstance(value, list):
         raise SchemaError(f"{what} must be a non-empty list, got {value!r}")
     conditions = []
+    rows: dict[tuple, int] = {}  # the (model, GPU, label) of each condition's completeness row -> its index
     for i, entry in enumerate(value):
         tag = ConditionTag.from_dict(entry, f"condition {i}")
         if not entry.get("provider"):
@@ -79,6 +80,12 @@ def _conditions(value, what: str) -> list[RunCondition]:
         # records carry the tag, not the provider, so equal tags cannot be told apart
         if any(tag == seen.tag for seen in conditions):
             raise SchemaError(f"condition {i} repeats the tag of an earlier condition")
+        # nor can two tags whose labels print alike (fps 0.1 and 0.1000001): one row would overwrite the other
+        row = (tag.model_name, tag.gpu, tag.label())
+        if row in rows:
+            raise SchemaError(f"conditions {rows[row]} and {i} would share the completeness row {row[2]!r} "
+                              f"of model {row[0]!r} on GPU {row[1]!r}")
+        rows[row] = i
         conditions.append(RunCondition(tag, entry["provider"]))
     return conditions
 

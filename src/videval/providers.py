@@ -6,12 +6,13 @@ writes a request's canonical JSON text, the one place that text is made: its
 SHA-256 is the request's key, and a recorded line keeps the text. Replay mode
 never touches the network: it reads the store's segments once into memory and
 answers each request with a dict lookup. A segment line is
-`key<TAB>response<TAB>request`, so replay decodes only the response; a
-one-object `{...}` line of earlier versions is still read, and a line whose key
-cannot be read is dropped and counted (`CassetteStore` gives the details and
-which of two answers to one key wins). Out-of-memory and timeout results are
-classified from provider error payloads and surfaced in-band as response
-statuses, not exceptions: the run accounting needs them as countable outcomes.
+`key<TAB>response<TAB>request`, so replay keeps only the response, and decodes
+it when it is asked for; a one-object `{...}` line of earlier versions is
+still read, and a line whose key cannot be read is dropped and counted
+(`CassetteStore` gives the details and which of two answers to one key wins).
+Out-of-memory and timeout results are classified from provider error payloads
+and surfaced in-band as response statuses, not exceptions: the run accounting
+needs them as countable outcomes.
 
 Live calls are one JSON POST each through the standard library's
 `urllib.request`: proxies come from the `*_proxy` environment variables, HTTPS
@@ -263,17 +264,20 @@ class CassetteStore:
     Every store writes the lines of its own `segment-<n>.jsonl`, which it
     creates on its first `put` under the next free sequence number, and each
     line is on disk before `put` returns. Opening the store reads every
-    segment once, in sequence order, into an index of decoded answers:
-    each line is read as UTF-8, and each response goes through `ModelResponse.from_dict`,
-    the one reader of an answer, which fills it through `schema._fill` and validates it.
+    segment once, in sequence order, into an index of undecoded answers: the
+    response bytes of each tab line, and the response value of each `{` line.
+    So an answer held costs its key and its bytes, and each one decoded lives
+    only as long as its record. `get` decodes it as UTF-8 through
+    `ModelResponse.from_dict`, the one reader of an answer, which fills it
+    through `schema._fill` and validates it.
 
     The first recorded answer to a key wins, across segments and within one:
     a key already held is never written again, and a later line for it is
     ignored. A line is dropped and counted in `dropped` when its key cannot be
     read: a tab line without its final newline or with fewer than three
     fields, or a `{` line that is not JSON or holds no string `key`. A line
-    with a key whose response does not decode becomes that key's error, raised
-    by `get`. A segment that cannot be read at all is a ConfigError.
+    with a key whose response does not decode is that key's error, which `get`
+    raises. A segment that cannot be read at all is a ConfigError.
     """
 
     def __init__(self, root: str | Path):
@@ -282,12 +286,12 @@ class CassetteStore:
         self._lock = threading.Lock()
         self._next = 1  # sequence number of the first segment this store tries to create
         self._segment: Path | None = None
-        self._index = self._read_segments()  # str: a corrupt entry's error
+        self._index = self._read_segments()  # key -> a tab line's response bytes, or a { line's response
 
-    def _read_segments(self) -> dict[str, ModelResponse | str]:
+    def _read_segments(self) -> dict[str, object]:
         numbered = [(int(m[1]), p) for p in self.root.glob("segment-*.jsonl")
                     if (m := SEGMENT_NAME.fullmatch(p.name))]
-        index: dict[str, ModelResponse | str] = {}
+        index: dict[str, object] = {}
         for number, path in sorted(numbered):
             self._next = number + 1
             try:
@@ -296,13 +300,8 @@ class CassetteStore:
                         key, response = _line_fields(line)
                         if key is None:
                             self.dropped += 1
-                        elif key not in index:
-                            try:
-                                if isinstance(response, bytes):  # UTF-8 alone, as RunManifest.read reads a manifest
-                                    response = json.loads(response.decode("utf-8"))
-                                index[key] = ModelResponse.from_dict(response)
-                            except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, field, validate()
-                                index[key] = f"corrupt cassette entry {key}: {exc}"
+                        else:
+                            index.setdefault(key, response)
             except OSError as exc:  # a directory, or unreadable: the command stops before its first request
                 raise ConfigError(f"cannot read cassette segment {path}: {exc}") from exc
         return index
@@ -311,10 +310,16 @@ class CassetteStore:
         return key in self._index
 
     def get(self, key: str) -> ModelResponse | None:
-        response = self._index.get(key)
-        if isinstance(response, str):
-            raise MalformedProviderOutput(response)
-        return response
+        try:
+            response = self._index[key]
+        except KeyError:
+            return None
+        try:
+            if isinstance(response, bytes):  # UTF-8 alone, as RunManifest.read reads a manifest
+                response = json.loads(response.decode("utf-8"))
+            return ModelResponse.from_dict(response)
+        except (ValueError, SchemaError, MalformedProviderOutput) as exc:  # JSON, field, validate()
+            raise MalformedProviderOutput(f"corrupt cassette entry {key}: {exc}") from exc
 
     def put(self, key: str, fingerprint: str, response: ModelResponse) -> None:
         if "\t" in key or "\n" in key or key.startswith("{"):  # its line would read back wrong
@@ -324,7 +329,8 @@ class CassetteStore:
         with self._lock:
             if key in self._index:
                 return
-            line = f"{key}\t{response.to_json()}\t{fingerprint}\n".encode("utf-8")
+            answer = response.to_json()
+            line = f"{key}\t{answer}\t{fingerprint}\n".encode("utf-8")
             while self._segment is None:  # the first put creates this store's own segment
                 self.root.mkdir(parents=True, exist_ok=True)
                 path = self.root / f"segment-{self._next:06d}.jsonl"
@@ -336,7 +342,7 @@ class CassetteStore:
                     pass
             with open(self._segment, "ab") as fh:
                 fh.write(line)
-            self._index[key] = response
+            self._index[key] = answer.encode("utf-8")
 
 
 def _default_transport(

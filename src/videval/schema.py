@@ -22,6 +22,17 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _text(value, what: str) -> str:
+    """A string of an input file, which UTF-8 can encode: the JSON escape "\\ud800" reads as a lone surrogate,
+    which no table can hold. Stored answers keep _string, so that a recorded answer replays as recorded."""
+    if not _string(value, what).isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"{what} holds a lone surrogate, which UTF-8 cannot encode: {value!r}") from exc
+    return value
+
+
 def _boolean(value, what: str) -> bool:
     if not isinstance(value, bool):  # "false" would read true
         raise SchemaError(f"{what} must be true or false, got {value!r}")

@@ -140,86 +140,100 @@ def _mean_triple(rows: dict[str, RowTriple]) -> RowTriple | None:
 
 
 def aggregate(items: Iterable, records: Iterable) -> ScoreReport:
-    """Build the full score report: per-task, per-duration, and per-model rows
-    with (with, without, delta) triples, average rows as unweighted means of
-    the listed rows, plus per-condition completeness.
-
-    Items supply each record's task type and duration. Task and model rows are
-    sorted by name, duration rows come in DURATION_CLASSES order. Records of
-    one transcript side only give no rows, a warning and the overall accuracy.
-
-    One pass folds each record into integers: per condition tag, its outcome
-    counts, summed wall_ms and mcq (task type, duration, outcome) counts. Every
-    accuracy is correct / answered over them. A completeness row's label is the
-    tag's `label()`, prefixed with the model and the GPU where they vary, model first.
-    """
-    meta = {item.question_id: item for item in items}
-    tallies: dict = {}  # tag -> [outcome counts, summed wall_ms, count of each (task, duration, outcome)]
-    dropped = 0
+    """The full score report of records, folded one at a time into a Tally."""
+    tally = Tally(items)
     for record in records:
-        tally = tallies.get(record.condition) or tallies.setdefault(record.condition, [{}, 0, {}])
+        tally.add(record)
+    return tally.report()
+
+
+class Tally:
+    """The fold of records into a score report: report adds a manifest's records as it decodes them,
+    evaluate its run's as they are made. Items supply each record's task type and duration. Each
+    record adds to integers: per condition tag, its outcome counts, summed wall_ms and mcq (task type,
+    duration, outcome) counts.
+    """
+
+    def __init__(self, items: Iterable):
+        self.meta = {item.question_id: item for item in items}
+        self.tallies: dict = {}  # tag -> [outcome counts, summed wall_ms, count of each (task, duration, outcome)]
+        self.dropped = 0
+
+    def add(self, record) -> None:
+        tally = self.tallies.get(record.condition) or self.tallies.setdefault(record.condition, [{}, 0, {}])
         outcomes, _, cells = tally
         outcome = record.outcome
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         tally[1] += record.wall_ms
         if record.request_kind == "mcq":
-            item = meta.get(record.item_ref)
+            item = self.meta.get(record.item_ref)
             if item is None:
-                dropped += 1
-                continue
+                self.dropped += 1
+                return
             cell = (item.task_type, item.duration_class, outcome)
             cells[cell] = cells.get(cell, 0) + 1
 
-    # [answered, correct] of each (transcript side, dimension, key); dimension 0 is
-    # the task type, 1 the duration and 2 the model, so dimension 0 counts every record
-    counts: dict[tuple, list[int]] = {}
-    for tag, (_, _, cells) in tallies.items():
-        for (task, duration, outcome), n in cells.items():
-            answered, correct = n * (outcome in ANSWERED_OUTCOMES), n * (outcome == "answered_correct")
-            for key in ((0, task), (1, duration), (2, tag.model_name)):
-                pair = counts.setdefault((bool(tag.with_transcript), *key), [0, 0])
-                pair[0] += answered
-                pair[1] += correct
+    def report(self) -> ScoreReport:
+        """The full score report: per-task, per-duration, and per-model rows
+        with (with, without, delta) triples, average rows as unweighted means of
+        the listed rows, plus per-condition completeness.
 
-    warnings: list[str] = []
-    if dropped:
-        warnings.append(f"{dropped} record(s) reference unknown items and were skipped")
-    both_sides = {side for side, _, _ in counts} == {True, False}
-    if not both_sides:
-        warnings.append("records cover a single transcript condition; delta tables skipped")
+        Task and model rows are sorted by name, duration rows come in
+        DURATION_CLASSES order. Records of one transcript side only give no rows, a
+        warning and the overall accuracy. Every accuracy is correct / answered over
+        the counts. A completeness row's label is the tag's `label()`, prefixed with
+        the model and the GPU where they vary, model first.
+        """
+        tallies, dropped = self.tallies, self.dropped
+        # [answered, correct] of each (transcript side, dimension, key); dimension 0 is
+        # the task type, 1 the duration and 2 the model, so dimension 0 counts every record
+        counts: dict[tuple, list[int]] = {}
+        for tag, (_, _, cells) in tallies.items():
+            for (task, duration, outcome), n in cells.items():
+                answered, correct = n * (outcome in ANSWERED_OUTCOMES), n * (outcome == "answered_correct")
+                for key in ((0, task), (1, duration), (2, tag.model_name)):
+                    pair = counts.setdefault((bool(tag.with_transcript), *key), [0, 0])
+                    pair[0] += answered
+                    pair[1] += correct
 
-    def rows_for(dimension: int, sort_key=None) -> dict[str, RowTriple]:
-        keys = {key for _, d, key in counts if d == dimension} if both_sides else ()
-        rows: dict[str, RowTriple] = {}
-        for key in sorted(keys, key=sort_key):
-            (a, a_correct), (b, b_correct) = (counts.get((side, dimension, key), (0, 0)) for side in (True, False))
-            if not a or not b:
-                warnings.append(f"row {key!r} lacks answered records on one side; skipped")
-                continue
-            rows[key] = RowTriple(a_correct / a, b_correct / b)
-        return rows
+        warnings: list[str] = []
+        if dropped:
+            warnings.append(f"{dropped} record(s) reference unknown items and were skipped")
+        both_sides = {side for side, _, _ in counts} == {True, False}
+        if not both_sides:
+            warnings.append("records cover a single transcript condition; delta tables skipped")
 
-    by_task = rows_for(0)
-    by_duration = rows_for(1, DURATION_CLASSES.index)
-    by_model = rows_for(2)
+        def rows_for(dimension: int, sort_key=None) -> dict[str, RowTriple]:
+            keys = {key for _, d, key in counts if d == dimension} if both_sides else ()
+            rows: dict[str, RowTriple] = {}
+            for key in sorted(keys, key=sort_key):
+                (a, a_correct), (b, b_correct) = (counts.get((side, dimension, key), (0, 0)) for side in (True, False))
+                if not a or not b:
+                    warnings.append(f"row {key!r} lacks answered records on one side; skipped")
+                    continue
+                rows[key] = RowTriple(a_correct / a, b_correct / b)
+            return rows
 
-    answered, correct = (sum(pair[i] for (_, d, _), pair in counts.items() if d == 0) for i in (0, 1))
-    vary_model = len({tag.model_name for tag in tallies}) > 1
-    vary_gpu = len({tag.gpu for tag in tallies}) > 1
-    completeness = {}
-    for tag, (outcomes, wall_ms, _) in tallies.items():
-        prefix = [tag.model_name] * vary_model + [tag.gpu] * vary_gpu
-        label = " / ".join([part for part in prefix if part] + [tag.label()])
-        completeness[label] = completeness_counts(outcomes, wall_ms)
-    return ScoreReport(
-        overall_accuracy=correct / answered if answered else 0.0,
-        by_task_type=by_task,
-        task_average=_mean_triple(by_task),
-        by_duration=by_duration,
-        duration_average=_mean_triple(by_duration),
-        by_model=by_model,
-        model_average=_mean_triple(by_model),
-        completeness=dict(sorted(completeness.items())),
-        warnings=warnings,
-    )
+        by_task = rows_for(0)
+        by_duration = rows_for(1, DURATION_CLASSES.index)
+        by_model = rows_for(2)
 
+        answered, correct = (sum(pair[i] for (_, d, _), pair in counts.items() if d == 0) for i in (0, 1))
+        vary_model = len({tag.model_name for tag in tallies}) > 1
+        vary_gpu = len({tag.gpu for tag in tallies}) > 1
+        completeness = {}
+        for tag, (outcomes, wall_ms, _) in tallies.items():
+            prefix = [tag.model_name] * vary_model + [tag.gpu] * vary_gpu
+            label = " / ".join([part for part in prefix if part] + [tag.label()])
+            completeness[label] = completeness_counts(outcomes, wall_ms)
+        return ScoreReport(
+            overall_accuracy=correct / answered if answered else 0.0,
+            by_task_type=by_task,
+            task_average=_mean_triple(by_task),
+            by_duration=by_duration,
+            duration_average=_mean_triple(by_duration),
+            by_model=by_model,
+            model_average=_mean_triple(by_model),
+            completeness=dict(sorted(completeness.items())),
+            warnings=warnings,
+        )

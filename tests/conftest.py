@@ -91,6 +91,18 @@ def read_manifest(chunks):
     return manifest
 
 
+def run_collected(config, items, transcripts, hub):
+    """run_benchmark's manifest, every record its sink was handed collected into it, in the manifest's
+    order: condition by condition, as evaluate's spools list them."""
+    from videval.benchmark import run_benchmark
+
+    taken = []
+    manifest = run_benchmark(config, items, transcripts, hub, taken.append)
+    spool_of = {condition.tag: c for c, condition in enumerate(config.conditions)}
+    manifest.records = sorted(taken, key=lambda record: spool_of[record.condition])  # stable: cell order within
+    return manifest
+
+
 @pytest.fixture(scope="session")
 def demo_dir() -> Path:
     return DEMO_DIR

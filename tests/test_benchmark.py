@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from conftest import read_manifest
+from conftest import read_manifest, run_collected
 
 from videval.benchmark import (
     AHEAD_PER_WORKER,
@@ -310,7 +310,7 @@ def record_dicts(manifest, drop_latency=False):
 
 def test_run_benchmark_cross_product(demo_dir):
     (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(config, items, transcripts, hub)
+    manifest = run_collected(config, items, transcripts, hub)
     assert len(manifest.records) == len(items) * len(config.conditions) == 20
     pairs = {(r.item_ref, r.condition.with_transcript) for r in manifest.records}
     assert len(pairs) == 20
@@ -319,7 +319,7 @@ def test_run_benchmark_cross_product(demo_dir):
 
 def test_run_benchmark_oom_passthrough(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(*plan, hub)
+    manifest = run_collected(*plan, hub)
     oom = [r for r in manifest.records if r.outcome == "oom"]
     assert len(oom) == 1
     assert oom[0].response.status == "oom"
@@ -328,8 +328,8 @@ def test_run_benchmark_oom_passthrough(demo_dir):
 
 def test_run_benchmark_idempotent_under_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    first = "".join(run_benchmark(*plan, hub).lines())
-    second = "".join(run_benchmark(*plan, hub).lines())
+    first = "".join(run_collected(*plan, hub).lines())
+    second = "".join(run_collected(*plan, hub).lines())
     assert first.encode() == second.encode()
 
 
@@ -338,9 +338,9 @@ def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
     # stamp, wall_ms and the latency the hub measured around each call
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     serial_hub = live_hub(demo_dir, tmp_path / "c1", ScriptedTransport(0.001))
-    serial = run_benchmark(replace(config, max_workers=1), items, transcripts, serial_hub)
+    serial = run_collected(replace(config, max_workers=1), items, transcripts, serial_hub)
     wide_hub = live_hub(demo_dir, tmp_path / "c8", ScriptedTransport(0.001))
-    wide = run_benchmark(replace(config, max_workers=8), items, transcripts, wide_hub)
+    wide = run_collected(replace(config, max_workers=8), items, transcripts, wide_hub)
     assert serial.dataset_path == wide.dataset_path
     assert serial.conditions == wide.conditions
     assert serial.providers == wide.providers
@@ -351,7 +351,7 @@ def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     transport = ScriptedTransport()
     hub = live_hub(demo_dir, tmp_path / "c", transport)
-    manifest = run_benchmark(replace(config, max_workers=3), items, transcripts, hub)
+    manifest = run_collected(replace(config, max_workers=3), items, transcripts, hub)
     assert len(manifest.records) == 20
     assert transport.peak == 3
 
@@ -385,7 +385,7 @@ def test_run_benchmark_live_runs_a_bounded_window_past_a_slow_head_cell(demo_dir
     head = next(item for item in items if item.question_id == "001-2")  # the first cell: its item, no transcript
     transport = HeadHoldingTransport(build_question_prompt(head, None, config.mcq_template), 20)
     hub = live_hub(demo_dir, tmp_path / "c", transport)
-    manifest = run_benchmark(replace(config, max_workers=2), items, transcripts, hub)
+    manifest = run_collected(replace(config, max_workers=2), items, transcripts, hub)
     assert len(manifest.records) == 20
     # the cells behind the held one in the window, not all 19 others
     assert transport.others_while_held <= AHEAD_PER_WORKER * 2 - 1
@@ -393,25 +393,57 @@ def test_run_benchmark_live_runs_a_bounded_window_past_a_slow_head_cell(demo_dir
 
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
-    live = run_benchmark(*plan, live_hub(demo_dir, tmp_path / "c"))
+    live = run_collected(*plan, live_hub(demo_dir, tmp_path / "c"))
     assert {r.response.status for r in live.records} == {"ok", "oom", "timeout"}
     assert not any(r.error for r in live.records)
     order = [(r.condition.with_transcript, r.item_ref) for r in live.records]
     assert order == sorted(order)  # the demo lists the without-transcript condition first
 
     replay_hub = ProviderHub({}, CassetteStore(tmp_path / "c"), mode="replay")
-    replayed = run_benchmark(*plan, replay_hub)
+    replayed = run_collected(*plan, replay_hub)
     assert record_dicts(replayed) == record_dicts(live)
 
 
 def test_run_benchmark_records_sorted(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    records = run_benchmark(*plan, hub).records
+    records = run_collected(*plan, hub).records
     without = [r.item_ref for r in records if not r.condition.with_transcript]
     with_t = [r.item_ref for r in records if r.condition.with_transcript]
     assert without == sorted(without)
     assert with_t == sorted(with_t)
     assert all(not r.condition.with_transcript for r in records[:10])
+
+
+@pytest.mark.parametrize("mode", ["replay", "live"])
+def test_run_benchmark_hands_its_sink_each_record_in_cell_order_and_keeps_none(demo_dir, tmp_path, mode):
+    plan, hub = demo_plan_and_hub(demo_dir)
+    if mode == "live":
+        hub = live_hub(demo_dir, tmp_path / "c", ScriptedTransport(0.001))
+        plan = (replace(plan[0], max_workers=3), *plan[1:])
+    taken = []
+    manifest = run_benchmark(*plan, hub, taken.append)
+    assert manifest.records == []
+    assert [(r.condition, r.item_ref) for r in taken] == [
+        (request.condition, item.question_id) for item, request in plan_cells(*plan)
+    ]
+
+
+def test_a_sink_that_raises_stops_a_live_run(demo_dir, tmp_path):
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
+    transport = ScriptedTransport(0.01)
+    calls = []
+    hub = live_hub(demo_dir, tmp_path / "c", lambda *args: calls.append(1) or transport(*args))
+
+    def sink(record):
+        if len(taken) == 3:
+            raise OSError("disk full")
+        taken.append(record)
+
+    taken = []
+    with pytest.raises(OSError, match="disk full"):
+        run_benchmark(replace(config, max_workers=2), items, transcripts, hub, sink)
+    # the four records taken and the window ahead of them, not the 20 cells: the calls not started were cancelled
+    assert len(calls) <= 4 + AHEAD_PER_WORKER * 2
 
 
 def test_plan_cells_key_the_demo_cassettes_line_by_line(demo_dir):
@@ -443,7 +475,7 @@ def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_
         settings = {"local-qwen": replace(load_config(demo_dir / "config.json").providers["local-qwen"],
                                           endpoint=provider.endpoint)}
         hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live")
-    records = run_benchmark(config, items, transcripts, hub).records
+    records = run_collected(config, items, transcripts, hub).records
     assert len(rendered) == 2 * len(items)
     question_ids = sorted(item.question_id for item in items)
     assert [(r.condition, r.item_ref) for r in records] == [(tag, qid) for tag in tags for qid in question_ids]
@@ -457,7 +489,7 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
     from videval.parsing import parse_mcq
 
     (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(config, items, transcripts, hub)
+    manifest = run_collected(config, items, transcripts, hub)
     answers = {item.question_id: item.answer for item in items}
     for record in manifest.records:
         parsed = None
@@ -472,7 +504,7 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
 def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    manifest = run_benchmark(*plan, empty_hub)
+    manifest = run_collected(*plan, empty_hub)
     assert len(manifest.records) == 20
     assert all(r.outcome == "invalid_output" for r in manifest.records)
     assert all(r.error and "ReplayMiss" in r.error for r in manifest.records)
@@ -480,7 +512,7 @@ def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
 
 def test_manifest_round_trip(demo_dir, tmp_path):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(*plan, hub)
+    manifest = run_collected(*plan, hub)
     text = "".join(manifest.lines())
     loaded = read_manifest((text,))
     assert "".join(loaded.lines()) == text
@@ -488,7 +520,7 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     config, items, transcripts = plan
     summary_config = replace(config, request_kind="summary_keyframes", summary_template="Summarize.")
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    summaries = run_benchmark(summary_config, items, transcripts, empty_hub)
+    summaries = run_collected(summary_config, items, transcripts, empty_hub)
     answer = ModelResponse("A dog runs.\n(00:08, a dog)\n(1:02:03, the end)", 1200)
     summaries.records[0] = replace(
         summaries.records[0], response=answer, parsed=parse_video_output(answer.raw_text), outcome="answered", error=None
@@ -645,7 +677,7 @@ def test_summary_prompt_places_the_transcript(demo_dir, template, without, with_
     item = next(item for item in items if item.video_id in transcripts)
     config = replace(config, request_kind="summary_keyframes", summary_template=template)
     hub = PromptRecorder()
-    run_benchmark(config, [item], transcripts, hub)
+    run_collected(config, [item], transcripts, hub)
     block = transcript_block(transcripts[item.video_id])
     assert block.startswith("Audio transcript:")
     assert hub.prompts == {False: without, True: with_.replace("BLOCK", block)}
@@ -671,5 +703,5 @@ def test_a_config_without_templates_sends_the_default_summary_prompt(demo_dir, t
 
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_benchmark(*plan, hub)
+    manifest = run_collected(*plan, hub)
     assert all(r.wall_ms == r.response.latency_ms for r in manifest.records)
