@@ -1,11 +1,11 @@
 """Load Video-MME-style datasets, expand the condition matrix, and run them.
 
 plan_cells says what each (item x condition) cell of a config sends, for evaluate and for
-demo/regenerate.py, and run_benchmark makes one record of each and hands it to a sink. Partial
-failures, including replay misses and out-of-memory responses, become records rather than aborting
-the run, so completeness can be accounted afterwards. A manifest lists its records in (condition,
-question id) order. Replay is serial and deterministic; live runs the cells concurrently, in a pool
-as wide as the config's max_workers. A record's `wall_ms` is its answer's recorded latency in both
+demo/regenerate.py, and run_benchmark makes one record of each, in that order, which is the
+manifest's: question id first, then the config's conditions. Partial failures, including replay
+misses and out-of-memory responses, become records rather than aborting the run, so completeness
+can be accounted afterwards. Replay is serial and deterministic; live runs the cells concurrently,
+in a pool as wide as the config's max_workers. A record's `wall_ms` is its answer's recorded latency in both
 modes (in a live run, that of the last attempt), so a replay of a live run's cassettes reads the same
 times.
 """
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import time
 from collections import deque
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
@@ -26,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     HarnessError,
+    IoError,
     MalformedProviderOutput,
     NoAnswerFound,
     SchemaError,
@@ -48,8 +48,6 @@ OPTION_LETTERS = ("A", "B", "C", "D")
 DURATION_CLASSES = ("short", "medium", "long")
 OUTCOMES = ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom")
 REQUEST_KINDS = ("mcq", "summary_keyframes")
-
-REPLAY_EPOCH = "1970-01-01T00:00:00Z"
 
 
 @dataclass(slots=True)
@@ -276,27 +274,25 @@ HEADER_READERS = {
 
 @dataclass
 class RunManifest:
-    dataset_path: str
+    """A manifest's header: what the config asked, and nothing of where or when it ran."""
+
     conditions: list[RunCondition]
     providers: list[str]
-    started_at: str
-    records: list[RunRecord] = field(default_factory=list)
 
-    def lines(self):
-        """The manifest's text a line at a time: the header, then each record, each ending in a newline."""
+    def lines(self, records: Iterable[RunRecord]):
+        """The manifest's text a line at a time: this header, then each of records, each ending in a newline."""
         header = {**_plain(self), "kind": "manifest"}
         header["conditions"] = [c.to_dict() for c in self.conditions]
-        del header["records"]
         yield json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in self.records:
+        for record in records:
             yield record.to_json() + "\n"
 
     @classmethod
     def read(cls, chunks) -> tuple["RunManifest", Iterator[RunRecord]]:
         """Read a manifest back from chunks of text or UTF-8 bytes, each split into lines (a file opened "rb"
-        gives one chunk per line, a BOM at its start taken): its header, with no records, read here, and a
-        generator that decodes each record as it is taken, so no record outlives its use. A SchemaError,
-        raised here or by the generator, names a line that does not decode."""
+        gives one chunk per line, a BOM at its start taken): its header, read here, and a generator that
+        decodes each record as it is taken, so no record outlives its use. A SchemaError, raised here or by
+        the generator, names a line that does not decode."""
         numbered = enumerate((line for chunk in chunks for line in chunk.splitlines()), start=1)
         lines = ((lineno, line) for lineno, line in numbered if line.strip())
         first = next(lines, None)
@@ -343,6 +339,8 @@ def _run_one(request_kind: str, hub: ProviderHub, cell: tuple[BenchmarkItem, Mod
     error = None
     try:
         response = hub.send(request)
+    except IoError:  # a cassette append that failed: as a record, its paid-for answer would be lost
+        raise
     except HarnessError as exc:
         response = ModelResponse("", 0, "invalid")
         error = f"{type(exc).__name__}: {exc}"
@@ -389,31 +387,23 @@ def in_order(fn, items, width: int):
 
 
 def run_benchmark(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript],
-                  hub: ProviderHub, sink: Callable[[RunRecord], object]) -> RunManifest:
-    """Run every cell of plan_cells, hand each record to sink as it is made, and return the manifest's header.
+                  hub: ProviderHub) -> tuple[RunManifest, Iterator[RunRecord]]:
+    """The manifest's header, which the config alone decides, and a generator that makes the record of
+    each cell of plan_cells as it is taken, in cell order, as RunManifest.read gives a manifest back.
 
     Replay runs the cells one after another; live runs them through in_order,
-    config.max_workers threads wide. Both hand sink the records in cell order, item
-    by item; evaluate's sink spools them, so that its manifest lists them condition
-    by condition. An exception from sink stops the run, a live run's calls not yet
-    started included.
+    config.max_workers threads wide. Closing the generator, or an error that ends it,
+    cancels a live run's calls not yet started.
     """
-    started_at = (
-        REPLAY_EPOCH
-        if hub.mode == "replay"
-        else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    )
-    run, cells = partial(_run_one, config.request_kind, hub), plan_cells(config, items, transcripts)
+    header = RunManifest(conditions=config.conditions, providers=sorted({c.provider for c in config.conditions}))
+    return header, _records(config, plan_cells(config, items, transcripts), hub)
+
+
+def _records(config: HarnessConfig, cells, hub: ProviderHub) -> Iterator[RunRecord]:
+    run = partial(_run_one, config.request_kind, hub)
     if hub.mode == "replay":
-        for cell in cells:
-            sink(run(cell))
+        yield from map(run, cells)
     else:
         with contextlib.closing(in_order(run, cells, config.max_workers)) as done:
             for _, future in done:
-                sink(future.result())
-    return RunManifest(
-        dataset_path=str(config.dataset),
-        conditions=config.conditions,
-        providers=sorted({c.provider for c in config.conditions}),
-        started_at=started_at,
-    )
+                yield future.result()

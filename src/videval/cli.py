@@ -11,8 +11,6 @@ import argparse
 import contextlib
 import os
 import sys
-from functools import partial
-from itertools import chain
 from pathlib import Path
 
 from . import benchmark as bench
@@ -49,8 +47,10 @@ EXIT_PROVIDER = 4
 def _write(path: Path, chunks) -> None:
     """Write one output file, the text chunks in order, as UTF-8, making its directory. The text goes
     to <name>.tmp beside it, which then replaces it, so a reader sees the old file or the whole new one;
-    a failed write removes the .tmp, and an OSError or a text UTF-8 cannot encode is an IoError. A caller
-    with one text passes (text,): writelines on a str writes a character at a time."""
+    a failed write removes the .tmp, and an OSError or a text UTF-8 cannot encode is an IoError. The chunks
+    are taken once the .tmp is open, so a generator of them (evaluate's run) starts after the directory is
+    made, and an OSError it raises is named as this file's. A caller with one text passes (text,):
+    writelines on a str writes a character at a time."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -327,60 +327,6 @@ def _emit_tables(scores: scoring.ScoreReport, out_dir: Path, emitted: list[str])
         _emit(out_dir, emitted, name, (text,))
 
 
-class _Spools:
-    """evaluate's sink: each record's line goes to manifest.jsonl.<c>.tmp in the out dir, the spool of its
-    condition c, and the record into the score fold, so the run holds no record. run_benchmark hands the
-    records in cell order, each item's in condition order, so the n-th is of condition n % width (a count,
-    where a lookup would hash the tag). Entering removes the out dir's bundle.json and makes the spools, one
-    open file per condition, before the run's first request; lines() reads them back in condition order,
-    the manifest's; leaving removes them. An OSError is an IoError.
-    """
-
-    def __init__(self, out_dir: Path, conditions: list[bench.RunCondition], items: list[bench.BenchmarkItem]):
-        self.out_dir, self.tally = out_dir, scoring.Tally(items)
-        self.paths = [out_dir / f"manifest.jsonl.{c}.tmp" for c in range(len(conditions))]
-        self.files: list = []
-        self.records = self.failed = self.unavailable = 0  # records, those with an error, a ProviderUnavailable
-
-    def __enter__(self) -> "_Spools":
-        _remove_bundle(self.out_dir)
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            for path in self.paths:
-                self.files.append(open(path, "w+", encoding="utf-8"))
-        except OSError as exc:
-            self.__exit__()
-            raise IoError(f"cannot write {self.paths[len(self.files)]}: {exc}") from exc
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for fh, path in zip(self.files, self.paths):
-            with contextlib.suppress(OSError):  # a flush that fails on a full disk: the spool goes either way
-                fh.close()
-            with contextlib.suppress(OSError):
-                path.unlink()
-
-    def __call__(self, record: bench.RunRecord) -> None:
-        c = self.records % len(self.paths)
-        try:
-            self.write(c, record.to_json() + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {self.paths[c]}: {exc}") from exc
-        self.tally.add(record)
-        self.records += 1
-        if record.error:
-            self.failed += 1
-            self.unavailable += "ProviderUnavailable" in record.error
-
-    def write(self, c: int, line: str) -> None:
-        self.files[c].write(line)
-
-    def lines(self):
-        for fh in self.files:
-            fh.seek(0)
-            yield from iter(partial(fh.read, 1 << 16), "")
-
-
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir) if args.out_dir else config.out_dir
@@ -394,22 +340,37 @@ def cmd_evaluate(args) -> int:
     outputs = _read_outputs(config, config.outputs) if config.outputs else None  # before any request
     hub = _hub(config, args)  # reads the cassette index, once the inputs are known good
     mode = hub.mode
+    _report_dropped(hub.store)
+    header, records = bench.run_benchmark(config, items, transcripts, hub)
+    del hub  # the records hold it, and the index of every recorded answer goes once they are all made
+    tally = scoring.Tally(items)
+    made = failed = unavailable = 0  # records, those with an error, those with a ProviderUnavailable
+
+    def folded():
+        """Each record as the run makes it, on its way to the manifest: folded into the scores and counted."""
+        nonlocal made, failed, unavailable
+        for record in records:
+            tally.add(record)
+            made += 1
+            if record.error:
+                failed += 1
+                unavailable += "ProviderUnavailable" in record.error
+            yield record
 
     emitted: list[str] = []
-    with _Spools(out_dir, config.conditions, items) as spools:
-        manifest = bench.run_benchmark(config, items, transcripts, hub, spools)
-        _report_dropped(hub.store)
-        del hub  # the index of every recorded answer is not needed past the run
-        _emit(out_dir, emitted, "manifest.jsonl", chain(manifest.lines(), spools.lines()))
-    _emit_tables(spools.tally.report(), out_dir, emitted)
+    # _write opens manifest.jsonl.tmp before it takes the first record, so an out dir that cannot be made
+    # costs no call; a write that fails closes the records, which cancels a live run's calls not yet started
+    with contextlib.closing(records):
+        _emit(out_dir, emitted, "manifest.jsonl", header.lines(folded()))
+    _emit_tables(tally.report(), out_dir, emitted)
     if outputs:
         _graph_outputs(config, *outputs, out_dir, emitted)
     _write_bundle(out_dir, emitted, "manifest.jsonl")
 
-    print(f"{spools.records} records -> {out_dir / 'manifest.jsonl'}")
+    print(f"{made} records -> {out_dir / 'manifest.jsonl'}")
     print(f"tables and exports -> {out_dir}")
 
-    if mode == "live" and spools.records and spools.failed == spools.records and spools.unavailable:
+    if mode == "live" and made and failed == made and unavailable:
         print("provider hard failure: every live call failed", file=sys.stderr)
         return EXIT_PROVIDER
     return EXIT_OK

@@ -72,7 +72,8 @@ class IoError(HarnessError):
     """An output file cannot be written: its directory cannot be made, the write fails, or the text
     holds what UTF-8 cannot encode (a lone surrogate read from a JSON escape).
 
-    The one writer of the CLI, `cli._write`, raises it; the command exits 1.
+    The one writer of the CLI, `cli._write`, raises it, and so does `CassetteStore.put`
+    when it cannot record an answer; the command exits 1.
     """
 
 

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
+    IoError,
     MalformedProviderOutput,
     ProviderUnavailable,
     ReplayMiss,
@@ -277,7 +278,8 @@ class CassetteStore:
     read: a tab line without its final newline or with fewer than three
     fields, or a `{` line that is not JSON or holds no string `key`. A line
     with a key whose response does not decode is that key's error, which `get`
-    raises. A segment that cannot be read at all is a ConfigError.
+    raises. A segment that cannot be read at all is a ConfigError, and one
+    that cannot be made or appended to an IoError.
     """
 
     def __init__(self, root: str | Path):
@@ -331,17 +333,21 @@ class CassetteStore:
                 return
             answer = response.to_json()
             line = f"{key}\t{answer}\t{fingerprint}\n".encode("utf-8")
-            while self._segment is None:  # the first put creates this store's own segment
-                self.root.mkdir(parents=True, exist_ok=True)
-                path = self.root / f"segment-{self._next:06d}.jsonl"
-                self._next += 1
-                try:
-                    open(path, "xb").close()
-                    self._segment = path
-                except FileExistsError:  # another writer's, or one this store did not read
-                    pass
-            with open(self._segment, "ab") as fh:
-                fh.write(line)
+            path = self._segment
+            try:
+                while self._segment is None:  # the first put creates this store's own segment
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    path = self.root / f"segment-{self._next:06d}.jsonl"
+                    self._next += 1
+                    try:
+                        open(path, "xb").close()
+                        self._segment = path
+                    except FileExistsError:  # another writer's, or one this store did not read
+                        pass
+                with open(path, "ab") as fh:
+                    fh.write(line)
+            except OSError as exc:  # a full disk, say: the answer is not recorded, and the command stops
+                raise IoError(f"cannot write {path or self.root}: {exc}") from exc
             self._index[key] = answer.encode("utf-8")
 
 

@@ -83,24 +83,19 @@ def fake_probe_cmd(tmp_path_factory) -> str:
 
 
 def read_manifest(chunks):
-    """The whole manifest that RunManifest.read gives a piece at a time: its header, every record read into it."""
+    """The whole manifest that RunManifest.read gives a piece at a time: its header and a list of its records."""
     from videval.benchmark import RunManifest
 
-    manifest, records = RunManifest.read(chunks)
-    manifest.records.extend(records)
-    return manifest
+    header, records = RunManifest.read(chunks)
+    return header, list(records)
 
 
 def run_collected(config, items, transcripts, hub):
-    """run_benchmark's manifest, every record its sink was handed collected into it, in the manifest's
-    order: condition by condition, as evaluate's spools list them."""
+    """run_benchmark's header and a list of every record it made, in the manifest's order."""
     from videval.benchmark import run_benchmark
 
-    taken = []
-    manifest = run_benchmark(config, items, transcripts, hub, taken.append)
-    spool_of = {condition.tag: c for c, condition in enumerate(config.conditions)}
-    manifest.records = sorted(taken, key=lambda record: spool_of[record.condition])  # stable: cell order within
-    return manifest
+    header, records = run_benchmark(config, items, transcripts, hub)
+    return header, list(records)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -297,11 +298,11 @@ def live_hub(demo_dir, cassette_dir, transport=None):
     )
 
 
-def record_dicts(manifest, drop_latency=False):
+def record_dicts(records, drop_latency=False):
     """Record dicts, without the latency the hub measured, and the wall_ms that repeats it, if asked."""
     out = []
-    for line in "".join(manifest.lines()).splitlines()[1:]:
-        data = json.loads(line)
+    for record in records:
+        data = json.loads(record.to_json())
         if drop_latency:
             del data["wall_ms"], data["response"]["latency_ms"]
         out.append(data)
@@ -310,17 +311,17 @@ def record_dicts(manifest, drop_latency=False):
 
 def test_run_benchmark_cross_product(demo_dir):
     (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
-    manifest = run_collected(config, items, transcripts, hub)
-    assert len(manifest.records) == len(items) * len(config.conditions) == 20
-    pairs = {(r.item_ref, r.condition.with_transcript) for r in manifest.records}
+    _, records = run_collected(config, items, transcripts, hub)
+    assert len(records) == len(items) * len(config.conditions) == 20
+    pairs = {(r.item_ref, r.condition.with_transcript) for r in records}
     assert len(pairs) == 20
-    assert all(r.outcome in ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom") for r in manifest.records)
+    assert all(r.outcome in ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom") for r in records)
 
 
 def test_run_benchmark_oom_passthrough(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_collected(*plan, hub)
-    oom = [r for r in manifest.records if r.outcome == "oom"]
+    _, records = run_collected(*plan, hub)
+    oom = [r for r in records if r.outcome == "oom"]
     assert len(oom) == 1
     assert oom[0].response.status == "oom"
     assert oom[0].item_ref == "005-1"
@@ -328,31 +329,30 @@ def test_run_benchmark_oom_passthrough(demo_dir):
 
 def test_run_benchmark_idempotent_under_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    first = "".join(run_collected(*plan, hub).lines())
-    second = "".join(run_collected(*plan, hub).lines())
+    first = "".join(RunManifest.lines(*run_collected(*plan, hub)))
+    second = "".join(RunManifest.lines(*run_collected(*plan, hub)))
     assert first.encode() == second.encode()
 
 
 def test_run_benchmark_worker_count_invariant(demo_dir, tmp_path):
-    # live runs at in-flight limits 1 and 8 differ only in timings: the start
-    # stamp, wall_ms and the latency the hub measured around each call
+    # live runs at in-flight limits 1 and 8 differ only in timings: wall_ms
+    # and the latency the hub measured around each call
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     serial_hub = live_hub(demo_dir, tmp_path / "c1", ScriptedTransport(0.001))
-    serial = run_collected(replace(config, max_workers=1), items, transcripts, serial_hub)
+    serial, serial_records = run_collected(replace(config, max_workers=1), items, transcripts, serial_hub)
     wide_hub = live_hub(demo_dir, tmp_path / "c8", ScriptedTransport(0.001))
-    wide = run_collected(replace(config, max_workers=8), items, transcripts, wide_hub)
-    assert serial.dataset_path == wide.dataset_path
+    wide, wide_records = run_collected(replace(config, max_workers=8), items, transcripts, wide_hub)
     assert serial.conditions == wide.conditions
     assert serial.providers == wide.providers
-    assert record_dicts(serial, drop_latency=True) == record_dicts(wide, drop_latency=True)
+    assert record_dicts(serial_records, drop_latency=True) == record_dicts(wide_records, drop_latency=True)
 
 
 def test_run_benchmark_live_peak_in_flight(demo_dir, tmp_path):
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     transport = ScriptedTransport()
     hub = live_hub(demo_dir, tmp_path / "c", transport)
-    manifest = run_collected(replace(config, max_workers=3), items, transcripts, hub)
-    assert len(manifest.records) == 20
+    _, records = run_collected(replace(config, max_workers=3), items, transcripts, hub)
+    assert len(records) == 20
     assert transport.peak == 3
 
 
@@ -385,65 +385,74 @@ def test_run_benchmark_live_runs_a_bounded_window_past_a_slow_head_cell(demo_dir
     head = next(item for item in items if item.question_id == "001-2")  # the first cell: its item, no transcript
     transport = HeadHoldingTransport(build_question_prompt(head, None, config.mcq_template), 20)
     hub = live_hub(demo_dir, tmp_path / "c", transport)
-    manifest = run_collected(replace(config, max_workers=2), items, transcripts, hub)
-    assert len(manifest.records) == 20
+    _, records = run_collected(replace(config, max_workers=2), items, transcripts, hub)
+    assert len(records) == 20
     # the cells behind the held one in the window, not all 19 others
     assert transport.others_while_held <= AHEAD_PER_WORKER * 2 - 1
 
 
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
-    live = run_collected(*plan, live_hub(demo_dir, tmp_path / "c"))
-    assert {r.response.status for r in live.records} == {"ok", "oom", "timeout"}
-    assert not any(r.error for r in live.records)
-    order = [(r.condition.with_transcript, r.item_ref) for r in live.records]
+    _, live = run_collected(*plan, live_hub(demo_dir, tmp_path / "c"))
+    assert {r.response.status for r in live} == {"ok", "oom", "timeout"}
+    assert not any(r.error for r in live)
+    order = [(r.item_ref, r.condition.with_transcript) for r in live]
     assert order == sorted(order)  # the demo lists the without-transcript condition first
 
     replay_hub = ProviderHub({}, CassetteStore(tmp_path / "c"), mode="replay")
-    replayed = run_collected(*plan, replay_hub)
+    _, replayed = run_collected(*plan, replay_hub)
     assert record_dicts(replayed) == record_dicts(live)
 
 
 def test_run_benchmark_records_sorted(demo_dir):
+    # item by item in question id order, each item's records in the config's condition order
     plan, hub = demo_plan_and_hub(demo_dir)
-    records = run_collected(*plan, hub).records
-    without = [r.item_ref for r in records if not r.condition.with_transcript]
-    with_t = [r.item_ref for r in records if r.condition.with_transcript]
-    assert without == sorted(without)
-    assert with_t == sorted(with_t)
-    assert all(not r.condition.with_transcript for r in records[:10])
+    _, records = run_collected(*plan, hub)
+    question_ids = [r.item_ref for r in records[::2]]
+    assert question_ids == sorted(question_ids) and len(set(question_ids)) == 10
+    assert [r.item_ref for r in records[1::2]] == question_ids
+    assert [r.condition.with_transcript for r in records] == [False, True] * 10
 
 
 @pytest.mark.parametrize("mode", ["replay", "live"])
-def test_run_benchmark_hands_its_sink_each_record_in_cell_order_and_keeps_none(demo_dir, tmp_path, mode):
+def test_run_benchmark_makes_each_record_in_cell_order(demo_dir, tmp_path, mode):
     plan, hub = demo_plan_and_hub(demo_dir)
     if mode == "live":
         hub = live_hub(demo_dir, tmp_path / "c", ScriptedTransport(0.001))
         plan = (replace(plan[0], max_workers=3), *plan[1:])
-    taken = []
-    manifest = run_benchmark(*plan, hub, taken.append)
-    assert manifest.records == []
-    assert [(r.condition, r.item_ref) for r in taken] == [
+    header, records = run_benchmark(*plan, hub)
+    assert header == RunManifest(plan[0].conditions, ["local-qwen"])
+    assert [(r.condition, r.item_ref) for r in records] == [
         (request.condition, item.question_id) for item, request in plan_cells(*plan)
     ]
 
 
-def test_a_sink_that_raises_stops_a_live_run(demo_dir, tmp_path):
+def _calls_of_a_stopped_live_run(demo_dir, cassette_dir, stop) -> int:
+    """The calls a live demo run of two workers made, its records given up by stop(header, records)."""
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
-    transport = ScriptedTransport(0.01)
-    calls = []
-    hub = live_hub(demo_dir, tmp_path / "c", lambda *args: calls.append(1) or transport(*args))
+    transport, calls = ScriptedTransport(0.01), []
+    hub = live_hub(demo_dir, cassette_dir, lambda *args: calls.append(1) or transport(*args))
+    header, records = run_benchmark(replace(config, max_workers=2), items, transcripts, hub)
+    assert calls == []  # nothing is sent before the first record is taken
+    stop(header, records)
+    return len(calls)
 
-    def sink(record):
-        if len(taken) == 3:
-            raise OSError("disk full")
-        taken.append(record)
 
-    taken = []
-    with pytest.raises(OSError, match="disk full"):
-        run_benchmark(replace(config, max_workers=2), items, transcripts, hub, sink)
+def test_a_write_that_fails_or_a_close_stops_a_live_run(demo_dir, tmp_path):
+    def failing_write(header, records):  # as evaluate writes the manifest: the header, then each record's line
+        with pytest.raises(OSError, match="disk full"), contextlib.closing(records):
+            for n, _ in enumerate(header.lines(records)):
+                if n == 4:  # the header and three records written, the fourth taken
+                    raise OSError("disk full")
+
+    def close_after_four(header, records):
+        assert len([next(records) for _ in range(4)]) == 4
+        records.close()
+        assert next(records, None) is None
+
     # the four records taken and the window ahead of them, not the 20 cells: the calls not started were cancelled
-    assert len(calls) <= 4 + AHEAD_PER_WORKER * 2
+    for stop in (failing_write, close_after_four):
+        assert _calls_of_a_stopped_live_run(demo_dir, tmp_path / stop.__name__, stop) <= 4 + AHEAD_PER_WORKER * 2
 
 
 def test_plan_cells_key_the_demo_cassettes_line_by_line(demo_dir):
@@ -475,10 +484,10 @@ def test_run_benchmark_renders_each_prompt_once_per_item_and_side(demo_dir, tmp_
         settings = {"local-qwen": replace(load_config(demo_dir / "config.json").providers["local-qwen"],
                                           endpoint=provider.endpoint)}
         hub = ProviderHub(settings, CassetteStore(tmp_path / "c"), mode="live")
-    records = run_collected(config, items, transcripts, hub).records
+    _, records = run_collected(config, items, transcripts, hub)
     assert len(rendered) == 2 * len(items)
     question_ids = sorted(item.question_id for item in items)
-    assert [(r.condition, r.item_ref) for r in records] == [(tag, qid) for tag in tags for qid in question_ids]
+    assert [(r.condition, r.item_ref) for r in records] == [(tag, qid) for qid in question_ids for tag in tags]
     if mode == "live":
         assert len(provider.seen) == 4 * len(items) and not any(r.error for r in records)
 
@@ -489,9 +498,9 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
     from videval.parsing import parse_mcq
 
     (config, items, transcripts), hub = demo_plan_and_hub(demo_dir)
-    manifest = run_collected(config, items, transcripts, hub)
+    _, records = run_collected(config, items, transcripts, hub)
     answers = {item.question_id: item.answer for item in items}
-    for record in manifest.records:
+    for record in records:
         parsed = None
         if record.response.status == "ok":
             try:
@@ -504,30 +513,30 @@ def test_outcomes_rederivable_from_raw_responses(demo_dir):
 def test_replay_miss_recorded_not_fatal(demo_dir, tmp_path):
     plan, _ = demo_plan_and_hub(demo_dir)
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    manifest = run_collected(*plan, empty_hub)
-    assert len(manifest.records) == 20
-    assert all(r.outcome == "invalid_output" for r in manifest.records)
-    assert all(r.error and "ReplayMiss" in r.error for r in manifest.records)
+    _, records = run_collected(*plan, empty_hub)
+    assert len(records) == 20
+    assert all(r.outcome == "invalid_output" for r in records)
+    assert all(r.error and "ReplayMiss" in r.error for r in records)
 
 
 def test_manifest_round_trip(demo_dir, tmp_path):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_collected(*plan, hub)
-    text = "".join(manifest.lines())
+    header, records = run_collected(*plan, hub)
+    text = "".join(header.lines(records))
     loaded = read_manifest((text,))
-    assert "".join(loaded.lines()) == text
+    assert "".join(RunManifest.lines(*loaded)) == text
     # a summary_keyframes manifest: records with keyframes, and replay misses that carry their error
     config, items, transcripts = plan
     summary_config = replace(config, request_kind="summary_keyframes", summary_template="Summarize.")
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
-    summaries = run_collected(summary_config, items, transcripts, empty_hub)
+    header, summaries = run_collected(summary_config, items, transcripts, empty_hub)
     answer = ModelResponse("A dog runs.\n(00:08, a dog)\n(1:02:03, the end)", 1200)
-    summaries.records[0] = replace(
-        summaries.records[0], response=answer, parsed=parse_video_output(answer.raw_text), outcome="answered", error=None
+    summaries[0] = replace(
+        summaries[0], response=answer, parsed=parse_video_output(answer.raw_text), outcome="answered", error=None
     )
-    assert summaries.records[0].parsed.keyframes and summaries.records[1].error.startswith("ReplayMiss")
-    text = "".join(summaries.lines())
-    assert "".join(read_manifest((text,)).lines()) == text
+    assert summaries[0].parsed.keyframes and summaries[1].error.startswith("ReplayMiss")
+    text = "".join(header.lines(summaries))
+    assert "".join(RunManifest.lines(*read_manifest((text,)))) == text
 
 
 def test_choice_returns_the_allowed_object():
@@ -540,10 +549,7 @@ def test_choice_returns_the_allowed_object():
 
 def _manifest_text(*responses: str) -> str:
     """A one-condition manifest with a record answered by each response, given as its JSON text."""
-    header = (
-        '{"conditions":[{"provider":"p","tag":{"model_name":"m"}}],"dataset_path":"d.json",'
-        '"kind":"manifest","providers":["p"],"started_at":"1970-01-01T00:00:00Z"}\n'
-    )
+    header = '{"conditions":[{"provider":"p","tag":{"model_name":"m"}}],"kind":"manifest","providers":["p"]}\n'
     record = (
         '{{"condition":{{"model_name":"m"}},"error":null,"item_ref":"q{0}","outcome":"unanswered",'
         '"parsed":null,"request_kind":"mcq","response":{1},"wall_ms":0}}\n'
@@ -553,7 +559,7 @@ def _manifest_text(*responses: str) -> str:
 
 def test_manifest_records_read_back_share_their_repeated_values():
     response = '{"latency_ms":7,"raw_text":"","status":"timeout"}'
-    first, second = read_manifest((_manifest_text(response, response),)).records
+    _, (first, second) = read_manifest((_manifest_text(response, response),))
     assert first.outcome is second.outcome is OUTCOMES[3]
     assert first.request_kind is second.request_kind is REQUEST_KINDS[0]
     assert first.response.status is second.response.status is ModelResponse.STATUSES[2]
@@ -562,15 +568,13 @@ def test_manifest_records_read_back_share_their_repeated_values():
 def test_a_record_and_an_answer_without_their_defaulted_fields_read_the_defaults():
     text = _manifest_text('{"raw_text":"Answer: A"}').replace('"error":null,', "").replace(',"wall_ms":0', "")
     assert '"wall_ms"' not in text and '"error"' not in text
-    (record,) = read_manifest((text,)).records
+    _, (record,) = read_manifest((text,))
     assert (record.wall_ms, record.error) == (0, None)
     assert record.response == ModelResponse.from_dict({"raw_text": "Answer: A"}) == ModelResponse("Answer: A", 0, "ok")
 
 
 def test_each_read_makes_its_own_default_factory_value(demo_dir, tmp_path):
     # graph sets config.layout.seed from --seed: a layout shared between two configs would carry it over
-    first, second = (read_manifest((_manifest_text(),)) for _ in range(2))
-    assert first.records == second.records == [] and first.records is not second.records
     raw = json.loads((demo_dir / "config.json").read_text(encoding="utf-8"))
     del raw["layout"]
     for key in ("dataset", "cassette_dir", "transcripts", "outputs", "annotations"):
@@ -645,10 +649,9 @@ def test_hand_built_record_line_equals_json_dumps():
         response = record.response
         assert response.to_json() == json.dumps(dataclasses.asdict(response), sort_keys=True, separators=(",", ":"))
     conditions = [RunCondition(ConditionTag("m"), "p")]
-    manifest = RunManifest(_text(rng, 0, 12), conditions, ["p"], "1970-01-01T00:00:00Z", records)
-    text = "".join(manifest.lines())
+    text = "".join(RunManifest(conditions, ["p"]).lines(records))
     assert text.splitlines()[1:] == [_oracle_line(record) for record in records]
-    assert "".join(read_manifest((text,)).lines()) == text
+    assert "".join(RunManifest.lines(*read_manifest((text,)))) == text
 
 
 class PromptRecorder:
@@ -703,5 +706,5 @@ def test_a_config_without_templates_sends_the_default_summary_prompt(demo_dir, t
 
 def test_wall_clock_from_cassette_latency_in_replay(demo_dir):
     plan, hub = demo_plan_and_hub(demo_dir)
-    manifest = run_collected(*plan, hub)
-    assert all(r.wall_ms == r.response.latency_ms for r in manifest.records)
+    _, records = run_collected(*plan, hub)
+    assert all(r.wall_ms == r.response.latency_ms for r in records)

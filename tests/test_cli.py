@@ -11,7 +11,7 @@ import pytest
 from conftest import read_manifest
 
 import videval.media
-from videval.benchmark import AHEAD_PER_WORKER, load_dataset, plan_cells
+from videval.benchmark import AHEAD_PER_WORKER, RunManifest, load_dataset, plan_cells
 from videval.cli import _write, main
 from videval.config import load_config
 from videval.errors import ConfigError, IoError, SchemaError
@@ -260,7 +260,7 @@ def test_evaluate_rerun_byte_identical(demo_dir, tmp_path):
 # writes, run from the repository root. A change that alters any of them changes
 # the demo's published output and must say so.
 DEMO_GOLDEN_SHA256 = {
-    "manifest.jsonl": "2dec0ac1af983ee9875f0281f27a4b738c7a434fc98570c2a457918b4fb8f45c",
+    "manifest.jsonl": "60f902f300e7654ae1d0ad074c94d5288a5ddf5b01278b56dbc1bba943e7fb7b",
     "completeness.md": "b142a7d48c1f8cbb61b3af69dd3236c6b0ca1e131f46f8691c5c2541d2042eb1",
     "completeness.csv": "ee8c4b7582cedb42b4d8ce0d93152e1be107b44f5aea13f73e11f71668e8f4dc",
     "duration_accuracy.md": "ce3d7b8c677b5ca54355cd2e38ca3de99bcbe0f64479479e1c3f389117982de3",
@@ -286,13 +286,65 @@ def _demo_digests(monkeypatch, root, out_dir) -> dict[str, str]:
     """The SHA-256 of each DEMO_GOLDEN_SHA256 file that evaluate on root/demo/config.json writes to out_dir."""
     import hashlib
 
-    monkeypatch.chdir(root)  # the manifest header holds the dataset path as given
+    monkeypatch.chdir(root)
     assert run_cli("evaluate", "--config", "demo/config.json", "--out-dir", str(out_dir)) == 0
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in DEMO_GOLDEN_SHA256}
 
 
 def test_evaluate_demo_golden_digests(demo_dir, tmp_path, monkeypatch):
     assert _demo_digests(monkeypatch, demo_dir.parent, tmp_path / "out") == DEMO_GOLDEN_SHA256
+
+
+# the manifest.jsonl digest of evaluate before its header dropped dataset_path and started_at and its
+# records came item by item: the header held "demo/dataset.json" and the epoch, and the records came
+# condition by condition
+CONDITION_ORDER_MANIFEST_SHA256 = "2dec0ac1af983ee9875f0281f27a4b738c7a434fc98570c2a457918b4fb8f45c"
+
+
+def test_report_on_a_manifest_in_the_old_header_and_order_writes_evaluates_tables(demo_dir, tmp_path, monkeypatch):
+    # the scores fold is order-free, and a header's unknown keys are ignored
+    import hashlib
+
+    _demo_digests(monkeypatch, demo_dir.parent, tmp_path / "eval")
+    header, *records = (tmp_path / "eval" / "manifest.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    old_header = {**json.loads(header), "dataset_path": "demo/dataset.json", "started_at": "1970-01-01T00:00:00Z"}
+    tags = [condition["tag"] for condition in old_header["conditions"]]
+    by_condition = sorted(records, key=lambda line: tags.index(json.loads(line)["condition"]))  # stable: by item within
+    old = json.dumps(old_header, sort_keys=True, separators=(",", ":")) + "\n" + "".join(by_condition)
+    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == CONDITION_ORDER_MANIFEST_SHA256
+    (tmp_path / "old.jsonl").write_text(old, encoding="utf-8")
+    argv = ["report", "--config", "demo/config.json", "--manifest", str(tmp_path / "old.jsonl")]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "rep")) == 0
+    tables = sorted(p.name for p in (tmp_path / "eval").iterdir() if p.suffix in (".md", ".csv") or p.name == "scores.json")
+    assert len(tables) == 9
+    for name in tables:
+        assert (tmp_path / "rep" / name).read_bytes() == (tmp_path / "eval" / name).read_bytes(), name
+
+
+def test_evaluate_out_dir_depends_on_no_path_spelling_directory_or_environment(demo_dir, tmp_path):
+    """evaluate --replay on the demo, one subprocess per variant: each out dir holds the same bytes."""
+    root = demo_dir.parent
+    shutil.copytree(demo_dir, tmp_path / "copy" / "demo")
+    variants = {
+        "relative": (root, "demo/config.json", {}),
+        "absolute": (root, str(demo_dir / "config.json"), {}),
+        "dotdot": (root / "tests", "../demo/config.json", {}),  # and a second working directory
+        "copy": (tmp_path / "copy", "demo/config.json", {}),
+        "hashseed-0": (root, "demo/config.json", {"PYTHONHASHSEED": "0"}),
+        "hashseed-1": (root, "demo/config.json", {"PYTHONHASHSEED": "1"}),
+        "tz": (root, "demo/config.json", {"TZ": "Asia/Kolkata"}),
+        "c-locale": (root, "demo/config.json", {"LC_ALL": "C"}),
+    }
+    code = "import sys, videval.cli; sys.exit(videval.cli.main(sys.argv[1:]))"
+    outputs = {}
+    for name, (cwd, config, env) in variants.items():
+        out_dir = tmp_path / "out" / name
+        done = _run_python(code, "evaluate", "--config", config, "--replay", "--out-dir", str(out_dir), cwd=cwd, env=env)
+        assert done.returncode == 0, (name, done.stderr)
+        outputs[name] = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    assert "manifest.jsonl" in outputs["relative"] and "graphs/P69idA8JO98.json" in outputs["relative"]
+    for name, files in outputs.items():
+        assert files == outputs["relative"], name
 
 
 def test_evaluate_takes_json_files_that_start_with_a_bom(demo_dir, tmp_path, monkeypatch):
@@ -672,7 +724,7 @@ def test_report_regenerates_tables_from_manifest(demo_dir, tmp_path):
     [
         pytest.param(lambda text: text[:-40], 21, id="record-cut-mid-line"),
         pytest.param(
-            lambda text: text.replace('"dataset_path":', '"dataset":', 1), 1, id="header-without-dataset_path"
+            lambda text: text.replace('"conditions":', '"condition":', 1), 1, id="header-without-conditions"
         ),
         pytest.param(lambda text: "manifest\n" + text.split("\n", 1)[1], 1, id="first-line-not-json"),
     ],
@@ -735,7 +787,7 @@ def test_report_reads_the_manifest_a_line_at_a_time_as_it_read_it_whole(demo_man
     config, original, eval_dir = demo_manifest
     data = layout(original)
     try:
-        whole = "".join(read_manifest((data,)).lines())
+        whole = "".join(RunManifest.lines(*read_manifest((data,))))
     except SchemaError as exc:
         whole = f"invalid input: {exc}\n"
     manifest = tmp_path / "manifest.jsonl"
@@ -749,7 +801,7 @@ def test_report_reads_the_manifest_a_line_at_a_time_as_it_read_it_whole(demo_man
     if line is None:
         assert code == 0 and whole == original.decode("utf-8")
         with open(manifest, "rb") as fh:  # the round trip through the file, as report reads it
-            assert "".join(read_manifest(fh).lines()) == whole
+            assert "".join(RunManifest.lines(*read_manifest(fh))) == whole
         for name in ("task_accuracy.md", "model_accuracy.md", "completeness.md", "scores.json"):
             assert (tmp_path / "rep" / name).read_bytes() == (eval_dir / name).read_bytes()
     else:
@@ -1039,7 +1091,7 @@ def test_a_rerun_that_fails_past_its_first_write_leaves_no_bundle(demo_dir, tmp_
 
 
 def test_a_live_run_whose_out_dir_cannot_be_made_costs_no_call(demo_dir, tmp_path, capsys, loopback_provider):
-    # the manifest's spools are made before the first request; without them every call was made before the write failed
+    # the manifest's .tmp is opened before the first request; the parent writes the manifest once every call is made
     raw = json.loads((demo_dir / "config.json").read_text())
     raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
     cassettes = tmp_path / "cassettes"
@@ -1055,29 +1107,83 @@ def test_a_live_run_whose_out_dir_cannot_be_made_costs_no_call(demo_dir, tmp_pat
 
 
 @pytest.mark.parametrize("k", [0, 7, 19])
-def test_a_spool_write_that_fails_mid_run_leaves_nothing_behind(demo_dir, tmp_path, capsys, monkeypatch, k):
+def test_a_manifest_write_that_fails_mid_run_leaves_nothing_behind(demo_dir, tmp_path, capsys, monkeypatch, k):
     import videval.cli
 
     config = str(demo_dir / "config.json")
     out_dir = tmp_path / "out"
     assert run_cli("evaluate", "--config", config, "--replay", "--out-dir", str(out_dir)) == 0
     assert (out_dir / "bundle.json").exists()
-    real_write, written = videval.cli._Spools.write, []
+    manifest = (out_dir / "manifest.jsonl").read_bytes()
+    written, tmps = [], []
 
-    def write(self, c, line):
-        if len(written) == k:
-            raise OSError("disk full")
-        written.append(line)
-        real_write(self, c, line)
+    class FullAfterK:
+        """The manifest's .tmp, with no room past its header and k records."""
 
-    monkeypatch.setattr(videval.cli._Spools, "write", write)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, lines):
+            for line in lines:
+                if len(written) == 1 + k:
+                    tmps.extend(sorted(p.name for p in out_dir.rglob("*.tmp")))
+                    raise OSError("disk full")
+                written.append(line)
+                self.fh.write(line)
+
+    def open_(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FullAfterK(fh) if path == out_dir / "manifest.jsonl.tmp" else fh
+
+    monkeypatch.setattr(videval.cli, "open", open_, raising=False)
     capsys.readouterr()
     assert run_cli("evaluate", "--config", config, "--replay", "--out-dir", str(out_dir)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out_dir / 'manifest.jsonl.'}") and err.endswith(": disk full\n")
-    assert err.count("\n") == 1 and len(written) == k
+    assert err.startswith(f"error: cannot write {out_dir / 'manifest.jsonl'}: ") and err.endswith(": disk full\n")
+    assert err.count("\n") == 1 and len(written) == 1 + k
+    assert tmps == ["manifest.jsonl.tmp"]  # each record's line is written once, there
     assert not list(out_dir.rglob("*.tmp"))
     assert not (out_dir / "bundle.json").exists()
+    assert (out_dir / "manifest.jsonl").read_bytes() == manifest
+
+
+def test_a_live_run_whose_cassette_append_fails_exits_1_naming_the_segment(
+    demo_dir, tmp_path, capsys, monkeypatch, loopback_provider
+):
+    # the OSError of the fifth append left put, and evaluate ended in a traceback
+    import videval.providers
+
+    raw = json.loads((demo_dir / "config.json").read_text())
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    cassettes = tmp_path / "cassettes"
+    path = _demo_config_variant(demo_dir, tmp_path, mode="live", cassette_dir=str(cassettes),
+                                providers=raw["providers"], max_workers=1)
+    appends = []
+
+    def open_(file, mode="r", *args, **kwargs):
+        if mode == "ab":
+            appends.append(file)
+            if len(appends) == 5:
+                raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(videval.providers, "open", open_, raising=False)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", str(path), "--out-dir", str(out_dir)) == 1
+    segment = cassettes / "segment-000001.jsonl"
+    assert capsys.readouterr().err == f"error: cannot write {segment}: [Errno 28] No space left on device\n"
+    # the run stopped at that answer, within the window past it, and every other answer it was sent is recorded
+    assert 5 <= len(loopback_provider.seen) <= 4 + AHEAD_PER_WORKER
+    assert len(segment.read_bytes().splitlines()) == len(loopback_provider.seen) - 1
+    assert not (out_dir / "bundle.json").exists() and not (out_dir / "manifest.jsonl").exists()
+    assert not list(out_dir.rglob("*.tmp"))
 
 
 # --- transcribe -----------------------------------------------------------------------------
@@ -1285,10 +1391,8 @@ def test_live_run_replays_to_the_same_records_and_tables(demo_dir, tmp_path, loo
     assert len(loopback_provider.seen) == 21
 
     def outputs(out_dir):
-        """Each file's bytes; the manifest without its header, whose started_at tells the modes apart."""
-        files = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
-        files["manifest.jsonl"] = files["manifest.jsonl"].split(b"\n", 1)[1]
-        return files
+        """Each file's bytes, the manifest's header included."""
+        return {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
 
     assert "completeness.md" in outputs(live)
     assert outputs(live) == outputs(replay)
@@ -1410,8 +1514,8 @@ def test_json_loaders_raise_config_error_naming_the_file(tmp_path, loader, conte
         getattr(videval.config, loader)(path)
 
 
-def _run_python(code: str, **kwargs):
-    """Run code in a fresh interpreter that imports this checkout's videval."""
+def _run_python(code: str, *argv: str, env: dict | None = None, **kwargs):
+    """Run code with argv in a fresh interpreter that imports this checkout's videval, env added to its environment."""
     import os
     import subprocess
     import sys
@@ -1420,8 +1524,9 @@ def _run_python(code: str, **kwargs):
     import videval
 
     src = str(Path(videval.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, **kwargs)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, **kwargs)
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -1582,8 +1687,8 @@ def test_memory_per_record_of_evaluate_and_report(tmp_path):
     no unread dataset fields in BenchmarkItem, by about 510 B and 580 B. With report scoring each
     record as it decodes it, and the dataset file's bytes dropped before its items are built,
     report's peak is its dataset's, about 220 B per record. With evaluate holding no record, each
-    spooled as it is made, and its cassette index holding each answer as its line's undecoded bytes,
-    evaluate's grows by about 375 B, most of it that index's entries.
+    written as it is made, and its cassette index holding each answer as its line's undecoded bytes,
+    evaluate's grows by about 370 B, most of it that index's entries.
     Every record must carry an answer: a request rule the cassettes no longer match made each
     cell a ReplayMiss, a cheaper record, and the slopes still passed.
     """
