@@ -38,7 +38,7 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import _choice, _fill, _keyframes, _list_of, _object, _plain, _string, _strings, _text
+from .schema import Text, _choice, _fill, _json, _keyframes, _list_of, _object, _plain, _strings, _text
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
@@ -52,113 +52,93 @@ REQUEST_KINDS = ("mcq", "summary_keyframes")
 
 @dataclass(slots=True)
 class BenchmarkItem:
-    video_id: str
-    duration_class: str
-    question_id: str
-    task_type: str
-    question: str
+    """One dataset row, its fields named as the row's keys."""
+
+    video_id: Text
+    duration: str  # one of DURATION_CLASSES
+    question_id: Text
+    question: Text
     options: dict[str, str]
-    answer: str
+    answer: Text
+    task_type: Text = ""
 
-    def __post_init__(self):  # item_from_record's _duration has checked duration_class
+    def __post_init__(self):  # ITEM_READERS have read duration and options
+        self.answer = self.answer.strip().upper()
         if tuple(sorted(self.options)) != OPTION_LETTERS:
-            raise SchemaError(
-                f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}"
-            )
+            raise ValueError(f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}")
         if self.answer not in self.options:
-            raise SchemaError(f"item {self.question_id}: answer {self.answer!r} not among options")
-
-
-def _normalize_options(raw) -> dict[str, str]:
-    """Accept either {"A": text, ...} or ["A. text", ...] option shapes."""
-    if isinstance(raw, dict):
-        return {str(k).strip().upper(): _text(v, f"options.{k}") for k, v in raw.items()}
-    if isinstance(raw, list):
-        options = {}
-        for i, entry in enumerate(raw):
-            text = _text(entry, f"options[{i}]").strip()
-            if len(text) >= 2 and text[0].upper() in OPTION_LETTERS and text[1] in ".):":
-                options[text[0].upper()] = text[2:].strip()
-            else:
-                raise SchemaError(f"option entry not in 'A. text' form: {entry!r}")
-        return options
-    raise SchemaError(f"options must be a mapping or list, got {type(raw).__name__}")
+            raise ValueError(f"item {self.question_id}: answer {self.answer!r} not among options")
 
 
 _duration = _choice(*DURATION_CLASSES)
 
 
-def item_from_record(record: dict) -> BenchmarkItem:
-    """The item of one dataset row. Each text must be a JSON string that UTF-8 can encode (nothing is
-    coerced: null, a number or a lone surrogate is a SchemaError naming the field); an absent task_type is ""."""
-    record = _object(record, "dataset row")
-    try:
-        return BenchmarkItem(
-            video_id=_text(record["video_id"], "video_id"),
-            duration_class=_duration(_text(record["duration"], "duration").strip().lower(), "duration"),
-            question_id=_text(record["question_id"], "question_id"),
-            task_type=_text(record.get("task_type", ""), "task_type"),
-            question=_text(record["question"], "question"),
-            options=_normalize_options(record["options"]),
-            answer=_text(record["answer"], "answer").strip().upper(),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"record missing field {exc.args[0]!r}: {record}") from exc
+def _options(value, what: str) -> dict[str, str]:
+    """Either {"A": text, ...} or ["A. text", ...], keyed by upper-case letter (which __post_init__ checks)."""
+    if not isinstance(value, list):
+        return {letter.strip().upper(): _text(text, f"{what}[{letter!r}]")
+                for letter, text in _object(value, what).items()}
+    options = {}
+    for i, entry in enumerate(value):
+        text = _text(entry, f"{what}[{i}]").strip()
+        if not (len(text) >= 2 and text[0].upper() in OPTION_LETTERS and text[1] in ".):"):
+            raise SchemaError(f"{what}[{i}] not in 'A. text' form: {entry!r}")
+        options[text[0].upper()] = text[2:].strip()
+    return options
 
 
-def _utf8(data: bytes, what: str) -> str:
-    """data decoded as UTF-8, a BOM at its start dropped (json.loads takes none in a str); anything else is a
-    SchemaError naming what, where json.loads on the bytes would guess UTF-16 or UTF-32."""
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"dataset file {what} is not UTF-8: {exc}") from exc
+ITEM_READERS = {"duration": lambda value, what: _duration(_text(value, what).strip().lower(), what),
+                "options": _options}
+
+
+def item_from_record(record: dict, what: str = "dataset row") -> BenchmarkItem:
+    """The item of one dataset row, named what in its errors. Each text must be a JSON string that UTF-8 can
+    encode (nothing is coerced: null, a number or a lone surrogate is a SchemaError naming the field); an absent
+    task_type is ""."""
+    return _fill(BenchmarkItem, record, what, ITEM_READERS)
 
 
 def _rows(path: str | Path):
     """The decoded rows of a JSON array or JSON-lines file, in UTF-8 with an optional BOM."""
+
+    def parsed(data: bytes, where: str, place: str):
+        try:
+            return _json(data)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"dataset file {where} is not UTF-8: {exc}") from exc
+        except ValueError as exc:
+            raise SchemaError(f"{place} is not valid JSON: {exc}") from exc
+
     data = Path(path).read_bytes()
     stripped = data.removeprefix(b"\xef\xbb\xbf").lstrip()
     if not stripped:
         raise SchemaError(f"dataset file is empty: {path}")
     if stripped.startswith(b"["):
-        try:
-            return json.loads(_utf8(data, str(path)))
-        except ValueError as exc:
-            raise SchemaError(f"dataset is not valid JSON: {exc}") from exc
-    rows = []
+        return parsed(data, str(path), "dataset")
     # split as bytes, then decoded: str.splitlines would also split at a U+2028 inside a JSON string
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append(json.loads(_utf8(line, f"{path} line {lineno}")))
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno} is not valid JSON: {exc}") from exc
-    return rows
+    return [parsed(line, f"{path} line {lineno}", f"line {lineno}")
+            for lineno, line in enumerate(data.splitlines(), start=1) if line.strip()]
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Load a JSON array or JSON-lines file of benchmark items. The file's bytes are dropped, once
     _rows has decoded them, before the items are built. An item's SchemaError names its row, counting
-    from 1, and its question_id where that is a string."""
+    from 1, and its question_id where that is a string; a repeated question_id names the row that
+    held it first too."""
     rows = _rows(path)
     if not isinstance(rows, list):
         raise SchemaError("dataset must be a JSON array or JSON-lines file")
 
     items = []
+    first_row: dict[str, int] = {}  # question_id -> the row that holds it
     for n, row in enumerate(rows, start=1):
-        try:
-            items.append(item_from_record(row))
-        except SchemaError as exc:
-            question_id = row.get("question_id") if isinstance(row, dict) else None
-            named = f" (question_id {question_id!r})" if isinstance(question_id, str) else ""
-            raise SchemaError(f"dataset row {n}{named}: {exc}") from exc
-    seen: set[str] = set()
-    for item in items:
-        if item.question_id in seen:
-            raise SchemaError(f"duplicate question_id: {item.question_id}")
-        seen.add(item.question_id)
+        question_id = row.get("question_id") if isinstance(row, dict) else None
+        where = f"dataset row {n}" + (f" (question_id {question_id!r})" if isinstance(question_id, str) else "")
+        item = item_from_record(row, where)
+        first = first_row.setdefault(item.question_id, n)
+        if first != n:
+            raise SchemaError(f"{where}: duplicate question_id, first held by dataset row {first}")
+        items.append(item)
     return items
 
 
@@ -306,9 +286,7 @@ class RunManifest:
 def _decode(lineno: int, line: str | bytes, cls, what: str, readers: dict):
     """The object cls of one manifest line, lineno, through _fill."""
     try:
-        if isinstance(line, bytes):  # UTF-8 alone: json.loads would guess UTF-16 and pass surrogates
-            line = line.decode("utf-8").removeprefix("\ufeff")
-        return _fill(cls, json.loads(line), what, readers)
+        return _fill(cls, _json(line) if isinstance(line, bytes) else json.loads(line), what, readers)
     except (ValueError, SchemaError, MalformedProviderOutput) as exc:
         raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
 

@@ -222,11 +222,7 @@ def cmd_transcribe(args) -> int:
                 print(f"skipping {asset.path}: {exc}", file=sys.stderr)
                 continue
             holders[stem] = asset.path
-            transcripts[stem] = {
-                "segments": [_plain(segment) for segment in transcript.segments],
-                "text": transcript.full_text,
-                "language": transcript.language,
-            }
+            transcripts[stem] = {**_plain(transcript), "segments": [_plain(segment) for segment in transcript.segments]}
     finally:  # a replay miss stops the command, and a dropped line may be why
         assets.close()  # stops the probing too
         _report_dropped(hub.store)

@@ -6,22 +6,17 @@ so a bundled demo runs from any working directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .benchmark import REQUEST_KINDS, RunCondition
-from .errors import ConfigError, MalformedProviderOutput, SchemaError
+from .errors import ConfigError, SchemaError
 from .knowledge_graph import LayoutParams
-from .providers import (
-    ConditionTag,
-    ModelResponse,
-    ProviderSettings,
-    Transcript,
-    transcript_from_payload,
-)
-from .schema import _boolean, _choice, _fill, _keyframes, _number, _object, _string, _strings
+from .providers import TRANSCRIPT_READERS, ConditionTag, ModelResponse, ProviderSettings, Transcript
+from .schema import (_boolean, _choice, _fill, _json, _keyframe_texts, _number, _object, _object_of, _string, _strings,
+                     _text)
+from .scoring import Annotation
 from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
 
 
@@ -90,16 +85,19 @@ def _conditions(value, what: str) -> list[RunCondition]:
     return conditions
 
 
-def _read_json_object(path: str | Path, what: str) -> dict:
-    """Decode a JSON file whose top level must be an object; any failure is a ConfigError."""
+def _read_json_object(path: str | Path, what: str, read):
+    """read(object, what) of the JSON file at path, whose top level must be an object; any failure is a
+    ConfigError that names the file."""
     try:
-        # UTF-8 alone: json.loads on the bytes would guess UTF-16 or UTF-32, and on a str takes no BOM
-        data = json.loads(Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff"))
+        data = _json(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} file {path} is not readable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} file {path} must hold a JSON object")
-    return data
+    try:
+        return read(data, what)
+    except SchemaError as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -131,11 +129,11 @@ def load_config(path: str | Path) -> HarnessConfig:
         "keyframe_match_mode": _choice("any", "all"),
         "layout": lambda value, what: _fill(LayoutParams, value or {}, what, {}),
         "max_workers": partial(_number, minimum=1),
-        "mcq_template": lambda value, _what: _string(value, "templates.mcq"),
-        "summary_template": lambda value, _what: _string(value, "templates.summary"),
+        "mcq_template": lambda value, _what: _text(value, "templates.mcq"),
+        "summary_template": lambda value, _what: _text(value, "templates.summary"),
     }
     # both directories default to a name in the config file's directory
-    data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config")}
+    data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config", _object)}
     try:
         templates = _object(data.get("templates") or {}, "templates")
         # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
@@ -153,42 +151,19 @@ def load_config(path: str | Path) -> HarnessConfig:
 
 
 def load_transcripts(path: str | Path) -> dict[str, Transcript]:
-    """Read stored transcripts keyed by video id, each validated like an ASR payload."""
-    data = _read_json_object(path, "transcripts")
-    transcripts = {}
-    for video_id, entry in data.items():
-        try:
-            transcripts[video_id] = transcript_from_payload(entry)
-        except MalformedProviderOutput as exc:
-            raise ConfigError(f"transcript of video {video_id!r} is invalid: {exc}") from exc
-    return transcripts
+    """Read stored transcripts keyed by video id, each read as an ASR payload is."""
+    return _read_json_object(path, "transcripts", _object_of(partial(_fill, Transcript, readers=TRANSCRIPT_READERS)))
 
 
 def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
     """Read raw model outputs: {video_id: {model_name: raw_text}}."""
-    data = _read_json_object(path, "outputs")
-    for video_id, models in data.items():
-        if not isinstance(models, dict) or not all(isinstance(t, str) for t in models.values()):
-            raise ConfigError(f"outputs of video {video_id!r} must be an object of strings")
-    return data
+    return _read_json_object(path, "outputs", _object_of(_object_of(_text)))
 
 
-def load_annotations(path: str | Path) -> dict[str, dict]:
-    """Read ground-truth annotations: keyframes and binary summary verdicts.
+ANNOTATION_READERS = {"keyframes": _keyframe_texts, "summary": _object_of(_boolean)}  # "false" would count as a match
 
-    Each entry in the file is {"keyframes": [[seconds, caption], ...], "summary":
-    {model: true | false}}, either key may be left out; each comes back with
-    both, its keyframes as KeyframeEntry lists.
-    """
-    data = _read_json_object(path, "annotations")
-    try:
-        for video_id, entry in data.items():
-            entry = _object(entry, f"annotations of video {video_id!r}")
-            keyframes = _keyframes(entry.get("keyframes", []), f"keyframes of video {video_id!r}")
-            summary = _object(entry.get("summary", {}), f"summary of video {video_id!r}")
-            for model, verdict in summary.items():  # "false" would count as a match
-                _boolean(verdict, f"summary of video {video_id!r}[{model!r}]")
-            data[video_id] = {"keyframes": keyframes, "summary": summary}
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from exc
-    return data
+
+def load_annotations(path: str | Path) -> dict[str, Annotation]:
+    """Read ground-truth annotations, {video_id: {"keyframes": [[seconds, caption], ...], "summary":
+    {model: true | false}}}, either key left out or not."""
+    return _read_json_object(path, "annotations", _object_of(partial(_fill, Annotation, readers=ANNOTATION_READERS)))

@@ -45,7 +45,7 @@ from .errors import (
     SchemaError,
 )
 from .media import MediaAsset
-from .schema import _choice, _fill, _list_of, _object, _plain, _string
+from .schema import Text, _choice, _fill, _list_of, _plain
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -68,11 +68,11 @@ _TAGS: dict[str, "ConditionTag"] = {}  # from_dict's tags, keyed by the repr of 
 class ConditionTag:
     """One cell of the experiment matrix."""
 
-    model_name: str
+    model_name: Text
     fps: float = 1.0
     with_transcript: bool = False
     attention: str = "other"  # sdpa | flash_attention | other
-    gpu: str = ""
+    gpu: Text = ""
 
     ATTENTION_VALUES = ("sdpa", "flash_attention", "other")
 
@@ -112,7 +112,7 @@ class TranscriptSegment:
     id: int
     start: float
     end: float
-    text: str
+    text: Text
 
     def __post_init__(self):  # _fill has read id by its annotation
         if self.start > self.end:
@@ -121,9 +121,24 @@ class TranscriptSegment:
 
 @dataclass
 class Transcript:
+    """An ASR payload, {"segments": [...], "text": ..., "language": ...}, its segments in time order.
+
+    A null or absent text is the segments joined; a given one must equal them up to whitespace.
+    """
+
     segments: list[TranscriptSegment] = field(default_factory=list)
-    full_text: str = ""
-    language: str | None = None
+    text: Text | None = None
+    language: Text | None = None
+
+    def __post_init__(self):
+        self.segments.sort(key=lambda s: (s.start, s.id))
+        if len({s.id for s in self.segments}) != len(self.segments):
+            raise ValueError("duplicate segment ids")
+        joined = "".join(s.text for s in self.segments)
+        if self.text is None:
+            self.text = joined
+        elif self.segments and self.text.split() != joined.split():
+            raise ValueError("text does not match its segments")
 
 
 @dataclass
@@ -527,29 +542,12 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
         payload = json.loads(raw_text)
     except json.JSONDecodeError as exc:
         raise MalformedProviderOutput(f"ASR payload is not JSON: {exc}") from exc
-    return transcript_from_payload(payload)
+    try:
+        return _fill(Transcript, payload, "transcript", TRANSCRIPT_READERS)
+    except SchemaError as exc:
+        raise MalformedProviderOutput(str(exc)) from exc
 
 
 _segments = _list_of(partial(_fill, TranscriptSegment, readers={}))
-
-
-def transcript_from_payload(payload) -> Transcript:
-    """Decode and validate one {"segments": [...], "text": ..., "language"} object."""
-    try:
-        payload = _object(payload, "transcript")
-        segments = _segments(payload.get("segments") or [], "transcript.segments")
-        segments.sort(key=lambda s: (s.start, s.id))
-        text, language = payload.get("text"), payload.get("language")
-        joined = "".join(s.text for s in segments)
-        transcript = Transcript(
-            segments=segments,
-            full_text=joined if text is None else _string(text, "transcript.text"),
-            language=None if language is None else _string(language, "transcript.language"),
-        )
-    except SchemaError as exc:
-        raise MalformedProviderOutput(str(exc)) from exc
-    if len({s.id for s in segments}) != len(segments):
-        raise MalformedProviderOutput("duplicate segment ids")
-    if segments and transcript.full_text.split() != joined.split():  # equal up to whitespace
-        raise MalformedProviderOutput("full_text does not match its segments")
-    return transcript
+# "segments": null, or any other value that is false, is no segments
+TRANSCRIPT_READERS = {"segments": lambda value, what: _segments(value or [], what)}

@@ -1,8 +1,12 @@
 """Field readers: the one place where a JSON document becomes dataclass fields.
 
-The config, manifests, cassette entries, transcripts and annotations are all
-read here. A reader takes (value, what) and returns the field's value or raises
+The config, dataset rows, transcripts, outputs, annotations, manifests and
+cassette answers are all read here, each object built by _fill, and every file
+but the cassette store's decoded by _json. A reader takes (value, what) and returns the field's value or raises
 a SchemaError naming what; each caller turns that error into its own once.
+A string of an input file is annotated Text and read by _text, which refuses a
+text UTF-8 cannot encode; a stored answer's is annotated str and read by
+_string, so that it replays as it was recorded.
 """
 
 from __future__ import annotations
@@ -22,15 +26,28 @@ def _string(value, what: str) -> str:
     return value
 
 
+Text = str  # the annotation of an input file's string, which _fill reads through _text
+
+
 def _text(value, what: str) -> str:
     """A string of an input file, which UTF-8 can encode: the JSON escape "\\ud800" reads as a lone surrogate,
-    which no table can hold. Stored answers keep _string, so that a recorded answer replays as recorded."""
-    if not _string(value, what).isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise SchemaError(f"{what} holds a lone surrogate, which UTF-8 cannot encode: {value!r}") from exc
+    which no table can hold. The error names the surrogate's index and quotes the text around it."""
+    if type(value) is str and value.isascii():  # the common case, checked first
+        return value
+    try:
+        _string(value, what).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        excerpt = value[max(exc.start - 10, 0):exc.start + 11]  # ten characters on each side
+        raise SchemaError(f"{what} holds a lone surrogate at index {exc.start}, which UTF-8 cannot encode: "
+                          f"{excerpt!r}") from exc
     return value
+
+
+def _json(data: bytes):
+    """The one decode of a JSON input: UTF-8, a BOM at its start dropped (json.loads takes none in a str),
+    then parsed. It raises what decode and json.loads raise, both ValueErrors, so each caller names its own
+    file; json.loads on the bytes would guess UTF-16 or UTF-32, and pass lone surrogates."""
+    return json.loads(data.decode("utf-8").removeprefix("\ufeff"))
 
 
 def _boolean(value, what: str) -> bool:
@@ -93,25 +110,36 @@ def _list_of(read):
     return read_list
 
 
+def _object_of(read):
+    """A reader of JSON objects whose every value goes through read, named what[key]; each key must be
+    a text UTF-8 can encode, as a video id or a model name that ends up in a file must."""
+
+    def read_object(value, what: str) -> dict:
+        return {_text(key, f"{what} key"): read(item, f"{what}[{key!r}]") for key, item in _object(value, what).items()}
+
+    return read_object
+
+
 _strings = _list_of(_string)
 
 
-def _keyframe(pair, what: str) -> KeyframeEntry:
+def _keyframe(pair, what: str, read_caption=_string) -> KeyframeEntry:
     """A [seconds, caption] pair; seconds may be any number and counts in whole seconds."""
     if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError(f"{what} must be a [seconds, caption] pair, got {pair!r}")
-    seconds, caption = _float(pair[0], what), _string(pair[1], what)
+    seconds, caption = _float(pair[0], what), read_caption(pair[1], what)
     try:
         return KeyframeEntry(int(seconds), caption)
     except ValueError as exc:  # out of range, or untrimmed
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-_keyframes = _list_of(_keyframe)
+_keyframes = _list_of(_keyframe)  # a stored answer's
+_keyframe_texts = _list_of(partial(_keyframe, read_caption=_text))  # an annotation's
 
 # the reader an annotation gives: every module of a _fill'd dataclass has `from __future__ import
 # annotations`, so a field's type is its annotation's text
-_TYPED = {"int": _number, "float": _float, "bool": _boolean}
+_TYPED = {"int": _number, "float": _float, "bool": _boolean, "Text": _text}
 
 # per class, (name, default, default_factory, typed reader) of each field: no decode calls fields()
 _FIELDS: dict[type, list] = {}
@@ -122,7 +150,7 @@ def _fill(cls, entry, what: str, readers: dict):
 
     An absent key takes the field's default, or a fresh default_factory() on each call, and so
     does null where that default is None. Any other value goes through its reader in readers,
-    else the one its int, float or bool annotation gives, else a string check. Unknown keys are
+    else the one its int, float, bool or Text annotation gives, else a string check. Unknown keys are
     ignored. A missing required field, or a ValueError from __post_init__, is a SchemaError.
     A reader is given the field's name as its what, and its error gets this what in front, so
     the message names the whole path ("record.response.raw_text").

@@ -1,8 +1,8 @@
 """Matching-node scoring, MCQ accuracy, and report aggregations.
 
 All functions are pure; annotations (ground-truth keyframes and binary summary
-verdicts) come in as plain data and the harness only computes means, it never
-judges summary semantics itself.
+verdicts) come in as Annotation objects, which config.load_annotations fills,
+and the harness only computes means, it never judges summary semantics itself.
 """
 
 from __future__ import annotations
@@ -26,6 +26,14 @@ class RowTriple:
     @property
     def delta(self) -> float:
         return self.with_value - self.without_value
+
+
+@dataclass
+class Annotation:
+    """One video's ground truth: its keyframes, and a verdict on each model's summary."""
+
+    keyframes: list[KeyframeEntry] = field(default_factory=list)
+    summary: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
@@ -92,17 +100,17 @@ def match_keyframe_lists(
 def build_match_vector(
     scenario: str,
     outputs: dict[str, "object"],
-    annotations: dict[str, dict],
+    annotations: dict[str, Annotation],
     tolerance_s: int = 0,
     mode: str = "any",
     model: str | None = None,
 ) -> list[bool]:
     """The match of each output that has an annotation, in outputs order.
 
-    outputs maps video_id -> ParsedVideoOutput, valid ones only; annotations
-    are as load_annotations returns them. For the "keyframe" scenario the
-    verdict is computed here; for "summary" the annotation's verdict for model
-    is taken as-is, and an output without one is left out.
+    outputs maps video_id -> ParsedVideoOutput, valid ones only, and annotations
+    video_id -> Annotation. For the "keyframe" scenario the verdict is computed
+    here, against the annotation's keyframes; for "summary" the annotation's
+    verdict for model is taken as-is, and an output without one is left out.
     """
     matches: list[bool] = []
     for video_id, output in outputs.items():
@@ -110,9 +118,9 @@ def build_match_vector(
         if ann is None:
             continue
         if scenario == "keyframe":
-            matches.append(match_keyframe_lists(output.keyframes, ann["keyframes"], tolerance_s, mode))
-        elif model in ann["summary"]:
-            matches.append(ann["summary"][model])
+            matches.append(match_keyframe_lists(output.keyframes, ann.keyframes, tolerance_s, mode))
+        elif model in ann.summary:
+            matches.append(ann.summary[model])
     return matches
 
 
@@ -170,7 +178,7 @@ class Tally:
             if item is None:
                 self.dropped += 1
                 return
-            cell = (item.task_type, item.duration_class, outcome)
+            cell = (item.task_type, item.duration, outcome)
             cells[cell] = cells.get(cell, 0) + 1
 
     def report(self) -> ScoreReport:

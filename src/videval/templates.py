@@ -50,7 +50,7 @@ def transcript_block(transcript) -> str:
     """Self-contained transcript section, empty when there is nothing to say."""
     if transcript is None:
         return ""
-    text = transcript.full_text.strip()
+    text = transcript.text.strip()
     if not text:
         return ""
     return f"Audio transcript:\n{text}\n\n"

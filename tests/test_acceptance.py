@@ -288,7 +288,7 @@ def test_criterion_3_layout_properties():
 class _Item:
     question_id: str
     task_type: str
-    duration_class: str = "short"
+    duration: str = "short"
     answer: str = "A"
 
 
@@ -514,7 +514,7 @@ def test_criterion_8_dataset_loader(demo_dir):
         item.question_id == "001-2"
         and item.answer == "A"
         and item.task_type == "Information Synopsis"
-        and item.duration_class == "short"
+        and item.duration == "short"
         and item.video_id == "001"
     )
     note("8", ok, f"question_id={item.question_id}, answer={item.answer}")

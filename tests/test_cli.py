@@ -384,7 +384,9 @@ def test_evaluate_refuses_a_null_dataset_text_before_any_request(demo_dir, tmp_p
                                 providers=raw["providers"])
     out_dir = tmp_path / "out"
     assert run_cli("evaluate", "--live", "--config", str(path), "--out-dir", str(out_dir)) == 3
-    assert capsys.readouterr().err == "invalid input: dataset row 1 (question_id '001-2'): question must be a string, got None\n"
+    assert capsys.readouterr().err == (
+        "invalid input: dataset row 1 (question_id '001-2').question must be a string, got None\n"
+    )
     assert len(loopback_provider.seen) == 0
     assert not out_dir.exists() and not (tmp_path / "cassettes").exists()
 
@@ -509,33 +511,48 @@ def test_graph_skips_a_keyframe_at_the_timestamp_bound(demo_dir, tmp_path):
     assert json.loads((out_dir / "graph_metrics.json").read_text())["P69idA8JO98"]["node_count"] == 28
 
 
+KF = "annotations['P69idA8JO98'].keyframes"  # where each annotation keyframe case's error points
+
+
 @pytest.mark.parametrize(
-    "key, content, message",
+    "key, content, case, error",  # case: what is wrong, in words
     [
-        ("outputs", {"vid": "just text"}, "outputs of video 'vid' must be an object of strings"),
-        ("outputs", {"vid": {"m": 5}}, "outputs of video 'vid' must be an object of strings"),
-        ("annotations", {"P69idA8JO98": ["a"]}, "annotations of video 'P69idA8JO98' must be an object"),
-        ("annotations", {"P69idA8JO98": {"keyframes": {"7": "x"}}}, "keyframes of video 'P69idA8JO98'"),
-        ("annotations", {"P69idA8JO98": {"keyframes": [[7]]}}, "keyframes of video 'P69idA8JO98'"),
-        ("annotations", {"P69idA8JO98": {"keyframes": [["7", "x"]]}}, "keyframes of video 'P69idA8JO98'"),
-        ("annotations", {"P69idA8JO98": {"keyframes": [[7, 5]]}}, "keyframes of video 'P69idA8JO98'"),
-        ("annotations", {"P69idA8JO98": {"summary": [True]}}, "summary of video 'P69idA8JO98' must be an object"),
+        ("outputs", {"vid": "just text"}, "outputs of video 'vid' must be an object of strings",
+         "outputs['vid'] must be an object, got 'just text'"),
+        ("outputs", {"vid": {"m": 5}}, "outputs of video 'vid' must be an object of strings",
+         "outputs['vid']['m'] must be a string, got 5"),
+        ("annotations", {"P69idA8JO98": ["a"]}, "annotations of video 'P69idA8JO98' must be an object",
+         "annotations['P69idA8JO98'] must be an object, got ['a']"),
+        ("annotations", {"P69idA8JO98": {"keyframes": {"7": "x"}}}, "keyframes of video 'P69idA8JO98'",
+         f"{KF} must be a list, got {{'7': 'x'}}"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [[7]]}}, "keyframes of video 'P69idA8JO98'",
+         f"{KF}[0] must be a [seconds, caption] pair, got [7]"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [["7", "x"]]}}, "keyframes of video 'P69idA8JO98'",
+         f"{KF}[0] must be a number, got '7'"),
+        ("annotations", {"P69idA8JO98": {"keyframes": [[7, 5]]}}, "keyframes of video 'P69idA8JO98'",
+         f"{KF}[0] must be a string, got 5"),
+        ("annotations", {"P69idA8JO98": {"summary": [True]}}, "summary of video 'P69idA8JO98' must be an object",
+         "annotations['P69idA8JO98'].summary must be an object, got [True]"),
         # each of these passed the loader, then stopped `graph` with a ValueError traceback
         *(
-            ("annotations", {"P69idA8JO98": {"keyframes": [pair]}}, "keyframes of video 'P69idA8JO98'")
-            for pair in ([-1, "x"], [10000000, "x"], [5, ""], [5, " x"])
+            ("annotations", {"P69idA8JO98": {"keyframes": [pair]}}, "keyframes of video 'P69idA8JO98'",
+             f"{KF}[0]{error}")
+            for pair, error in (([-1, "x"], " must be at least 0, got -1"),
+                                ([10000000, "x"], ": timestamp out of range: 10000000"),
+                                ([5, ""], ": caption must be non-empty and trimmed"),
+                                ([5, " x"], ": caption must be non-empty and trimmed"))
         ),
         # a string verdict counted as a match
-        ("annotations", {"P69idA8JO98": {"summary": {"Qwen-7B": "false"}}}, "summary of video 'P69idA8JO98'"),
+        ("annotations", {"P69idA8JO98": {"summary": {"Qwen-7B": "false"}}}, "summary of video 'P69idA8JO98'",
+         "annotations['P69idA8JO98'].summary['Qwen-7B'] must be true or false, got 'false'"),
     ],
 )
-def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, content, message):
+def test_graph_bad_input_shape_is_config_error(demo_dir, tmp_path, capsys, key, content, case, error):
     bad = tmp_path / f"{key}.json"
     bad.write_text(json.dumps(content), encoding="utf-8")
     path = _demo_config_variant(demo_dir, tmp_path, **{key: str(bad)})
     assert run_cli("graph", "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err
+    assert capsys.readouterr().err == f"config error: {key} file {bad}: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["graph", "evaluate"])
@@ -648,6 +665,9 @@ BAD_CONFIG_VALUES = [
     ({"asr_provider": "nope"}, "asr_provider"),
     ({"conditions": [{"provider": "local-qwen", "model_name": "m", "attention": "xformers"}]}, "attention"),
     ({"templates": {"mcq": "Answer: {options}"}}, "templates.mcq: template is missing a {question}"),
+    # a lone surrogate in a template went into every prompt
+    ({"templates": {"mcq": "{question}\n{options}\ud800"}}, "templates.mcq holds a lone surrogate at index 20"),
+    ({"templates": {"summary": "\ud800"}}, "templates.summary holds a lone surrogate at index 0"),
 ]
 
 
@@ -858,6 +878,7 @@ MISTYPED_RECORD_FIELDS = [
     ("condition", None),
     ("condition.fps", 0),
     ("condition.with_transcript", 1),
+    ("condition.gpu", "a10g\ud800"),  # a text of the config, as model_name is, which UTF-8 must encode
     ("response", None),
     ("response.raw_text", None),
     ("parsed", DELETE),
@@ -1045,10 +1066,63 @@ def test_evaluate_on_a_lone_surrogate_in_a_dataset_exits_3_naming_the_field_and_
     done = _run_python(f"import sys; from videval.cli import main; sys.exit(main({argv!r}))", timeout=120)
     assert done.returncode == 3
     assert done.stderr == (
-        "invalid input: dataset row 1 (question_id '001-2'): task_type holds a lone surrogate, "
+        "invalid input: dataset row 1 (question_id '001-2').task_type holds a lone surrogate at index 0, "
         "which UTF-8 cannot encode: '\\ud800'\n"
     )
     assert not out_dir.exists()  # no manifest, and no table
+
+
+def _with_a_lone_surrogate(doc, keys):
+    """doc with a lone surrogate put in the middle of the text at keys, or, where the value there is not a text,
+    of its key."""
+    *inner, last = keys
+    container = doc
+    for key in inner:
+        container = container[key]
+
+    def spoiled(text: str) -> str:
+        return text[:len(text) // 2] + "\ud800" + text[len(text) // 2:]
+
+    if isinstance(container[last], str):
+        container[last] = spoiled(container[last])
+    else:
+        container[spoiled(last)] = container.pop(last)
+    return doc
+
+
+@pytest.mark.parametrize("name, keys, where", [
+    pytest.param("transcripts.json", ["001", "segments", 0, "text"], "transcripts file {path}: "
+                 "transcripts['001'].segments[0].text", id="transcript-segment-text"),
+    pytest.param("transcripts.json", ["001", "language"], "transcripts file {path}: transcripts['001'].language",
+                 id="transcript-language"),
+    # the 1,036 characters of this output are not quoted whole
+    pytest.param("outputs.json", ["P69idA8JO98", "Gemini-2-Flash"], "outputs file {path}: "
+                 "outputs['P69idA8JO98']['Gemini-2-Flash']", id="outputs-text"),
+    pytest.param("annotations.json", ["P69idA8JO98", "keyframes", 0, 1], "annotations file {path}: "
+                 "annotations['P69idA8JO98'].keyframes[0]", id="annotation-caption"),
+    pytest.param("annotations.json", ["P69idA8JO98", "summary", "Qwen-7B"], "annotations file {path}: "
+                 "annotations['P69idA8JO98'].summary key", id="summary-model-name"),
+    pytest.param("config.json", ["conditions", 1, "gpu"], "config.condition 1.gpu", id="condition-gpu"),
+])
+def test_a_lone_surrogate_in_an_input_text_exits_2_before_any_request(demo_dir, tmp_path, capsys, loopback_provider,
+                                                                       name, keys, where):
+    # an outputs text ran every cell and then failed writing its graph, a transcript text went into the prompts,
+    # and a GPU name failed the completeness table: each past the manifest
+    demo = shutil.copytree(demo_dir, tmp_path / "demo")
+    raw = json.loads((demo / "config.json").read_text(encoding="utf-8"))
+    raw["providers"]["local-qwen"]["endpoint"] = loopback_provider.endpoint
+    raw["cassette_dir"] = str(tmp_path / "cassettes")
+    (demo / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    path = demo / name
+    path.write_text(json.dumps(_with_a_lone_surrogate(json.loads(path.read_text(encoding="utf-8")), keys)),
+                    encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--live", "--config", str(demo / "config.json"), "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where.format(path=path)} holds a lone surrogate at index "), err
+    assert err.count("\n") == 1 and len(err) < 300, err
+    assert len(loopback_provider.seen) == 0
+    assert not out_dir.exists() and not (tmp_path / "cassettes").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "report", "graph", "ingest", "transcribe"])
@@ -1282,9 +1356,12 @@ def test_transcribe_skips_a_file_whose_stem_another_file_holds(tmp_path, capsys,
 
 def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, fake_probe_cmd, loopback_provider):
     asr = {"segments": [{"id": 0, "start": 0.0, "end": 1.5, "text": "hello"}], "text": "hello", "language": "en"}
-    loopback_provider.script = [(200, json.dumps({"text": "not json"})), (200, json.dumps({"text": json.dumps(asr)}))]
-    bad, good = tmp_path / "a_bad.wav", tmp_path / "b_good.wav"
-    for path in (bad, good):
+    # a lone surrogate in a segment: evaluate would refuse the transcripts file that held it
+    spoiled = {**asr, "segments": [{**asr["segments"][0], "text": "hel\ud800lo"}]}
+    loopback_provider.script = [(200, json.dumps({"text": text})) for text in ("not json", json.dumps(spoiled),
+                                                                                json.dumps(asr))]
+    bad, surrogate, good = tmp_path / "a_bad.wav", tmp_path / "a_surrogate.wav", tmp_path / "b_good.wav"
+    for path in (bad, surrogate, good):
         path.write_bytes(path.name.encode())
     _, config_path, _ = _recorded_transcribe(tmp_path, fake_probe_cmd)
     raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -1295,10 +1372,13 @@ def test_transcribe_skips_an_answer_that_is_not_a_transcript(tmp_path, capsys, f
     for mode in ("--live", "--replay"):
         out = tmp_path / f"transcripts{mode}.json"
         capsys.readouterr()
-        assert run_cli("transcribe", mode, str(bad), str(good), "--config", str(config_path), "--out", str(out)) == 0
-        assert f"skipping {bad}: ASR payload is not JSON" in capsys.readouterr().err
+        files = map(str, (bad, surrogate, good))
+        assert run_cli("transcribe", mode, *files, "--config", str(config_path), "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert f"skipping {bad}: ASR payload is not JSON" in err
+        assert f"skipping {surrogate}: transcript.segments[0].text holds a lone surrogate at index 3" in err
         outputs[mode] = out.read_bytes()
-    assert len(loopback_provider.seen) == 2  # the replay asked nothing live
+    assert len(loopback_provider.seen) == 3  # the replay asked nothing live
     assert json.loads(outputs["--live"]) == {"b_good": {"segments": asr["segments"], "text": "hello", "language": "en"}}
     assert outputs["--replay"] == outputs["--live"]
 

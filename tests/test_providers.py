@@ -560,11 +560,11 @@ def test_transcribe_silent_clip(tmp_path, store, providers):
     hub = ProviderHub(providers, store, mode="replay")
     transcript = hub.transcribe(audio_asset(audio), "asr")
     assert transcript.segments == []
-    assert transcript.full_text == ""
+    assert transcript.text == ""
 
 
 def test_transcribe_concatenation_oracle(tmp_path, store, providers):
-    # full_text must equal the segment concatenation, whitespace-normalized
+    # text must equal the segment concatenation, whitespace-normalized
     audio = tmp_path / "two_seg.wav"
     audio.write_bytes(b"fake wav")
     seg0, seg1 = " hello there", " general remark"
@@ -583,7 +583,7 @@ def test_transcribe_concatenation_oracle(tmp_path, store, providers):
     hub = ProviderHub(providers, store, mode="replay")
     transcript = hub.transcribe(audio_asset(audio), "asr")
     expected = " ".join((seg0 + seg1).split())
-    assert " ".join(transcript.full_text.split()) == expected
+    assert " ".join(transcript.text.split()) == expected
 
 
 def test_malformed_transcript_payload():

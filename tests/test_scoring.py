@@ -7,6 +7,7 @@ import pytest
 from videval.parsing import KeyframeEntry, ParsedVideoOutput
 from videval.providers import ConditionTag
 from videval.scoring import (
+    Annotation,
     RowTriple,
     aggregate,
     build_match_vector,
@@ -21,7 +22,7 @@ from videval.scoring import (
 class FakeItem:
     question_id: str
     task_type: str = "Information Synopsis"
-    duration_class: str = "short"
+    duration: str = "short"
     answer: str = "A"
 
 
@@ -113,9 +114,9 @@ def test_build_match_vector_scenarios():
         "vid2": ParsedVideoOutput("s", [KeyframeEntry(8, "a")], True),  # no annotation: excluded
         "vid3": ParsedVideoOutput("s", [KeyframeEntry(500, "b")], True),
     }
-    annotations = {  # as load_annotations returns them
-        "vid1": {"keyframes": [KeyframeEntry(7, "x")], "summary": {"m": True}},
-        "vid3": {"keyframes": [KeyframeEntry(100, "y")], "summary": {"m": False}},
+    annotations = {
+        "vid1": Annotation([KeyframeEntry(7, "x")], {"m": True}),
+        "vid3": Annotation([KeyframeEntry(100, "y")], {"m": False}),
     }
     assert build_match_vector("keyframe", outputs, annotations, tolerance_s=2) == [True, False]
     assert build_match_vector("summary", outputs, annotations, model="m") == [True, False]
@@ -220,7 +221,7 @@ def test_aggregate_missing_condition():
 
 
 def test_aggregate_single_record_pair():
-    items = [FakeItem("q0", task_type="OCR Problems", duration_class="long")]
+    items = [FakeItem("q0", task_type="OCR Problems", duration="long")]
     records = make_records(["q0"], True, ["answered_correct"]) + make_records(
         ["q0"], False, ["answered_correct"]
     )
