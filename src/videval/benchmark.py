@@ -21,7 +21,7 @@ from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated, Literal, get_args
 
 from .errors import (
     HarnessError,
@@ -30,7 +30,7 @@ from .errors import (
     NoAnswerFound,
     SchemaError,
 )
-from .parsing import McqAnswer, ParsedVideoOutput, parse_mcq, parse_video_output
+from .parsing import Letter, McqAnswer, ParsedVideoOutput, parse_mcq, parse_video_output
 from .providers import (
     ConditionTag,
     ModelRequest,
@@ -38,39 +38,21 @@ from .providers import (
     ProviderHub,
     Transcript,
 )
-from .schema import Text, _choice, _fill, _json, _keyframes, _list_of, _object, _plain, _strings, _text
+from .schema import Text, _choice, _fill, _json, _object, _plain, _text
 from .templates import DEFAULT_MCQ_TEMPLATE, render_prompt, transcript_block
 
 if TYPE_CHECKING:  # config imports this module
     from .config import HarnessConfig
 
-OPTION_LETTERS = ("A", "B", "C", "D")
-DURATION_CLASSES = ("short", "medium", "long")
-OUTCOMES = ("answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom")
-REQUEST_KINDS = ("mcq", "summary_keyframes")
+Duration = Literal["short", "medium", "long"]
+Outcome = Literal["answered_correct", "answered_wrong", "answered", "unanswered", "invalid_output", "oom"]
+RequestKind = Literal["mcq", "summary_keyframes"]
+OPTION_LETTERS, DURATION_CLASSES, OUTCOMES, REQUEST_KINDS = map(get_args, (Letter, Duration, Outcome, RequestKind))
+_duration_class = _choice(*DURATION_CLASSES)
 
 
-@dataclass(slots=True)
-class BenchmarkItem:
-    """One dataset row, its fields named as the row's keys."""
-
-    video_id: Text
-    duration: str  # one of DURATION_CLASSES
-    question_id: Text
-    question: Text
-    options: dict[str, str]
-    answer: Text
-    task_type: Text = ""
-
-    def __post_init__(self):  # ITEM_READERS have read duration and options
-        self.answer = self.answer.strip().upper()
-        if tuple(sorted(self.options)) != OPTION_LETTERS:
-            raise ValueError(f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}")
-        if self.answer not in self.options:
-            raise ValueError(f"item {self.question_id}: answer {self.answer!r} not among options")
-
-
-_duration = _choice(*DURATION_CLASSES)
+def _duration(value, what: str) -> str:
+    return _duration_class(_text(value, what).strip().lower(), what)
 
 
 def _options(value, what: str) -> dict[str, str]:
@@ -87,19 +69,36 @@ def _options(value, what: str) -> dict[str, str]:
     return options
 
 
-ITEM_READERS = {"duration": lambda value, what: _duration(_text(value, what).strip().lower(), what),
-                "options": _options}
+@dataclass(slots=True)
+class BenchmarkItem:
+    """One dataset row, its fields named as the row's keys."""
+
+    video_id: Text
+    duration: Annotated[Duration, _duration]
+    question_id: Text
+    question: Text
+    options: Annotated[dict[str, str], _options]
+    answer: Text
+    task_type: Text = ""
+
+    def __post_init__(self):  # _fill has read duration and options
+        self.answer = self.answer.strip().upper()
+        if tuple(sorted(self.options)) != OPTION_LETTERS:
+            raise ValueError(f"item {self.question_id}: need exactly options A-D, got {sorted(self.options)}")
+        if self.answer not in self.options:
+            raise ValueError(f"item {self.question_id}: answer {self.answer!r} not among options")
 
 
 def item_from_record(record: dict, what: str = "dataset row") -> BenchmarkItem:
     """The item of one dataset row, named what in its errors. Each text must be a JSON string that UTF-8 can
     encode (nothing is coerced: null, a number or a lone surrogate is a SchemaError naming the field); an absent
     task_type is ""."""
-    return _fill(BenchmarkItem, record, what, ITEM_READERS)
+    return _fill(BenchmarkItem, record, what)
 
 
-def _rows(path: str | Path):
-    """The decoded rows of a JSON array or JSON-lines file, in UTF-8 with an optional BOM."""
+def _rows(path: str | Path) -> list[tuple[str, object]]:
+    """(place, row) of each decoded row of a JSON array or JSON-lines file, in UTF-8 with an optional BOM:
+    the place is "dataset row <n>" in an array and "dataset line <n>", the file's line, in JSON lines."""
 
     def parsed(data: bytes, where: str, place: str):
         try:
@@ -113,31 +112,27 @@ def _rows(path: str | Path):
     stripped = data.removeprefix(b"\xef\xbb\xbf").lstrip()
     if not stripped:
         raise SchemaError(f"dataset file is empty: {path}")
-    if stripped.startswith(b"["):
-        return parsed(data, str(path), "dataset")
+    if stripped.startswith(b"["):  # so the file holds a list, if it is JSON
+        return [(f"dataset row {n}", row) for n, row in enumerate(parsed(data, str(path), "dataset"), start=1)]
     # split as bytes, then decoded: str.splitlines would also split at a U+2028 inside a JSON string
-    return [parsed(line, f"{path} line {lineno}", f"line {lineno}")
+    return [(f"dataset line {lineno}", parsed(line, f"{path} line {lineno}", f"line {lineno}"))
             for lineno, line in enumerate(data.splitlines(), start=1) if line.strip()]
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkItem]:
     """Load a JSON array or JSON-lines file of benchmark items. The file's bytes are dropped, once
-    _rows has decoded them, before the items are built. An item's SchemaError names its row, counting
-    from 1, and its question_id where that is a string; a repeated question_id names the row that
-    held it first too."""
-    rows = _rows(path)
-    if not isinstance(rows, list):
-        raise SchemaError("dataset must be a JSON array or JSON-lines file")
-
+    _rows has decoded them, before the items are built. An item's SchemaError names its place, the
+    array's row or the file's line, counting from 1, and its question_id where that is a string; a
+    repeated question_id names the place that held it first too."""
     items = []
-    first_row: dict[str, int] = {}  # question_id -> the row that holds it
-    for n, row in enumerate(rows, start=1):
+    first_place: dict[str, str] = {}  # question_id -> the place that holds it
+    for place, row in _rows(path):
         question_id = row.get("question_id") if isinstance(row, dict) else None
-        where = f"dataset row {n}" + (f" (question_id {question_id!r})" if isinstance(question_id, str) else "")
+        where = place + (f" (question_id {question_id!r})" if isinstance(question_id, str) else "")
         item = item_from_record(row, where)
-        first = first_row.setdefault(item.question_id, n)
-        if first != n:
-            raise SchemaError(f"{where}: duplicate question_id, first held by dataset row {first}")
+        first = first_place.setdefault(item.question_id, place)
+        if first != place:
+            raise SchemaError(f"{where}: duplicate question_id, first held by {first}")
         items.append(item)
     return items
 
@@ -162,20 +157,18 @@ def build_question_prompt(
     )
 
 
-# the readers of both parsed shapes: an McqAnswer has a letter, a ParsedVideoOutput has not
-PARSED_READERS = {"letter": _choice(*OPTION_LETTERS), "confidence_source": _choice("explicit", "extracted"),
-                  "keyframes": _keyframes}
 _ANSWERS: dict[str, McqAnswer] = {}  # _parsed's answers, keyed by the repr of their dict
 
 
 def _parsed(value, what: str) -> McqAnswer | ParsedVideoOutput | None:
+    """Either parsed shape: an McqAnswer has a letter, a ParsedVideoOutput has not."""
     if value is None:
         return None
     if "letter" not in _object(value, what):
-        return _fill(ParsedVideoOutput, value, what, PARSED_READERS)
+        return _fill(ParsedVideoOutput, value, what)
     key = repr(value)  # a manifest repeats a few answers: read each once (repr tells true from 1)
     if key not in _ANSWERS:
-        _ANSWERS[key] = _fill(McqAnswer, value, what, PARSED_READERS)
+        _ANSWERS[key] = _fill(McqAnswer, value, what)
     return _ANSWERS[key]
 
 
@@ -192,11 +185,11 @@ def _parsed_json(parsed: McqAnswer | ParsedVideoOutput | None) -> str:
 @dataclass(slots=True)
 class RunRecord:
     item_ref: str
-    condition: ConditionTag
-    request_kind: str  # one of REQUEST_KINDS
-    response: ModelResponse
-    parsed: McqAnswer | ParsedVideoOutput | None
-    outcome: str
+    condition: Annotated[ConditionTag, ConditionTag.from_dict]
+    request_kind: RequestKind
+    response: Annotated[ModelResponse, ModelResponse.from_dict]
+    parsed: Annotated[McqAnswer | ParsedVideoOutput | None, _parsed]
+    outcome: Outcome
     wall_ms: int = 0
     error: str | None = None
 
@@ -211,11 +204,6 @@ class RunRecord:
             f'"request_kind":{_quote(self.request_kind)},"response":{self.response.to_json()},'
             f'"wall_ms":{self.wall_ms!r}}}'
         )
-
-
-# item_ref, wall_ms and error are read by their annotations
-RECORD_READERS = {"condition": ConditionTag.from_dict, "request_kind": _choice(*REQUEST_KINDS),
-                  "response": ModelResponse.from_dict, "parsed": _parsed, "outcome": _choice(*OUTCOMES)}
 
 
 def classify_outcome(
@@ -239,17 +227,11 @@ def classify_outcome(
 
 @dataclass(frozen=True)
 class RunCondition:
-    tag: ConditionTag
+    tag: Annotated[ConditionTag, ConditionTag.from_dict]
     provider: str
 
     def to_dict(self) -> dict:
         return {**_plain(self), "tag": self.tag.to_dict()}
-
-
-HEADER_READERS = {
-    "conditions": _list_of(partial(_fill, RunCondition, readers={"tag": ConditionTag.from_dict})),
-    "providers": _strings,
-}
 
 
 @dataclass
@@ -278,23 +260,21 @@ class RunManifest:
         first = next(lines, None)
         if first is None:
             raise SchemaError("empty manifest")
-        return _decode(*first, cls, "header", HEADER_READERS), (
-            _decode(*line, RunRecord, "record", RECORD_READERS) for line in lines
-        )
+        return _decode(*first, cls, "header"), (_decode(*line, RunRecord, "record") for line in lines)
 
 
-def _decode(lineno: int, line: str | bytes, cls, what: str, readers: dict):
+def _decode(lineno: int, line: str | bytes, cls, what: str):
     """The object cls of one manifest line, lineno, through _fill."""
     try:
-        return _fill(cls, _json(line) if isinstance(line, bytes) else json.loads(line), what, readers)
+        return _fill(cls, _json(line) if isinstance(line, bytes) else json.loads(line), what)
     except (ValueError, SchemaError, MalformedProviderOutput) as exc:
         raise SchemaError(f"manifest line {lineno} is malformed: {exc!r}") from exc
 
 
 def _build_prompt(config: HarnessConfig, item: BenchmarkItem, transcript: Transcript | None) -> str:
     if config.request_kind == "mcq":
-        return build_question_prompt(item, transcript, config.mcq_template)
-    return render_prompt(config.summary_template, {"transcript": transcript_block(transcript)})
+        return build_question_prompt(item, transcript, config.templates.mcq)
+    return render_prompt(config.templates.summary, {"transcript": transcript_block(transcript)})
 
 
 def plan_cells(config: HarnessConfig, items: list[BenchmarkItem], transcripts: dict[str, Transcript]):

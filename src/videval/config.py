@@ -6,61 +6,18 @@ so a bundled demo runs from any working directory.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Annotated, Literal
 
-from .benchmark import REQUEST_KINDS, RunCondition
+from .benchmark import RequestKind, RunCondition
 from .errors import ConfigError, SchemaError
 from .knowledge_graph import LayoutParams
-from .providers import TRANSCRIPT_READERS, ConditionTag, ModelResponse, ProviderSettings, Transcript
-from .schema import (_boolean, _choice, _fill, _json, _keyframe_texts, _number, _object, _object_of, _string, _strings,
-                     _text)
+from .providers import ConditionTag, ProviderSettings, Transcript
+from .schema import Text, _choice, _fill, _fill_or_default, _json, _number, _object, _object_of, _plain, _text
 from .scoring import Annotation
 from .templates import DEFAULT_MCQ_TEMPLATE, SUMMARY_PROMPT_PLAIN
-
-
-@dataclass
-class HarnessConfig:
-    """One config file, read by load_config; a key the file leaves out takes the default here."""
-
-    dataset: Path
-    cassette_dir: Path
-    out_dir: Path
-    providers: dict[str, ProviderSettings]
-    conditions: list[RunCondition]
-    mode: str = "replay"
-    request_kind: str = "mcq"
-    mcq_template: str = DEFAULT_MCQ_TEMPLATE
-    summary_template: str = SUMMARY_PROMPT_PLAIN
-    transcripts: Path | None = None
-    outputs: Path | None = None
-    annotations: Path | None = None
-    tolerance_s: int = 2
-    keyframe_match_mode: str = "any"
-    layout: LayoutParams = field(default_factory=LayoutParams)
-    probe_command: str | None = None
-    max_workers: int = 4  # the width of a live run's pool: its limit on calls in flight
-    asr_provider: str | None = None
-
-
-# the statuses an error reply can be classified as: every answer status but ok
-_error_status = _choice(*(status for status in ModelResponse.STATUSES if status != "ok"))
-
-
-def _error_patterns(value, what: str) -> dict[str, list[str]]:
-    given = _object(value or {}, what)
-    return {
-        _error_status(status, f"{what} key"): _strings(texts, f"{what}.{status}")
-        for status, texts in given.items()
-    }
-
-
-def _providers(value, what: str) -> dict[str, ProviderSettings]:
-    return {
-        name: _fill(ProviderSettings, entry, f"provider {name!r}", {"error_patterns": _error_patterns})
-        for name, entry in _object(value, what).items()
-    }
 
 
 def _conditions(value, what: str) -> list[RunCondition]:
@@ -85,6 +42,39 @@ def _conditions(value, what: str) -> list[RunCondition]:
     return conditions
 
 
+@dataclass
+class Templates:
+    """A config's "templates" object: the one place that sets a prompt template."""
+
+    mcq: Text = DEFAULT_MCQ_TEMPLATE
+    summary: Text = SUMMARY_PROMPT_PLAIN
+
+
+@dataclass
+class HarnessConfig:
+    """One config file, read by load_config; a key the file leaves out takes the default here.
+    Each path is as the file gives it until load_config joins it to the file's directory."""
+
+    dataset: Path
+    providers: dict[str, ProviderSettings]
+    conditions: Annotated[list[RunCondition], _conditions]
+    cassette_dir: Path = Path("cassettes")
+    out_dir: Path = Path("out")
+    mode: Literal["replay", "live"] = "replay"
+    request_kind: RequestKind = "mcq"
+    templates: Annotated[Templates, partial(_fill_or_default, Templates)] = field(default_factory=Templates)
+    transcripts: Path | None = None
+    outputs: Path | None = None
+    annotations: Path | None = None
+    tolerance_s: int = 2
+    keyframe_match_mode: Literal["any", "all"] = "any"
+    layout: Annotated[LayoutParams, partial(_fill_or_default, LayoutParams)] = field(default_factory=LayoutParams)
+    probe_command: str | None = None
+    # the width of a live run's pool: its limit on calls in flight
+    max_workers: Annotated[int, partial(_number, minimum=1)] = 4
+    asr_provider: str | None = None
+
+
 def _read_json_object(path: str | Path, what: str, read):
     """read(object, what) of the JSON file at path, whose top level must be an object; any failure is a
     ConfigError that names the file."""
@@ -104,55 +94,29 @@ def load_config(path: str | Path) -> HarnessConfig:
     config_path = Path(path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    base = config_path.parent
-
-    def path_in_base(value, what: str) -> Path:
-        return base / _string(value, what)  # an absolute path replaces base
-
-    def file_in_base(value, what: str) -> Path:
-        resolved = path_in_base(value, what)
-        if not resolved.is_file():
-            raise SchemaError(f"{what} file not found: {resolved}")
-        return resolved
-
-    readers = {
-        "dataset": file_in_base,
-        "cassette_dir": path_in_base,
-        "out_dir": path_in_base,
-        "providers": _providers,
-        "conditions": _conditions,
-        "mode": _choice("replay", "live"),
-        "request_kind": _choice(*REQUEST_KINDS),
-        "transcripts": file_in_base,
-        "outputs": file_in_base,
-        "annotations": file_in_base,
-        "keyframe_match_mode": _choice("any", "all"),
-        "layout": lambda value, what: _fill(LayoutParams, value or {}, what, {}),
-        "max_workers": partial(_number, minimum=1),
-        "mcq_template": lambda value, _what: _text(value, "templates.mcq"),
-        "summary_template": lambda value, _what: _text(value, "templates.summary"),
-    }
-    # both directories default to a name in the config file's directory
-    data = {"cassette_dir": "cassettes", "out_dir": "out", **_read_json_object(config_path, "config", _object)}
+    data = _read_json_object(config_path, "config", _object)
     try:
-        templates = _object(data.get("templates") or {}, "templates")
-        # the templates object alone sets them (MISSING keeps the default); top-level keys are ignored
-        data.update({f"{key}_template": templates.get(key, MISSING) for key in ("mcq", "summary")})
-        config = _fill(HarnessConfig, data, "config", readers)
+        config = _fill(HarnessConfig, data, "config")
+        for name, value in _plain(config).items():
+            if isinstance(value, Path):
+                value = config_path.parent / value  # an absolute path replaces the directory
+                setattr(config, name, value)
+                if name not in ("cassette_dir", "out_dir") and not value.is_file():
+                    raise ConfigError(f"config.{name} file not found: {value}")
         for i, condition in enumerate(config.conditions):
             _choice(*config.providers)(condition.provider, f"condition {i}.provider")
         _choice(None, *config.providers)(config.asr_provider, "config.asr_provider")
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
     for name in ("question", "options"):  # the one check: no prompt render checks again
-        if "{%s}" % name not in config.mcq_template:
+        if "{%s}" % name not in config.templates.mcq:
             raise ConfigError(f"templates.mcq: template is missing a {{{name}}} placeholder")
     return config
 
 
 def load_transcripts(path: str | Path) -> dict[str, Transcript]:
     """Read stored transcripts keyed by video id, each read as an ASR payload is."""
-    return _read_json_object(path, "transcripts", _object_of(partial(_fill, Transcript, readers=TRANSCRIPT_READERS)))
+    return _read_json_object(path, "transcripts", _object_of(partial(_fill, Transcript)))
 
 
 def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
@@ -160,10 +124,7 @@ def load_outputs(path: str | Path) -> dict[str, dict[str, str]]:
     return _read_json_object(path, "outputs", _object_of(_object_of(_text)))
 
 
-ANNOTATION_READERS = {"keyframes": _keyframe_texts, "summary": _object_of(_boolean)}  # "false" would count as a match
-
-
 def load_annotations(path: str | Path) -> dict[str, Annotation]:
     """Read ground-truth annotations, {video_id: {"keyframes": [[seconds, caption], ...], "summary":
     {model: true | false}}}, either key left out or not."""
-    return _read_json_object(path, "annotations", _object_of(partial(_fill, Annotation, readers=ANNOTATION_READERS)))
+    return _read_json_object(path, "annotations", _object_of(partial(_fill, Annotation)))

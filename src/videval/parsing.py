@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Annotated, Literal, get_args
 
-from .errors import NoAnswerFound
+from .errors import NoAnswerFound, SchemaError
+from .schema import _float, _string, _text
 
 MAX_TIMESTAMP_S = 359999  # exclusive: 99:59:59, the largest time with a two-digit hour, is out of range
 MAX_CAPTION_LEN = 500
@@ -51,24 +54,42 @@ class KeyframeEntry:
             raise ValueError("caption must not contain newlines")
 
 
+def _keyframe(pair, what: str, read_caption=_string) -> KeyframeEntry:
+    """A [seconds, caption] pair; seconds may be any number and counts in whole seconds."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise SchemaError(f"{what} must be a [seconds, caption] pair, got {pair!r}")
+    seconds, caption = _float(pair[0], what), read_caption(pair[1], what)
+    try:
+        return KeyframeEntry(int(seconds), caption)
+    except ValueError as exc:  # out of range, or untrimmed
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+_keyframe_text = partial(_keyframe, read_caption=_text)  # an annotation's, where a stored answer's is _keyframe
+
+
 @dataclass
 class ParsedVideoOutput:
     """A model's summary text plus its extracted keyframe entries."""
 
     summary: str
-    keyframes: list[KeyframeEntry] = field(default_factory=list)
+    keyframes: list[Annotated[KeyframeEntry, _keyframe]] = field(default_factory=list)
     valid: bool = False
+
+
+Letter = Literal["A", "B", "C", "D"]
+ConfidenceSource = Literal["explicit", "extracted"]
 
 
 @dataclass(frozen=True)
 class McqAnswer:
-    letter: str  # A-D
-    confidence_source: str  # explicit | extracted
+    letter: Letter
+    confidence_source: ConfidenceSource
 
 
 # every answer parse_mcq can give, made once: the records of a run share these few objects
 _MCQ_ANSWERS = {
-    (letter, source): McqAnswer(letter, source) for letter in "ABCD" for source in ("explicit", "extracted")
+    (letter, source): McqAnswer(letter, source) for letter in get_args(Letter) for source in get_args(ConfidenceSource)
 }
 
 

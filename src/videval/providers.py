@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's escaping
 from pathlib import Path
+from typing import Annotated, Literal, get_args
 
 from .errors import (
     ConfigError,
@@ -45,7 +46,7 @@ from .errors import (
     SchemaError,
 )
 from .media import MediaAsset
-from .schema import Text, _choice, _fill, _list_of, _plain
+from .schema import Text, _choice, _fill, _list_of, _object, _plain, _string
 
 DEFAULT_ERROR_PATTERNS = {
     "oom": [
@@ -62,6 +63,8 @@ DEFAULT_ERROR_PATTERNS = {
 }
 SEGMENT_NAME = re.compile(r"segment-(\d+)\.jsonl")
 _TAGS: dict[str, "ConditionTag"] = {}  # from_dict's tags, keyed by the repr of their dict
+Attention = Literal["sdpa", "flash_attention", "other"]
+Status = Literal["ok", "oom", "timeout", "invalid"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,12 @@ class ConditionTag:
     model_name: Text
     fps: float = 1.0
     with_transcript: bool = False
-    attention: str = "other"  # sdpa | flash_attention | other
+    attention: Attention = "other"
     gpu: Text = ""
 
-    ATTENTION_VALUES = ("sdpa", "flash_attention", "other")
+    ATTENTION_VALUES = get_args(Attention)
 
-    def __post_init__(self):  # CONDITION_READERS has checked attention
+    def __post_init__(self):  # _fill has checked attention
         if not self.fps > 0:
             raise ValueError(f"fps must be a positive number, got {self.fps!r}")
 
@@ -98,11 +101,8 @@ class ConditionTag:
         """The tag from the fields present in data; other keys, such as a provider, are ignored."""
         key = repr(data)  # a manifest repeats a few tags: read each once (repr tells true from 1)
         if key not in _TAGS:
-            _TAGS[key] = _fill(cls, data, what, CONDITION_READERS)
+            _TAGS[key] = _fill(cls, data, what)
         return _TAGS[key]
-
-
-CONDITION_READERS = {"attention": _choice(*ConditionTag.ATTENTION_VALUES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +119,11 @@ class TranscriptSegment:
             raise ValueError("segment start must not exceed end")
 
 
+def _segments(value, what: str) -> list[TranscriptSegment]:
+    """A transcript's segments: null, or any other value that is false, is none."""
+    return _list_of(partial(_fill, TranscriptSegment))(value or [], what)
+
+
 @dataclass
 class Transcript:
     """An ASR payload, {"segments": [...], "text": ..., "language": ...}, its segments in time order.
@@ -126,7 +131,7 @@ class Transcript:
     A null or absent text is the segments joined; a given one must equal them up to whitespace.
     """
 
-    segments: list[TranscriptSegment] = field(default_factory=list)
+    segments: Annotated[list[TranscriptSegment], _segments] = field(default_factory=list)
     text: Text | None = None
     language: Text | None = None
 
@@ -155,9 +160,9 @@ class ModelRequest:
 class ModelResponse:
     raw_text: str
     latency_ms: int = 0
-    status: str = "ok"  # ok | oom | timeout | invalid
+    status: Status = "ok"
 
-    STATUSES = ("ok", "oom", "timeout", "invalid")
+    STATUSES = get_args(Status)
 
     def validate(self) -> "ModelResponse":
         """The one rule across fields, which from_dict's readers cannot check: ok has text, nothing else has."""
@@ -175,10 +180,18 @@ class ModelResponse:
     @classmethod
     def from_dict(cls, data: dict, what: str = "response") -> "ModelResponse":
         """The validated response in data: an absent latency_ms or status keeps its default, and null is an error."""
-        return _fill(cls, data, what, RESPONSE_READERS).validate()
+        return _fill(cls, data, what).validate()
 
 
-RESPONSE_READERS = {"status": _choice(*ModelResponse.STATUSES)}
+# the statuses an error reply can be classified as: every answer status but ok
+_error_status = _choice(*(status for status in ModelResponse.STATUSES if status != "ok"))
+
+
+def _error_patterns(value, what: str) -> dict[str, list[str]]:
+    return {
+        _error_status(status, f"{what} key"): _list_of(_string)(texts, f"{what}.{status}")
+        for status, texts in _object(value or {}, what).items()
+    }
 
 
 @dataclass
@@ -197,7 +210,7 @@ class ProviderSettings:
     response_text_path: str = "text"
     timeout_s: float = 300.0
     retries: int = 1
-    error_patterns: dict[str, list[str]] = field(default_factory=dict)
+    error_patterns: Annotated[dict[str, list[str]], _error_patterns] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.timeout_s > 0:  # 0 makes every socket non-blocking, and every live call fail
@@ -543,11 +556,6 @@ def parse_transcript_payload(raw_text: str) -> Transcript:
     except json.JSONDecodeError as exc:
         raise MalformedProviderOutput(f"ASR payload is not JSON: {exc}") from exc
     try:
-        return _fill(Transcript, payload, "transcript", TRANSCRIPT_READERS)
+        return _fill(Transcript, payload, "transcript")
     except SchemaError as exc:
         raise MalformedProviderOutput(str(exc)) from exc
-
-
-_segments = _list_of(partial(_fill, TranscriptSegment, readers={}))
-# "segments": null, or any other value that is false, is no segments
-TRANSCRIPT_READERS = {"segments": lambda value, what: _segments(value or [], what)}

@@ -2,8 +2,15 @@
 
 The config, dataset rows, transcripts, outputs, annotations, manifests and
 cassette answers are all read here, each object built by _fill, and every file
-but the cassette store's decoded by _json. A reader takes (value, what) and returns the field's value or raises
-a SchemaError naming what; each caller turns that error into its own once.
+but the cassette store's decoded by _json. A reader takes (value, what) and
+returns the field's value or raises a SchemaError naming what; each caller
+turns that error into its own once. A field is read as its annotation says,
+the one place that says it: _reader makes, once per class, Annotated[T, read]
+read by read, a Literal by _choice of its values, a list, a str-keyed dict and
+a dataclass by the reader of what they hold, and int, float, bool and Path by
+their own. Metadata is a module-level name or a partial of one: get_type_hints
+evaluates a class's annotations with the class namespace as their globals, so a
+lambda written there would not find the module's names when it is called.
 A string of an input file is annotated Text and read by _text, which refuses a
 text UTF-8 cannot encode; a stored answer's is annotated str and read by
 _string, so that it replays as it was recorded.
@@ -13,20 +20,19 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
+from pathlib import Path
+from types import UnionType
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError
-from .parsing import KeyframeEntry
 
 
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a string, got {value!r}")
     return value
-
-
-Text = str  # the annotation of an input file's string, which _fill reads through _text
 
 
 def _text(value, what: str) -> str:
@@ -41,6 +47,9 @@ def _text(value, what: str) -> str:
         raise SchemaError(f"{what} holds a lone surrogate at index {exc.start}, which UTF-8 cannot encode: "
                           f"{excerpt!r}") from exc
     return value
+
+
+Text = Annotated[str, _text]  # the annotation of an input file's string
 
 
 def _json(data: bytes):
@@ -120,50 +129,52 @@ def _object_of(read):
     return read_object
 
 
-_strings = _list_of(_string)
+def _path(value, what: str) -> Path:
+    return Path(_string(value, what))
 
 
-def _keyframe(pair, what: str, read_caption=_string) -> KeyframeEntry:
-    """A [seconds, caption] pair; seconds may be any number and counts in whole seconds."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise SchemaError(f"{what} must be a [seconds, caption] pair, got {pair!r}")
-    seconds, caption = _float(pair[0], what), read_caption(pair[1], what)
-    try:
-        return KeyframeEntry(int(seconds), caption)
-    except ValueError as exc:  # out of range, or untrimmed
-        raise SchemaError(f"{what}: {exc}") from exc
+_SCALARS = {int: _number, float: _float, bool: _boolean, Path: _path}
 
 
-_keyframes = _list_of(_keyframe)  # a stored answer's
-_keyframe_texts = _list_of(partial(_keyframe, read_caption=_text))  # an annotation's
+def _reader(hint):
+    """The reader of a field annotated hint, as get_type_hints(cls, include_extras=True) resolves it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return args[1]
+    if origin is Literal:
+        return _choice(*args)
+    if origin is Union or origin is UnionType:  # X | None: _fill takes the None where the default is None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _reader(inner)
+    if origin is list:
+        return _list_of(_reader(args[0]))
+    if origin is dict:
+        return _object_of(_reader(args[1]))
+    if is_dataclass(hint):
+        return partial(_fill, hint)
+    return _SCALARS.get(hint, _string)
 
-# the reader an annotation gives: every module of a _fill'd dataclass has `from __future__ import
-# annotations`, so a field's type is its annotation's text
-_TYPED = {"int": _number, "float": _float, "bool": _boolean, "Text": _text}
 
-# per class, (name, default, default_factory, typed reader) of each field: no decode calls fields()
+# per class, (name, default, default_factory, reader) of each field, made on its first _fill
 _FIELDS: dict[type, list] = {}
 
 
-def _fill(cls, entry, what: str, readers: dict):
+def _fill(cls, entry, what: str):
     """Build the dataclass cls from the JSON object entry, one key per field, passed by position.
 
     An absent key takes the field's default, or a fresh default_factory() on each call, and so
-    does null where that default is None. Any other value goes through its reader in readers,
-    else the one its int, float, bool or Text annotation gives, else a string check. Unknown keys are
-    ignored. A missing required field, or a ValueError from __post_init__, is a SchemaError.
-    A reader is given the field's name as its what, and its error gets this what in front, so
-    the message names the whole path ("record.response.raw_text").
+    does null where that default is None. Any other value goes through the reader its annotation
+    gives. Unknown keys are ignored. A missing required field, or a ValueError from __post_init__,
+    is a SchemaError. A reader is given the field's name as its what, and its error gets this what
+    in front, so the message names the whole path ("record.response.raw_text").
     """
     entry = _object(entry, what)
     specs = _FIELDS.get(cls)
     if specs is None:
-        specs = _FIELDS[cls] = [
-            (f.name, f.default, f.default_factory, _TYPED.get(f.type.removesuffix(" | None"), _string))
-            for f in fields(cls)
-        ]
+        hints = get_type_hints(cls, include_extras=True)
+        specs = _FIELDS[cls] = [(f.name, f.default, f.default_factory, _reader(hints[f.name])) for f in fields(cls)]
     values = []
-    for name, default, factory, typed in specs:
+    for name, default, factory, read in specs:
         value = entry.get(name, MISSING)
         if value is MISSING or (value is None and default is None):
             if default is MISSING and factory is MISSING:
@@ -171,7 +182,7 @@ def _fill(cls, entry, what: str, readers: dict):
             value = default if factory is MISSING else factory()
         else:
             try:
-                value = readers.get(name, typed)(value, name)
+                value = read(value, name)
             except SchemaError as exc:
                 raise SchemaError(f"{what}.{exc}") from exc
         values.append(value)
@@ -179,6 +190,11 @@ def _fill(cls, entry, what: str, readers: dict):
         return cls(*values)
     except ValueError as exc:  # a check in __post_init__
         raise SchemaError(f"{what}: {exc}") from exc
+
+
+def _fill_or_default(cls, value, what: str):
+    """_fill of cls where null, or any other false value, is {}: each field at its default."""
+    return _fill(cls, value or {}, what)
 
 
 # __match_args__ names the fields: fields() would rebuild that list on every call, and

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .benchmark import DURATION_CLASSES
-from .parsing import KeyframeEntry
+from .parsing import KeyframeEntry, _keyframe_text
 
 ANSWERED_OUTCOMES = ("answered_correct", "answered_wrong")
 
@@ -32,8 +33,8 @@ class RowTriple:
 class Annotation:
     """One video's ground truth: its keyframes, and a verdict on each model's summary."""
 
-    keyframes: list[KeyframeEntry] = field(default_factory=list)
-    summary: dict[str, bool] = field(default_factory=dict)
+    keyframes: list[Annotated[KeyframeEntry, _keyframe_text]] = field(default_factory=list)
+    summary: dict[str, bool] = field(default_factory=dict)  # "false" would count as a match: _boolean refuses it
 
 
 @dataclass

@@ -159,6 +159,25 @@ def test_load_dataset_rejects_duplicate_question_ids(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_names_a_json_lines_row_by_its_line(tmp_path):
+    # a blank line made this "dataset row 2", while a line that was not JSON was "line 3"
+    second = dict(GENRE_RECORD, question_id="002-1", question=None)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(GENRE_RECORD) + "\n\n" + json.dumps(second) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"^dataset line 3 \(question_id '002-1'\)\.question must be a string, "
+                                          r"got None$"):
+        load_dataset(path)
+
+
+def test_load_dataset_names_the_lines_of_a_duplicate_question_id(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    second = dict(GENRE_RECORD, question_id="001-3")
+    path.write_text("".join(json.dumps(row) + "\n" for row in (GENRE_RECORD, second, GENRE_RECORD)), encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"^dataset line 3 \(question_id '001-2'\): duplicate question_id, "
+                                          r"first held by dataset line 1$"):
+        load_dataset(path)
+
+
 def test_load_demo_dataset(demo_dir):
     items = load_dataset(demo_dir / "dataset.json")
     assert len(items) == 10
@@ -386,12 +405,29 @@ class HeadHoldingTransport(ScriptedTransport):
 def test_run_benchmark_live_runs_a_bounded_window_past_a_slow_head_cell(demo_dir, tmp_path):
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     head = next(item for item in items if item.question_id == "001-2")  # the first cell: its item, no transcript
-    transport = HeadHoldingTransport(build_question_prompt(head, None, config.mcq_template), 20)
+    transport = HeadHoldingTransport(build_question_prompt(head, None, config.templates.mcq), 20)
     hub = live_hub(demo_dir, tmp_path / "c", transport)
     _, records = run_collected(replace(config, max_workers=2), items, transcripts, hub)
     assert len(records) == 20
     # the cells behind the held one in the window, not all 19 others
     assert transport.others_while_held <= AHEAD_PER_WORKER * 2 - 1
+
+
+@pytest.mark.parametrize("payload, outcome, error", [
+    # the OpenAI chat shape: the path goes through a list by index, then through objects by key
+    pytest.param({"choices": [{"message": {"content": "Answer: C"}}]}, "answered_wrong", None, id="through-a-list"),
+    pytest.param({"choices": "Answer: C"}, "invalid_output",
+                 "MalformedProviderOutput: cannot extract text at 'choices.0.message.content': '0'",
+                 id="through-a-string"),
+])
+def test_a_live_response_text_path_digs_through_the_reply(demo_dir, tmp_path, payload, outcome, error):
+    (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
+    item = next(item for item in items if item.question_id == "001-2")  # its answer is A
+    hub = live_hub(demo_dir, tmp_path / "c", lambda *args: (200, json.dumps(payload)))
+    hub.providers = {name: replace(settings, response_text_path="choices.0.message.content")
+                     for name, settings in hub.providers.items()}
+    _, records = run_collected(config, [item], transcripts, hub)
+    assert [(record.outcome, record.error) for record in records] == [(outcome, error)] * 2
 
 
 def test_run_benchmark_live_replays_from_its_cassettes(demo_dir, tmp_path):
@@ -530,7 +566,8 @@ def test_manifest_round_trip(demo_dir, tmp_path):
     assert "".join(RunManifest.lines(*loaded)) == text
     # a summary_keyframes manifest: records with keyframes, and replay misses that carry their error
     config, items, transcripts = plan
-    summary_config = replace(config, request_kind="summary_keyframes", summary_template="Summarize.")
+    summary_config = replace(config, request_kind="summary_keyframes",
+                             templates=replace(config.templates, summary="Summarize."))
     empty_hub = ProviderHub({}, CassetteStore(tmp_path / "empty"), mode="replay")
     header, summaries = run_collected(summary_config, items, transcripts, empty_hub)
     answer = ModelResponse("A dog runs.\n(00:08, a dog)\n(1:02:03, the end)", 1200)
@@ -686,7 +723,7 @@ class PromptRecorder:
 def test_summary_prompt_places_the_transcript(demo_dir, template, without, with_):
     (config, items, transcripts), _ = demo_plan_and_hub(demo_dir)
     item = next(item for item in items if item.video_id in transcripts)
-    config = replace(config, request_kind="summary_keyframes", summary_template=template)
+    config = replace(config, request_kind="summary_keyframes", templates=replace(config.templates, summary=template))
     hub = PromptRecorder()
     run_collected(config, [item], transcripts, hub)
     block = transcript_block(transcripts[item.video_id])

@@ -438,6 +438,18 @@ def test_evaluate_condition_filter(demo_dir, tmp_path):
     assert len(lines) == 1 + 10
 
 
+def test_evaluate_condition_filter_by_label(demo_dir, tmp_path):
+    # a token is matched, case aside, inside each label: "with audio" is not inside "without Audio"
+    out_dir = tmp_path / "out"
+    assert run_cli("evaluate", "--config", str(demo_dir / "config.json"), "--out-dir", str(out_dir),
+                   "--conditions", "with audio") == 0
+    header, records = read_manifest(((out_dir / "manifest.jsonl").read_bytes(),))
+    second = load_config(demo_dir / "config.json").conditions[1]
+    assert header.conditions == [second]
+    records = list(records)
+    assert len(records) == 10 and {record.condition for record in records} == {second.tag}
+
+
 def test_evaluate_unknown_condition_filter(demo_dir, tmp_path):
     # "," named no condition, and the run wrote a manifest of "conditions": [], which no config holds
     for expr in ("nonexistent-label", ","):
@@ -611,7 +623,7 @@ BAD_CONFIG_VALUES = [
     ({"providers": {"local-qwen": {"timeout_s": "slow"}}}, "timeout_s"),
     # 0 gave every live call a non-blocking socket, so each one failed
     ({"providers": {"local-qwen": {"timeout_s": 0}}}, "timeout_s must be a positive number"),
-    ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, "provider 'local-qwen'"),
+    ({"providers": {"local-qwen": "http://127.0.0.1:9"}}, "config.providers['local-qwen'] must be an object"),
     ({"providers": {"local-qwen": {"error_patterns": ["CUDA out of memory"]}}}, "error_patterns"),
     # keys that are not an error status: a live reply that matched one would raise before it was recorded
     (
@@ -630,7 +642,10 @@ BAD_CONFIG_VALUES = [
     ({"layout": {"seed": "42"}}, "layout.seed must be an integer, got '42'"),
     ({"layout": {"cooling": "0.9"}}, "layout.cooling must be a number"),
     ({"layout": {"spacing": True}}, "layout.spacing must be a number"),
-    ({"providers": {"local-qwen": {"retries": 1.5}}}, "'local-qwen'.retries must be an integer, got 1.5"),
+    (
+        {"providers": {"local-qwen": {"retries": 1.5}}},
+        "config.providers['local-qwen'].retries must be an integer, got 1.5",
+    ),
     # 0 passed the loader, and every laid-out position was NaN
     ({"layout": {"spacing": 0}}, "layout: spacing"),
     # above 1 the temperature grew each round: graph exited 0 with positions near 1e76
@@ -708,7 +723,22 @@ def test_top_level_template_keys_are_ignored(demo_dir, tmp_path):
     # only the templates object sets a template; a key named like the field is not read
     path = _demo_config_variant(demo_dir, tmp_path, mcq_template="Answer: {options}", summary_template=5)
     loaded, demo = load_config(path), load_config(demo_dir / "config.json")
-    assert (loaded.mcq_template, loaded.summary_template) == (demo.mcq_template, demo.summary_template)
+    assert loaded.templates == demo.templates
+
+
+def test_graph_tolerance_flag_is_the_config_key(demo_dir, tmp_path):
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert run_cli("graph", "--config", str(demo_dir / "config.json"), "--out-dir", str(by_flag),
+                   "--tolerance-s", "30") == 0
+    path = _demo_config_variant(demo_dir, tmp_path, tolerance_s=30)
+    assert run_cli("graph", "--config", str(path), "--out-dir", str(by_config)) == 0
+    scores = (by_flag / "matching_scores.json").read_bytes()
+    assert scores == (by_config / "matching_scores.json").read_bytes()
+    # the demo's Qwen-7B keyframe lies more than the config's 2 s, and at most 30 s, from its annotation
+    assert json.loads(scores)["Qwen-7B"]["keyframe"] == {"n": 1, "score": 1.0}
+    assert run_cli("graph", "--config", str(demo_dir / "config.json"), "--out-dir", str(tmp_path / "default")) == 0
+    default = json.loads((tmp_path / "default" / "matching_scores.json").read_text())
+    assert default["Qwen-7B"]["keyframe"] == {"n": 1, "score": 0.0}
 
 
 def test_graph_seed_flag_changes_layout(demo_dir, tmp_path):
@@ -737,6 +767,28 @@ def test_report_regenerates_tables_from_manifest(demo_dir, tmp_path):
     assert code == 0
     for name in ("task_accuracy.md", "model_accuracy.md", "completeness.md", "scores.json"):
         assert (report_dir / name).read_bytes() == (eval_dir / name).read_bytes()
+
+
+def test_report_skips_a_record_of_an_unknown_item(demo_dir, tmp_path):
+    # such a record counts in its condition's completeness row, and in no accuracy table
+    config = str(demo_dir / "config.json")
+    assert run_cli("evaluate", "--config", config, "--out-dir", str(tmp_path / "eval")) == 0
+    header, first, *rest = (tmp_path / "eval" / "manifest.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    assert record["outcome"] == "answered_correct"
+    unknown = json.dumps({**record, "item_ref": "999-9"}, sort_keys=True, separators=(",", ":")) + "\n"
+    for name, lines in (("unknown", [header, unknown, *rest]), ("dropped", [header, *rest])):
+        (tmp_path / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert run_cli("report", "--config", config, "--manifest", str(tmp_path / f"{name}.jsonl"),
+                       "--out-dir", str(tmp_path / name)) == 0
+    unknown, dropped = (json.loads((tmp_path / name / "scores.json").read_text()) for name in ("unknown", "dropped"))
+    assert unknown["warnings"] == ["1 record(s) reference unknown items and were skipped", *dropped["warnings"]]
+    for key in ("overall_accuracy", "by_task_type", "by_duration", "by_model"):
+        assert unknown[key] == dropped[key], key
+    for name in ("task_accuracy.md", "duration_accuracy.md", "model_accuracy.md"):
+        assert (tmp_path / "unknown" / name).read_bytes() == (tmp_path / "dropped" / name).read_bytes(), name
+    rows = [unknown["completeness"], dropped["completeness"]]
+    assert [sum(row["total"] for row in table.values()) for table in rows] == [20, 19]
 
 
 @pytest.mark.parametrize(
